@@ -38,6 +38,7 @@ from .codes import (
     pg_points,
     same_code,
     weight_distribution,
+    weight_pair,
 )
 from .constructions import (
     FamilyDescriptor,
@@ -65,6 +66,7 @@ from .field import GF, Field
 from .matio import MatrixFormatError, format_matrix, parse_matrix, read_matrix, write_matrix
 from .matrix import MatrixGF, kernel_basis, rank, row_space_basis, rref, solve_rational
 from .regularity import (
+    CodeAnalysis,
     IntersectionArray,
     RegularityReport,
     SyndromeTable,
@@ -75,7 +77,6 @@ from .regularity import (
     coset_low_weight_counts,
     coset_weight_counts,
     covering_radius,
-    syndrome_table,
     uniformly_packed_wide,
 )
 

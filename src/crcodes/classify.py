@@ -22,6 +22,7 @@ from .codes import (
     LinearCode,
     canonical_column,
     is_equidistant,
+    iter_pg_points,
     iter_rowspace,
     nonzero_weights,
     num_pg_points,
@@ -31,9 +32,9 @@ from .codes import (
 from .field import GF
 from .matrix import MatrixGF, rank, row_space_basis
 from .regularity import (
+    CodeAnalysis,
     IntersectionArray,
     RegularityReport,
-    SyndromeTable,
     complete_regularity,
 )
 
@@ -89,13 +90,16 @@ def _columns_rho1_form(field, columns) -> Rho1Form | NotOfForm:
     if not groups:
         return NotOfForm("no nonzero columns")
     m = rank(MatrixGF.from_columns(field, sorted(groups)))
-    points = set(pg_points(field, m))
-    if set(groups) != points:
-        missing = sorted(points - set(groups))
-        return NotOfForm(
-            f"columns cover {len(groups)} of the {len(points)} projective "
-            f"points; first missing point {missing[0]}"
-        )
+    # Every group is a canonical column of a rank-m set, so when m is
+    # the column length the groups lie in PG(m-1, q) and covering every
+    # point means equality; a longer column never matches a point.
+    for point in iter_pg_points(field, m):
+        if point not in groups:
+            return NotOfForm(
+                f"columns cover {len(groups)} of the "
+                f"{num_pg_points(field.q, m)} projective "
+                f"points; first missing point {point}"
+            )
     mults = sorted(set(groups.values()))
     if len(mults) != 1:
         return NotOfForm(f"point multiplicities are not constant: {mults}")
@@ -183,18 +187,23 @@ def _pinned_complement_basis(Hs: MatrixGF) -> MatrixGF:
 
 
 def verify_theorem41(
-    code: LinearCode, budget: Budgets = DEFAULT_BUDGETS
+    code: LinearCode,
+    budget: Budgets = DEFAULT_BUDGETS,
+    analysis: CodeAnalysis | None = None,
 ) -> Rho2Report:
     """Run the radius-2 normal-form checks.
 
-    (1) find a full-weight dual codeword, (2) scale columns so all-ones
-    lies in the dual, (3) split off the residual generator M, (4) check
-    that M generates an equidistant code in which every symbol occurring
-    in a nonzero codeword occurs exactly n - dtilde times, (5) search
-    all n coordinates for a puncture whose residual has the radius-1
-    column form, and (6) cross-check the flags against the measured
-    coset regularity whenever the covering radius is 2 and the dual is
-    antipodal, which is the regime the equivalence speaks about.
+    (1) find the first full-weight dual codeword in odometer order,
+    walking the dual only when its weight distribution shows one, (2)
+    scale columns so all-ones lies in the dual, (3) split off the
+    residual generator M, (4) check that M generates an equidistant code
+    in which every symbol occurring in a nonzero codeword occurs exactly
+    n - dtilde times, (5) search all n coordinates for a puncture whose
+    residual has the radius-1 column form, and (6) cross-check the flags
+    against the measured coset regularity whenever the covering radius
+    is 2 and the dual is antipodal, which is the regime the equivalence
+    speaks about.  The weight pair and the regularity report come from
+    `analysis`, or from a fresh CodeAnalysis when none is given.
 
     Accepts k = 1 (redundancy >= 2 is all the normal form needs); the
     catalog's radius-2 list contains such members.
@@ -208,15 +217,14 @@ def verify_theorem41(
     dual_size = q**code.redundancy
     if dual_size > budget.max_codewords:
         raise BudgetExceeded("max_codewords", dual_size, budget.max_codewords)
+    analysis = analysis or CodeAnalysis(code, budget)
 
     full = None
-    for word in iter_rowspace(code.H):
-        if all(word):
-            full = word
-            break
+    if analysis.weight_pair[1][n]:
+        full = next(word for word in iter_rowspace(code.H) if all(word))
     if full is None:
         report = Rho2Report(False, None, None, False, False, None, None)
-        _crosscheck_rho2(code, report, budget)
+        _crosscheck_rho2(report, analysis)
         return report
 
     scaling = tuple(f.inv(x) for x in full)
@@ -261,12 +269,12 @@ def verify_theorem41(
     report = Rho2Report(
         True, scaling, M, equidistant_ok, symbol_frequency_ok, form, pcol
     )
-    _crosscheck_rho2(code, report, budget)
+    _crosscheck_rho2(report, analysis)
     return report
 
 
-def _crosscheck_rho2(code: LinearCode, report: Rho2Report, budget: Budgets):
-    rep = complete_regularity(code, budget)
+def _crosscheck_rho2(report: Rho2Report, analysis: CodeAnalysis):
+    code, rep = analysis.code, analysis.report
     if rep.rho != 2 or not report.dual_antipodal:
         return
     if rep.is_completely_regular == report.all_flags:
@@ -415,11 +423,10 @@ def enumerate_rho1(
             if rank(H) != m:
                 continue
             code = LinearCode.from_parity(H)
-            st = SyndromeTable(code, budget)
-            rep = complete_regularity(code, budget, table=st)
+            rep = complete_regularity(code, budget)
             form = classify_rho1(code)
             recognized = isinstance(form, Rho1Form)
-            positive = rep.is_completely_regular and st.rho == 1
+            positive = rep.is_completely_regular and rep.rho == 1
             if recognized != positive:
                 raise AssertionError(
                     f"column form and measured regularity disagree on {multiset}"
@@ -430,7 +437,7 @@ def enumerate_rho1(
                 )
             entries.append(
                 CorpusEntry(
-                    multiset, n, code.k, st.rho,
+                    multiset, n, code.k, rep.rho,
                     rep.is_completely_regular, form, rep.array,
                 )
             )

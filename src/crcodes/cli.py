@@ -36,20 +36,10 @@ from .classify import (
     verify_theorem31,
     verify_theorem41,
 )
-from .codes import (
-    LinearCode,
-    macwilliams_transform,
-    nonzero_weights,
-    weight_distribution,
-)
+from .codes import LinearCode, nonzero_weights
 from .constructions import build_family, family_catalog
 from .matio import MatrixFormatError, format_matrix, read_matrix
-from .regularity import (
-    SyndromeTable,
-    beta_solve,
-    complete_regularity,
-    complete_regularity_bruteforce,
-)
+from .regularity import CodeAnalysis, beta_solve, complete_regularity_bruteforce
 
 FAMILIES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "lifted", "d1antipodal")
 
@@ -76,25 +66,6 @@ def _add_budget_flags(p: argparse.ArgumentParser):
 # -- report assembly --------------------------------------------------------
 
 
-def _weight_pair(code: LinearCode, budget: Budgets):
-    """Primal and dual weight distributions, enumerating whichever side
-    is smaller and transforming across."""
-    q = code.field.q
-    direct = q**code.k
-    via_dual = q**code.redundancy
-    if direct <= budget.max_codewords:
-        counts = weight_distribution(code, budget)
-        dual_counts = macwilliams_transform(counts, q)
-    elif via_dual <= budget.max_codewords:
-        dual_counts = weight_distribution(code.dual(), budget)
-        counts = macwilliams_transform(dual_counts, q)
-    else:
-        raise BudgetExceeded(
-            "max_codewords", min(direct, via_dual), budget.max_codewords
-        )
-    return counts, dual_counts
-
-
 def _form_json(form: Rho1Form | None) -> dict | None:
     if form is None:
         return None
@@ -109,9 +80,9 @@ def _rho1_json(code: LinearCode) -> dict | None:
     return _form_json(form if isinstance(form, Rho1Form) else None)
 
 
-def _rho2_json(code: LinearCode, budget: Budgets) -> dict | None:
+def _rho2_json(analysis: CodeAnalysis) -> dict | None:
     try:
-        rep = verify_theorem41(code, budget)
+        rep = verify_theorem41(analysis.code, analysis.budget, analysis)
     except TrivialCode:
         return None
     return {
@@ -130,12 +101,14 @@ def analysis_report(
     with_beta: bool = False,
     brute_force: bool = False,
 ) -> dict:
-    """The full analysis dictionary; field order is part of the format."""
-    counts, dual_counts = _weight_pair(code, budget)
+    """The full analysis dictionary; field order is part of the format.
+    One CodeAnalysis serves every part, so the weight pair, the syndrome
+    table and the regularity scan are each computed once."""
+    analysis = CodeAnalysis(code, budget)
+    counts, dual_counts = analysis.weight_pair
     weights = nonzero_weights(counts)
     dual_weights = nonzero_weights(dual_counts)
-    st = SyndromeTable(code, budget)
-    rep = complete_regularity(code, budget, table=st)
+    rep = analysis.report
     s = len(dual_weights)
     report = {
         "q": code.field.q,
@@ -159,10 +132,10 @@ def analysis_report(
         "uniformly_packed": rep.rho == s,
     }
     if with_beta:
-        beta = beta_solve(code, budget)
+        beta = beta_solve(code, budget, analysis)
         report["beta"] = None if beta is None else [str(x) for x in beta]
     if brute_force:
-        ref = complete_regularity_bruteforce(code, budget)
+        ref = complete_regularity_bruteforce(code, budget, analysis)
         ref_level = ref.witness.level if ref.witness else None
         rep_level = rep.witness.level if rep.witness else None
         if (
@@ -176,7 +149,7 @@ def analysis_report(
         report["brute_force_agrees"] = True
     report["classification"] = {
         "rho1": _rho1_json(code),
-        "rho2": _rho2_json(code, budget),
+        "rho2": _rho2_json(analysis),
     }
     return report
 

@@ -8,12 +8,12 @@ field) always hold identical matrices and compare equal.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from .field import GF, Field
-from .matrix import MatrixGF, kernel_basis, rref, row_space_basis
+from .matrix import MatrixGF, kernel_basis, rank, rref, row_space_basis
 
 
 class EmptyMatrix(ValueError):
@@ -62,22 +62,18 @@ def pg_points(field: Field, m: int) -> list[tuple[int, ...]]:
     lexicographically by their coordinate tuples."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    points = []
+    return list(iter_pg_points(field, m))
 
-    def walk(prefix):
-        if len(prefix) == m:
-            points.append(tuple(prefix))
-            return
-        for x in range(field.q):
-            walk(prefix + [x])
 
-    walk([])
-    out = []
-    for vec in points:
-        first = next((x for x in vec if x), None)
-        if first == 1:
-            out.append(vec)
-    return out
+def iter_pg_points(field: Field, m: int):
+    """Yield the points of pg_points(field, m) one at a time, in the same
+    order, so a caller that stops early never builds the rest: points
+    with more leading zeros come first, and behind the leading 1 the
+    tail runs through every q-ary word in lexicographic order."""
+    for lead in range(m - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        for tail in product(range(field.q), repeat=m - 1 - lead):
+            yield head + tail
 
 
 def num_pg_points(q: int, m: int) -> int:
@@ -265,8 +261,8 @@ def weight_distribution(
 ) -> list[int]:
     """Counts [A_0, ..., A_n] by full codeword enumeration (q^k words).
 
-    Raises BudgetExceeded when q^k is over budget; in that case enumerate
-    the dual instead and apply macwilliams_transform.
+    Raises BudgetExceeded when q^k is over budget; weight_pair reaches
+    the distribution through the smaller of the code and its dual.
     """
     total = code.field.q**code.k
     if total > budget.max_codewords:
@@ -275,6 +271,27 @@ def weight_distribution(
     for word in iter_codewords(code):
         counts[sum(1 for x in word if x)] += 1
     return counts
+
+
+def weight_pair(
+    code: LinearCode, budget: Budgets = DEFAULT_BUDGETS
+) -> tuple[list[int], list[int]]:
+    """Primal and dual weight distributions.  Enumerates whichever of the
+    code (q^k words) and its dual (q^(n-k) words) is smaller, the code on
+    a tie, and reaches the other side by macwilliams_transform; raises
+    BudgetExceeded only when both sides are over max_codewords."""
+    q = code.field.q
+    direct = q**code.k
+    via_dual = q**code.redundancy
+    if min(direct, via_dual) > budget.max_codewords:
+        raise BudgetExceeded(
+            "max_codewords", min(direct, via_dual), budget.max_codewords
+        )
+    if direct <= via_dual:
+        counts = weight_distribution(code, budget)
+        return counts, macwilliams_transform(counts, q)
+    dual_counts = weight_distribution(code.dual(), budget)
+    return macwilliams_transform(dual_counts, q), dual_counts
 
 
 def _krawtchouk(q: int, n: int, j: int, i: int) -> int:
@@ -322,42 +339,12 @@ def is_equidistant(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> bool:
 
 def is_antipodal(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> bool:
     """True when the code contains a word of full weight n."""
-    counts = weight_distribution(code, budget)
-    return counts[code.n] > 0
+    return weight_pair(code, budget)[0][code.n] > 0
 
 
 def external_distance(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
     """Number of distinct nonzero weights in the dual code."""
-    return len(nonzero_weights(weight_distribution(code.dual(), budget)))
-
-
-def _columns_dependent(field: Field, cols) -> bool:
-    """True when the given columns are linearly dependent over the field."""
-    t = len(cols)
-    work = [list(col) for col in cols]  # one row per column
-    m = len(work[0])
-    rank = 0
-    for pos in range(m):
-        sel = None
-        for i in range(rank, t):
-            if work[i][pos]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = field.inv(work[rank][pos])
-        if inv != 1:
-            work[rank] = [field.mul(inv, x) for x in work[rank]]
-        prow = work[rank]
-        for i in range(t):
-            if i != rank and work[i][pos]:
-                c = work[i][pos]
-                work[i] = [field.sub(x, field.mul(c, px)) for x, px in zip(work[i], prow)]
-        rank += 1
-        if rank == t:
-            return False
-    return rank < t
+    return len(nonzero_weights(weight_pair(code, budget)[1]))
 
 
 def min_distance(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
@@ -385,7 +372,7 @@ def min_distance(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
         if t > code.n:
             break
         for subset in combinations(cols, t):
-            if _columns_dependent(f, subset):
+            if rank(MatrixGF.from_columns(f, subset, code.redundancy)) < t:
                 return t
     if f.q**code.k <= budget.max_codewords:
         counts = weight_distribution(code, budget)

@@ -1,6 +1,10 @@
 """Coset geometry of a linear code: syndrome table, covering radius,
 complete regularity, and the wide-sense uniform packing test.
 
+CodeAnalysis holds what several of these checks read about one code (the
+weight pair, the syndrome table and the regularity report), so that an
+analysis that passes it along computes each of them once.
+
 Syndromes are encoded as mixed-radix integers with coordinate 0 least
 significant.  Since field elements are themselves base-p encodings, the
 whole syndrome code is the base-p encoding of the concatenated digit
@@ -11,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
-from .codes import LinearCode, external_distance
+from .codes import LinearCode, nonzero_weights, weight_pair
 from .matrix import solve_rational
 
 
@@ -111,12 +116,34 @@ class SyndromeTable:
         self.rho = max(lw)
 
 
-def syndrome_table(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> SyndromeTable:
-    return SyndromeTable(code, budget)
-
-
 def covering_radius(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
     return SyndromeTable(code, budget).rho
+
+
+class CodeAnalysis:
+    """The facts about one code that several checks read, each computed
+    on first use and then kept: the weight pair, the syndrome table and
+    the regularity report.  Passing one along as `analysis=` is what
+    shares the work: a function given none computes what it needs
+    afresh.  `budget` caps every computation made through it.
+    """
+
+    def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
+        self.code = code
+        self.budget = budget
+
+    @cached_property
+    def weight_pair(self) -> tuple[list[int], list[int]]:
+        """Primal and dual weight distributions, from the smaller side."""
+        return weight_pair(self.code, self.budget)
+
+    @cached_property
+    def table(self) -> SyndromeTable:
+        return SyndromeTable(self.code, self.budget)
+
+    @cached_property
+    def report(self) -> RegularityReport:
+        return complete_regularity(self.code, self.budget, self)
 
 
 @dataclass(frozen=True)
@@ -194,15 +221,16 @@ def _report_from_profiles(q, n, rho, first, conflicts) -> RegularityReport:
 def complete_regularity(
     code: LinearCode,
     budget: Budgets = DEFAULT_BUDGETS,
-    table: SyndromeTable | None = None,
+    analysis: CodeAnalysis | None = None,
 ) -> RegularityReport:
     """Decide complete regularity by scanning each coset's (c, b) profile.
 
     Distances come from the syndrome table, and the profile of a coset is
     computed once per syndrome; constancy across each level is exactly
-    the defining condition.
+    the defining condition.  Callers holding a CodeAnalysis read its
+    cached `report` rather than scanning again.
     """
-    st = table if table is not None else SyndromeTable(code, budget)
+    st = analysis.table if analysis else SyndromeTable(code, budget)
     lw = st.leader_weight
     rho = st.rho
     flat = [t for per_beta in st.shift for t in per_beta]
@@ -228,7 +256,9 @@ def complete_regularity(
 
 
 def complete_regularity_bruteforce(
-    code: LinearCode, budget: Budgets = DEFAULT_BUDGETS
+    code: LinearCode,
+    budget: Budgets = DEFAULT_BUDGETS,
+    analysis: CodeAnalysis | None = None,
 ) -> RegularityReport:
     """Independent check: walk every vector of the ambient space, compute
     its distance via syndrome lookup, and count the levels of its actual
@@ -238,7 +268,7 @@ def complete_regularity_bruteforce(
     total = q**n
     if total > budget.max_vectors:
         raise BudgetExceeded("max_vectors", total, budget.max_vectors)
-    st = SyndromeTable(code, budget)
+    st = analysis.table if analysis else SyndromeTable(code, budget)
     lw = st.leader_weight
     rho = st.rho
     sub = [[f.sub(a2, a1) for a2 in range(q)] for a1 in range(q)]
@@ -329,7 +359,7 @@ def coset_low_weight_counts(
     code: LinearCode,
     wmax: int,
     budget: Budgets = DEFAULT_BUDGETS,
-    table: SyndromeTable | None = None,
+    analysis: CodeAnalysis | None = None,
 ) -> list[list[int]]:
     """counts[s][w] for w <= wmax only, by enumerating supports instead
     of the whole space; touches sum_{w<=wmax} C(n,w)(q-1)^w vectors."""
@@ -338,7 +368,7 @@ def coset_low_weight_counts(
     total = sum(comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
     if total > budget.max_vectors:
         raise BudgetExceeded("max_vectors", total, budget.max_vectors)
-    st = table if table is not None else SyndromeTable(code, budget)
+    st = analysis.table if analysis else SyndromeTable(code, budget)
     shift = st.shift
     counts = [[0] * (wmax + 1) for _ in range(st.size)]
     counts[0][0] = 1
@@ -353,7 +383,9 @@ def coset_low_weight_counts(
 
 
 def beta_solve(
-    code: LinearCode, budget: Budgets = DEFAULT_BUDGETS
+    code: LinearCode,
+    budget: Budgets = DEFAULT_BUDGETS,
+    analysis: CodeAnalysis | None = None,
 ) -> list[Fraction] | None:
     """Rational coefficients beta_0..beta_rho with
     sum_k beta_k * alpha_k(v) = 1 for every ambient vector v, where
@@ -364,13 +396,14 @@ def beta_solve(
     Only distances up to rho enter the system, so the per-coset counts
     come from the low-weight enumeration and long codes stay feasible.
     """
-    st = SyndromeTable(code, budget)
-    rho = st.rho
-    counts = coset_low_weight_counts(code, rho, budget, table=st)
+    analysis = analysis or CodeAnalysis(code, budget)
+    counts = coset_low_weight_counts(code, analysis.table.rho, budget, analysis)
     rows = sorted({tuple(row) for row in counts})
     return solve_rational(rows, [1] * len(rows))
 
 
 def uniformly_packed_wide(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> bool:
     """True iff the covering radius equals the external distance."""
-    return covering_radius(code, budget) == external_distance(code, budget)
+    analysis = CodeAnalysis(code, budget)
+    return analysis.table.rho == len(nonzero_weights(analysis.weight_pair[1]))
+

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from crcodes import classify as classify_module
+from crcodes import codes as codes_module
 from crcodes.budgets import Budgets, BudgetExceeded
 from crcodes.classify import (
     NoZeroColumnReachable,
@@ -61,6 +63,10 @@ def test_classify_rho1_rejections():
     got = classify_rho1(LinearCode.from_parity(partial))
     assert isinstance(got, NotOfForm)
     assert got.reason
+    missing = MatrixGF(GF(3), [[1, 0, 1, 1], [0, 1, 1, 1]])
+    assert classify_rho1(LinearCode.from_parity(missing)) == NotOfForm(
+        "columns cover 3 of the 4 projective points; first missing point (1, 2)"
+    )
     # unequal multiplicities
     uneven = MatrixGF(f, [[1, 1, 0, 1, 1], [0, 0, 1, 1, 1]])
     assert isinstance(classify_rho1(LinearCode.from_parity(uneven)), NotOfForm)
@@ -150,6 +156,30 @@ def test_verify_theorem41_flags_fall_on_corruption():
     rep = verify_theorem41(broken)
     assert not rep.dual_antipodal
     assert not rep.all_flags
+
+
+def test_verify_theorem41_walks_no_dual_word_without_a_full_weight_one(
+    monkeypatch,
+):
+    # binary, so the only full-weight word is all-ones, which the
+    # odd-weight generator row keeps out of the dual
+    code = LinearCode.from_generator(
+        MatrixGF(GF(2), [[1, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
+    )
+    dual_words = 0
+
+    def counting(M):
+        nonlocal dual_words
+        for word in iter_rowspace(M):
+            dual_words += M == code.H
+            yield word
+
+    monkeypatch.setattr(codes_module, "iter_rowspace", counting)
+    monkeypatch.setattr(classify_module, "iter_rowspace", counting)
+    rep = verify_theorem41(code)
+    assert not rep.dual_antipodal
+    assert not rep.all_flags
+    assert dual_words == 0
 
 
 def test_verify_theorem41_trivial_inputs():

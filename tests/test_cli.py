@@ -10,11 +10,14 @@ from pathlib import Path
 import pytest
 
 import crcodes
-from crcodes.cli import main
-from crcodes.constructions import difference_matrix_code, hamming_code
+from crcodes import classify as classify_module
+from crcodes import codes as codes_module
+from crcodes.cli import analysis_report, main
+from crcodes.constructions import build_family, difference_matrix_code, hamming_code
 from crcodes.matio import write_matrix
 from crcodes.matrix import MatrixGF
 from crcodes.field import GF
+from crcodes.regularity import SyndromeTable
 
 
 def run(capsys, *argv):
@@ -229,6 +232,64 @@ def test_catalog_is_deterministic(capsys, tmp_path):
     assert (a / "index.json").read_bytes() == (b / "index.json").read_bytes()
     for item in sorted(a.glob("*.json")):
         assert item.read_bytes() == (b / item.name).read_bytes()
+
+
+class WalkTooLong(Exception):
+    pass
+
+
+@pytest.mark.parametrize("family,params", [("i", {"m": 5}), ("ii", {"q": 8})])
+def test_analysis_walks_only_the_smaller_side(monkeypatch, family, params):
+    # i-m5 is [32,26] and ii-q8 is [10,7]_8: the primal walk would take
+    # 2^26 and 8^7 words where the dual needs 2^6 and 8^3, so any walk
+    # longer than the smaller side stops the test at once
+    desc, code = build_family(family, **params)
+    limit = code.field.q ** min(code.k, code.redundancy)
+    real = codes_module.iter_rowspace
+
+    def capped(M):
+        for i, word in enumerate(real(M)):
+            if i == limit:
+                raise WalkTooLong(f"more than {limit} words of a {M.nrows}-row space")
+            yield word
+
+    monkeypatch.setattr(codes_module, "iter_rowspace", capped)
+    monkeypatch.setattr(classify_module, "iter_rowspace", capped)
+    report = analysis_report(code, with_beta=True)
+    assert (report["n"], report["k"], report["d"], report["rho"]) == (
+        desc.n, desc.k, desc.d, desc.rho,
+    )
+    assert report["is_completely_regular"]
+    assert report["intersection_array"]["b"] == list(desc.array.b)
+    assert report["intersection_array"]["c"] == list(desc.array.c)
+    assert report["classification"]["rho2"]["all_flags"]
+
+
+def test_catalog_past_the_long_primal_codes(capsys, tmp_path):
+    out = tmp_path / "cat"
+    code, _, _ = run(capsys, "catalog", "--qn-bound", "64", "--out", str(out))
+    assert code == 0
+    index = json.loads((out / "index.json").read_text())
+    assert {"i-m5", "iii-q4-m2"} <= set(index["entries"])
+    assert index["all_match"] is True
+
+
+def test_one_syndrome_table_per_analysis(monkeypatch):
+    built = []
+    real = SyndromeTable.__init__
+
+    def counting(self, code, *args, **kwargs):
+        built.append(code)
+        real(self, code, *args, **kwargs)
+
+    monkeypatch.setattr(SyndromeTable, "__init__", counting)
+    code = hamming_code(2, 3).extended()
+    report = analysis_report(code, with_beta=True, brute_force=True)
+    assert report["brute_force_agrees"]
+    assert report["beta"] is not None
+    # rho = 2 with an antipodal dual, so the Theorem 4.1 cross-check ran
+    assert report["classification"]["rho2"]["all_flags"]
+    assert built == [code]
 
 
 def test_catalog_rejects_tiny_bound(capsys, tmp_path):
