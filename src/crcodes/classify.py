@@ -236,17 +236,14 @@ def verify_theorem41(
     M = _pinned_complement_basis(Hs)
 
     wts = set()
+    freqs = set()
     for i, word in enumerate(iter_rowspace(M)):
         if i:
             wts.add(sum(1 for x in word if x))
+            freqs.update(Counter(word).values())
     dtilde = min(wts)
     equidistant_ok = len(wts) == 1
-    target = n - dtilde
-    symbol_frequency_ok = True
-    for i, word in enumerate(iter_rowspace(M)):
-        if i and any(c != target for c in Counter(word).values()):
-            symbol_frequency_ok = False
-            break
+    symbol_frequency_ok = freqs == {n - dtilde}
 
     form = None
     pcol = None
@@ -419,10 +416,9 @@ def enumerate_rho1(
     entries = []
     for n in range(m + 2, n_max + 1):
         for multiset in combinations_with_replacement(choices, n):
-            H = MatrixGF.from_columns(f, multiset)
-            if rank(H) != m:
+            code = LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
+            if code.redundancy != m:
                 continue
-            code = LinearCode.from_parity(H)
             rep = complete_regularity(code, budget)
             form = classify_rho1(code)
             recognized = isinstance(form, Rho1Form)

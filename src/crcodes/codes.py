@@ -13,7 +13,7 @@ from math import comb
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from .field import GF, Field
-from .matrix import MatrixGF, kernel_basis, rank, rref, row_space_basis
+from .matrix import MatrixGF, kernel_from_rref, rank, rref, row_space_basis
 
 
 class EmptyMatrix(ValueError):
@@ -105,17 +105,18 @@ class LinearCode:
     def from_parity(cls, H: MatrixGF) -> "LinearCode":
         if H.ncols == 0:
             raise EmptyMatrix("a code needs at least one coordinate")
-        Hc = row_space_basis(H)
-        G = row_space_basis(kernel_basis(Hc))
-        code = cls(H.field, G, Hc)
-        return code
+        R, rk, pivots = rref(H)
+        Hc = MatrixGF(H.field, R.data[:rk], H.ncols)
+        G = row_space_basis(kernel_from_rref(R, pivots))
+        return cls(H.field, G, Hc)
 
     @classmethod
     def from_generator(cls, G: MatrixGF) -> "LinearCode":
         if G.ncols == 0:
             raise EmptyMatrix("a code needs at least one coordinate")
-        Gc = row_space_basis(G)
-        H = row_space_basis(kernel_basis(Gc))
+        R, rk, pivots = rref(G)
+        Gc = MatrixGF(G.field, R.data[:rk], G.ncols)
+        H = row_space_basis(kernel_from_rref(R, pivots))
         return cls(G.field, Gc, H)
 
     @property

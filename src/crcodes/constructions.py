@@ -305,11 +305,11 @@ def extendable_hamming_code(q: int) -> LinearCode:
         tuple(f.mul(f.inv(v[0]), x) for x in v)[1:] for v in moved
     )
     origin = norm[0]
-    shifted = sorted(
+    translated = sorted(
         tuple(f.sub(a, b) for a, b in zip(v, origin)) for v in norm
     )
-    assert shifted[0] == (0, 0) and all(any(v) for v in shifted[1:])
-    return LinearCode.from_parity(MatrixGF.from_columns(f, shifted[1:]))
+    assert translated[0] == (0, 0) and all(any(v) for v in translated[1:])
+    return LinearCode.from_parity(MatrixGF.from_columns(f, translated[1:]))
 
 
 # -- the catalog -----------------------------------------------------------

@@ -85,10 +85,10 @@ def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
     dd = len(den) - 1
     lead_inv = pow(den[-1], p - 2, p)
     while len(num) - 1 >= dd:
-        shift = len(num) - 1 - dd
+        offset = len(num) - 1 - dd
         factor = (num[-1] * lead_inv) % p
         for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
+            num[offset + i] = (num[offset + i] - factor * c) % p
         _poly_trim(num)
     return num
 

@@ -191,20 +191,27 @@ def row_space_basis(M: MatrixGF) -> MatrixGF:
 def kernel_basis(M: MatrixGF) -> MatrixGF:
     """Canonical basis of the right null space {v : M v = 0}, one row per
     free column of the rref, ordered by free column index."""
-    f = M.field
-    R, rk, pivots = rref(M)
+    R, _, pivots = rref(M)
+    return kernel_from_rref(R, pivots)
+
+
+def kernel_from_rref(R: MatrixGF, pivots) -> MatrixGF:
+    """kernel_basis of a matrix from R and pivots as rref returned them,
+    so that a caller needing both the row space and the kernel reduces
+    the matrix once."""
+    f = R.field
     pivot_set = set(pivots)
-    free = [c for c in range(M.ncols) if c not in pivot_set]
+    free = [c for c in range(R.ncols) if c not in pivot_set]
     rows = []
     for fc in free:
-        vec = [0] * M.ncols
+        vec = [0] * R.ncols
         vec[fc] = 1
         for i, pc in enumerate(pivots):
             e = R.data[i][fc]
             if e:
                 vec[pc] = f.neg(e)
         rows.append(vec)
-    return MatrixGF(f, rows, M.ncols)
+    return MatrixGF(f, rows, R.ncols)
 
 
 def solve_rational(A, b) -> list[Fraction] | None:

@@ -8,16 +8,24 @@ analysis that passes it along computes each of them once.
 Syndromes are encoded as mixed-radix integers with coordinate 0 least
 significant.  Since field elements are themselves base-p encodings, the
 whole syndrome code is the base-p encoding of the concatenated digit
-vector, and syndrome addition is digitwise mod p (XOR when p = 2).
+vector, and syndrome addition is digitwise mod p.  SyndromeTable adds a
+step (the syndrome of beta*e_j) as XOR when p = 2, and for odd p through
+a pair of split-half translation tables per distinct step, each of
+q^ceil(m/2) entries.  Nothing of length q^m is kept per step: the table
+holds five bytes per syndrome, its leader weight and its (c, b) profile,
+which one BFS finds together.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
+from operator import xor
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from .codes import LinearCode, nonzero_weights, weight_pair
@@ -39,10 +47,11 @@ def decode_vector(q: int, code: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_UNSEEN = 0xFF  # leader_weight of a syndrome the BFS has not reached
+
+
 def _add_codes(x: int, y: int, p: int) -> int:
-    """Digitwise base-p addition of two encoded vectors."""
-    if p == 2:
-        return x ^ y
+    """Digitwise base-p addition of two encoded vectors, p odd."""
     acc = 0
     mult = 1
     while x or y:
@@ -54,66 +63,120 @@ def _add_codes(x: int, y: int, p: int) -> int:
 
 
 class SyndromeTable:
-    """BFS over the syndrome graph of a code.
+    """Leader weights and coset profiles of a code, from one BFS over its
+    syndrome graph.
 
-    leader_weight[s] is the weight of a coset leader for syndrome s (the
-    distance of the coset from the code), and rho is the covering radius.
-    shift[j][beta - 1][s] gives the syndrome of v + beta*e_j when v has
-    syndrome s, for beta in 1..q-1.
+    step[j][beta] is the syndrome of beta*e_j (step[j][0] is 0), and
+    column_syndrome[j] is step[j][1].  leader_weight[s] is the weight of
+    a coset leader for syndrome s (the distance of the coset from the
+    code), and rho is the covering radius.  c[s] and b[s] count, with
+    multiplicity, the steps beta*e_j (beta != 0) that take s one level
+    down and one level up: the (c, b) profile of coset s.
+
+    add(s, d) is s + d for a step d.  In characteristic 2 that is s ^ d.
+    Otherwise every distinct step d keeps a pair of split-half
+    translation tables of q^ceil(m/2) entries, so that s + d is
+    lo[s % Q] + hi[s // Q] with Q = q^ceil(m/2).  Nothing of length q^m
+    is kept per step: a syndrome costs one byte of leader weight and two
+    profile counts (two bytes each while n(q-1) < 2^16), five bytes in
+    all, and the BFS walks each level by searching leader_weight, so it
+    keeps no frontier list.
     """
 
-    __slots__ = ("code", "size", "leader_weight", "rho", "shift", "column_syndrome")
+    __slots__ = (
+        "code", "size", "step", "column_syndrome", "add", "_halves", "_split",
+        "leader_weight", "c", "b", "rho",
+    )
 
     def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
         f = code.field
-        q = f.q
+        q, n = f.q, code.n
         m = code.redundancy
         size = q**m
         if size > budget.max_syndromes:
             raise BudgetExceeded("max_syndromes", size, budget.max_syndromes)
         self.code = code
         self.size = size
-
-        self.column_syndrome = [
-            encode_vector(q, code.H.column(j)) for j in range(code.n)
+        mul = f.mul
+        self.step = [
+            [0]
+            + [encode_vector(q, [mul(beta, x) for x in col]) for beta in range(1, q)]
+            for col in code.H.columns()
         ]
-        p = f.p
-        shift_cache: dict[int, list[int]] = {}
-        self.shift = []
-        for j in range(code.n):
-            col = code.H.column(j)
-            per_beta = []
-            for beta in range(1, q):
-                delta = encode_vector(q, [f.mul(beta, x) for x in col])
-                table = shift_cache.get(delta)
-                if table is None:
-                    table = [_add_codes(s, delta, p) for s in range(size)]
-                    shift_cache[delta] = table
-                per_beta.append(table)
-            self.shift.append(per_beta)
+        self.column_syndrome = [row[1] for row in self.step]
+        if f.p == 2:
+            self.add = xor
+            self._halves = None
+        else:
+            p = f.p
+            Q = self._split = q ** ((m + 1) // 2)
+            hi_size = size // Q
+            halves = self._halves = {}
+            for row in self.step:
+                for d in row:
+                    if d not in halves:
+                        lo, hi = d % Q, d // Q
+                        halves[d] = (
+                            [_add_codes(x, lo, p) for x in range(Q)],
+                            [_add_codes(y, hi, p) * Q for y in range(hi_size)],
+                        )
 
-        lw = [-1] * size
+            def add(s: int, d: int) -> int:
+                lo, hi = halves[d]
+                return lo[s % Q] + hi[s // Q]
+
+            self.add = add
+
+        mult = Counter(d for row in self.step for d in row[1:] if d)
+        moves = list(mult)
+        weights = list(mult.values())
+        targets = self.translator(moves)
+        counts = array("H" if n * (q - 1) < 1 << 16 else "I", [0])
+        lw = bytearray([_UNSEEN]) * size
+        c = counts * size
+        b = counts * size
         lw[0] = 0
-        frontier = [0]
         level = 0
         reached = 1
-        while frontier and reached < size:
-            level += 1
-            nxt = []
-            for s in frontier:
-                for per_beta in self.shift:
-                    for table in per_beta:
-                        t = table[s]
-                        if lw[t] < 0:
-                            lw[t] = level
-                            nxt.append(t)
-                            reached += 1
-            frontier = nxt
-        if reached < size:
-            # cannot happen for a full-rank parity check
-            raise AssertionError("syndrome graph is not connected")
+        while reached < size:
+            up = level + 1
+            found = 0
+            s = lw.find(level)
+            while s >= 0:
+                out = 0
+                for t, k in zip(targets(s), weights):
+                    lv = lw[t]
+                    if lv == _UNSEEN:
+                        lw[t] = up
+                        found += 1
+                    elif lv != up:
+                        continue
+                    c[t] += k
+                    out += k
+                b[s] = out
+                s = lw.find(level, s + 1)
+            if not found:
+                # cannot happen for a full-rank parity check
+                raise AssertionError("syndrome graph is not connected")
+            reached += found
+            level = up
         self.leader_weight = lw
-        self.rho = max(lw)
+        self.c = c
+        self.b = b
+        self.rho = level
+
+    def translator(self, steps):
+        """A function taking a syndrome s to the list [s + d for d in steps]."""
+        if self._halves is None:
+            return lambda s: [s ^ d for d in steps]
+        Q = self._split
+        pairs = [self._halves[d] for d in steps]
+
+        def translate(s):
+            s_lo, s_hi = s % Q, s // Q
+            return [lo[s_lo] + hi[s_hi] for lo, hi in pairs]
+
+        return translate
 
 
 def covering_radius(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
@@ -223,36 +286,54 @@ def complete_regularity(
     budget: Budgets = DEFAULT_BUDGETS,
     analysis: CodeAnalysis | None = None,
 ) -> RegularityReport:
-    """Decide complete regularity by scanning each coset's (c, b) profile.
+    """Decide complete regularity from each coset's (c, b) profile.
 
-    Distances come from the syndrome table, and the profile of a coset is
-    computed once per syndrome; constancy across each level is exactly
-    the defining condition.  Callers holding a CodeAnalysis read its
-    cached `report` rather than scanning again.
+    The syndrome table counts the profiles during its BFS, so this is one
+    pass over them in increasing syndrome order; constancy across each
+    level is exactly the defining condition.  Callers holding a
+    CodeAnalysis read its cached `report` rather than scanning again.
     """
     st = analysis.table if analysis else SyndromeTable(code, budget)
-    lw = st.leader_weight
     rho = st.rho
-    flat = [t for per_beta in st.shift for t in per_beta]
     first: list = [None] * (rho + 1)
     conflicts: list = [None] * (rho + 1)
-    for s in range(st.size):
-        level = lw[s]
-        c = b = 0
-        down = level - 1
-        up = level + 1
-        for tbl in flat:
-            lv = lw[tbl[s]]
-            if lv == down:
-                c += 1
-            elif lv == up:
-                b += 1
-        profile = (c, b)
-        if first[level] is None:
-            first[level] = (profile, s)
-        elif conflicts[level] is None and profile != first[level][0]:
-            conflicts[level] = (s, profile)
+    for s, level, c, b in zip(range(st.size), st.leader_weight, st.c, st.b):
+        ref = first[level]
+        if ref is None:
+            first[level] = ((c, b), s)
+        elif conflicts[level] is None and (c, b) != ref[0]:
+            conflicts[level] = (s, (c, b))
     return _report_from_profiles(code.field.q, code.n, rho, first, conflicts)
+
+
+def _ambient_walk(st: SyndromeTable):
+    """Yield (syndrome, weight) of every vector of the ambient space in
+    odometer order, coordinate 0 fastest, with one step per vector."""
+    f = st.code.field
+    q, n = f.q, st.code.n
+    add = st.add
+    # inc[j][a]: the step that turns digit j from a into a + 1 (q - 1 into 0)
+    inc = [[row[f.sub((a + 1) % q, a)] for a in range(q)] for row in st.step]
+    total = q**n
+    digits = [0] * n
+    s = w = 0
+    count = 0
+    while True:
+        yield s, w
+        count += 1
+        if count == total:
+            return
+        j = 0
+        while digits[j] == q - 1:
+            s = add(s, inc[j][q - 1])
+            digits[j] = 0
+            w -= 1
+            j += 1
+        a = digits[j]
+        s = add(s, inc[j][a])
+        digits[j] = a + 1
+        if a == 0:
+            w += 1
 
 
 def complete_regularity_bruteforce(
@@ -260,60 +341,27 @@ def complete_regularity_bruteforce(
     budget: Budgets = DEFAULT_BUDGETS,
     analysis: CodeAnalysis | None = None,
 ) -> RegularityReport:
-    """Independent check: walk every vector of the ambient space, compute
-    its distance via syndrome lookup, and count the levels of its actual
-    n(q-1) neighbors, verifying constancy vector by vector."""
-    f = code.field
-    q, n = f.q, code.n
+    """Independent check: walk every vector of the ambient space, look up
+    its distance by syndrome, and count the levels of its n(q-1)
+    neighbors v + beta*e_j, verifying constancy vector by vector."""
+    q, n = code.field.q, code.n
     total = q**n
     if total > budget.max_vectors:
         raise BudgetExceeded("max_vectors", total, budget.max_vectors)
     st = analysis.table if analysis else SyndromeTable(code, budget)
     lw = st.leader_weight
     rho = st.rho
-    sub = [[f.sub(a2, a1) for a2 in range(q)] for a1 in range(q)]
-    shift = st.shift
-
+    neighbors = st.translator([d for row in st.step for d in row[1:]])
     first: list = [None] * (rho + 1)
     conflicts: list = [None] * (rho + 1)
-
-    digits = [0] * n
-    s = 0
-    count = 0
-    while True:
+    for s, _ in _ambient_walk(st):
         level = lw[s]
-        c = b = 0
-        down = level - 1
-        up = level + 1
-        for j in range(n):
-            a = digits[j]
-            per_beta = shift[j]
-            row = sub[a]
-            for a2 in range(q):
-                if a2 == a:
-                    continue
-                lv = lw[per_beta[row[a2] - 1][s]]
-                if lv == down:
-                    c += 1
-                elif lv == up:
-                    b += 1
-        profile = (c, b)
+        levels = [lw[t] for t in neighbors(s)]
+        profile = (levels.count(level - 1), levels.count(level + 1))
         if first[level] is None:
             first[level] = (profile, s)
         elif conflicts[level] is None and profile != first[level][0]:
             conflicts[level] = (s, profile)
-
-        count += 1
-        if count == total:
-            break
-        j = 0
-        while digits[j] == q - 1:
-            s = shift[j][sub[q - 1][0] - 1][s]
-            digits[j] = 0
-            j += 1
-        a = digits[j]
-        s = shift[j][sub[a][a + 1] - 1][s]
-        digits[j] = a + 1
     return _report_from_profiles(q, n, rho, first, conflicts)
 
 
@@ -323,35 +371,14 @@ def coset_weight_counts(
     """counts[s][w] = number of ambient vectors of weight w with syndrome
     s, accumulated in one pass over all q^n vectors.  Row s is also the
     distance distribution of any vector in coset s to the code."""
-    f = code.field
-    q, n = f.q, code.n
+    q, n = code.field.q, code.n
     total = q**n
     if total > budget.max_vectors:
         raise BudgetExceeded("max_vectors", total, budget.max_vectors)
     st = SyndromeTable(code, budget)
-    shift = st.shift
-    sub = [[f.sub(a2, a1) for a2 in range(q)] for a1 in range(q)]
     counts = [[0] * (n + 1) for _ in range(st.size)]
-    digits = [0] * n
-    s = 0
-    w = 0
-    count = 0
-    while True:
+    for s, w in _ambient_walk(st):
         counts[s][w] += 1
-        count += 1
-        if count == total:
-            break
-        j = 0
-        while digits[j] == q - 1:
-            s = shift[j][sub[q - 1][0] - 1][s]
-            digits[j] = 0
-            w -= 1
-            j += 1
-        a = digits[j]
-        s = shift[j][sub[a][a + 1] - 1][s]
-        digits[j] = a + 1
-        if a == 0:
-            w += 1
     return counts
 
 
@@ -369,7 +396,8 @@ def coset_low_weight_counts(
     if total > budget.max_vectors:
         raise BudgetExceeded("max_vectors", total, budget.max_vectors)
     st = analysis.table if analysis else SyndromeTable(code, budget)
-    shift = st.shift
+    add = st.add
+    step = st.step
     counts = [[0] * (wmax + 1) for _ in range(st.size)]
     counts[0][0] = 1
     for w in range(1, wmax + 1):
@@ -377,7 +405,7 @@ def coset_low_weight_counts(
             for values in product(range(1, q), repeat=w):
                 s = 0
                 for j, beta in zip(support, values):
-                    s = shift[j][beta - 1][s]
+                    s = add(s, step[j][beta])
                 counts[s][w] += 1
     return counts
 

@@ -182,6 +182,20 @@ def test_verify_theorem41_walks_no_dual_word_without_a_full_weight_one(
     assert dual_words == 0
 
 
+def test_verify_theorem41_walks_the_residual_generator_once(monkeypatch):
+    walked = []
+
+    def counting(M):
+        walked.append(M)
+        yield from iter_rowspace(M)
+
+    monkeypatch.setattr(codes_module, "iter_rowspace", counting)
+    monkeypatch.setattr(classify_module, "iter_rowspace", counting)
+    rep = verify_theorem41(difference_matrix_code(3, 2))
+    assert rep.all_flags
+    assert sum(M == rep.M for M in walked) == 1
+
+
 def test_verify_theorem41_trivial_inputs():
     f = GF(2)
     with pytest.raises(TrivialCode):

@@ -1,20 +1,33 @@
 """Coset geometry: syndrome BFS, regularity decisions, packing coefficients."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import crcodes
 from crcodes.budgets import Budgets, BudgetExceeded
-from crcodes.codes import LinearCode, external_distance, weight_distribution
+from crcodes.codes import (
+    LinearCode,
+    external_distance,
+    pg_points,
+    weight_distribution,
+)
 from crcodes.constructions import hamming_code
 from crcodes.field import GF
 from crcodes.matrix import MatrixGF
 from crcodes.regularity import (
     IntersectionArray,
+    RegularityReport,
     SyndromeTable,
+    Witness,
     beta_solve,
     complete_regularity,
     complete_regularity_bruteforce,
@@ -40,17 +53,25 @@ def _random_code(rng, q, n, redundancy):
             return code
 
 
+def _weight(vec):
+    return sum(1 for x in vec if x)
+
+
+def _coset_leaders(code):
+    """A minimum-weight vector per syndrome, by scanning every ambient
+    vector."""
+    q = code.field.q
+    best = {}
+    for vec in product(range(q), repeat=code.n):
+        s = encode_vector(q, code.H.mul_vector(vec))
+        if s not in best or _weight(vec) < _weight(best[s]):
+            best[s] = vec
+    return best
+
+
 def _leader_weight_oracle(code):
     """Minimum weight per syndrome by scanning every ambient vector."""
-    f = code.field
-    q, n = f.q, code.n
-    best = {}
-    for vec in product(range(q), repeat=n):
-        s = encode_vector(q, code.H.mul_vector(vec))
-        w = sum(1 for x in vec if x)
-        if s not in best or w < best[s]:
-            best[s] = w
-    return best
+    return {s: _weight(vec) for s, vec in _coset_leaders(code).items()}
 
 
 def test_encode_decode_round_trip():
@@ -73,15 +94,152 @@ def test_syndrome_table_against_vector_scan(q, n, r):
     for s in range(st.size):
         assert st.leader_weight[s] == oracle[s]
     assert st.rho == max(oracle.values())
-    # shift tables really add beta * e_j
+    # steps really are the syndromes of beta * e_j
     f = code.field
     for j in range(code.n):
         for beta in range(1, q):
             col = [f.mul(beta, x) for x in code.H.column(j)]
-            assert st.shift[j][beta - 1][0] == encode_vector(q, col)
+            assert st.step[j][beta] == encode_vector(q, col)
     assert st.column_syndrome == [
         encode_vector(q, code.H.column(j)) for j in range(code.n)
     ]
+
+
+def _profile_oracle(code):
+    """Level and (c, b) profile of every syndrome: the weight of its coset
+    leader v, and how many of the n(q-1) vectors v + beta*e_j lie one
+    level down and one level up, each syndrome computed by H.mul_vector."""
+    f = code.field
+    q, n = f.q, code.n
+    leaders = _coset_leaders(code)
+    level = {s: _weight(vec) for s, vec in leaders.items()}
+    profile = {}
+    for s, vec in leaders.items():
+        c = b = 0
+        for j in range(n):
+            for beta in range(1, q):
+                nb = list(vec)
+                nb[j] = f.add(nb[j], beta)
+                lv = level[encode_vector(q, code.H.mul_vector(nb))]
+                c += lv == level[s] - 1
+                b += lv == level[s] + 1
+        profile[s] = (c, b)
+    return level, profile
+
+
+def _report_oracle(code, level, profile):
+    """The report the definition gives: the lowest level holding two
+    different profiles, with its first syndrome and the first one that
+    differs from it, or else the array read off each level's profile."""
+    q, n = code.field.q, code.n
+    rho = max(level.values())
+    first = {}
+    for s in sorted(level):
+        first.setdefault(level[s], s)
+    bad = [
+        (level[s], s) for s in sorted(level)
+        if profile[s] != profile[first[level[s]]]
+    ]
+    if bad:
+        lv, s = min(bad)
+        ref = first[lv]
+        return RegularityReport(
+            False, rho, None, Witness(lv, ref, s, profile[ref], profile[s])
+        )
+    b = [profile[first[l]][1] for l in range(rho)]
+    c = [profile[first[l]][0] for l in range(1, rho + 1)]
+    return RegularityReport(
+        True, rho, IntersectionArray.from_levels(q, n, b, c), None
+    )
+
+
+def _oracle_codes(q):
+    """Seeded random codes over GF(q), every other one with a zero column
+    and a column repeated as a scalar multiple of another, plus two
+    completely regular codes with such columns: all points of PG(m-1, q)
+    with a zero column, and all of them twice."""
+    f = GF(q)
+    rng = random.Random(1000 + q)
+    n_max = {2: 8, 3: 6, 4: 5, 9: 4}[q]
+    for trial in range(8):
+        n = rng.randrange(3, n_max + 1)
+        rows = [
+            [rng.randrange(q) for _ in range(n)]
+            for _ in range(rng.randrange(1, n))
+        ]
+        if trial % 2:
+            j0, j1, j2 = rng.sample(range(n), 3)
+            beta = rng.randrange(1, q)
+            for row in rows:
+                row[j0] = 0
+                row[j2] = f.mul(beta, row[j1])
+        yield LinearCode.from_parity(MatrixGF(f, rows, n))
+    m = 2 if q < 4 else 1
+    cols = pg_points(f, m)
+    yield LinearCode.from_parity(MatrixGF.from_columns(f, cols + [(0,) * m]))
+    yield LinearCode.from_parity(MatrixGF.from_columns(f, cols + cols))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_profiles_against_coset_leader_oracle(q):
+    kinds = set()
+    for code in _oracle_codes(q):
+        level, profile = _profile_oracle(code)
+        st = SyndromeTable(code)
+        assert st.size == len(level)
+        for s in range(st.size):
+            assert st.leader_weight[s] == level[s]
+            assert (st.c[s], st.b[s]) == profile[s]
+        expected = _report_oracle(code, level, profile)
+        assert complete_regularity(code) == expected
+        kinds.add(expected.is_completely_regular)
+    assert kinds == {True, False}
+
+
+# A seeded random binary [28,10] code (2^18 syndromes), drawn as the
+# benchmark draws its random analyze code, then decided in a process of
+# its own, which reports its peak RSS when done.
+_MEMORY_CHILD = """
+import json, random, resource
+from crcodes import GF, LinearCode, MatrixGF, complete_regularity, rank
+
+rng = random.Random(0)
+n, k = 28, 10
+while True:
+    rows = [
+        [(bits >> j) & 1 for j in range(n)]
+        for bits in (rng.getrandbits(n) for _ in range(n - k))
+    ]
+    H = MatrixGF(GF(2), rows, n)
+    if rank(H) == n - k:
+        break
+rep = complete_regularity(LinearCode.from_parity(H))
+w = rep.witness
+peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([rep.rho, w.level, w.syndrome_a, w.syndrome_b,
+                  w.profile_a, w.profile_b, peak_kb]))
+"""
+
+
+def test_syndrome_table_memory_at_2_18_syndromes():
+    # The child reads its own peak: getrusage(RUSAGE_CHILDREN) here would
+    # give the largest of every child this test process has waited for.
+    package_root = str(Path(crcodes.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, inherited])),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMORY_CHILD],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rho, level, sa, sb, pa, pb, peak_kb = json.loads(proc.stdout)
+    assert (rho, level, sa, sb, pa, pb) == (8, 2, 3, 130, [2, 26], [4, 24])
+    # ru_maxrss is in KiB on Linux (bytes on macOS)
+    peak_mb = peak_kb / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert peak_mb < 100
 
 
 def test_covering_radius_known_codes():
