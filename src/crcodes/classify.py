@@ -123,6 +123,19 @@ def rho1_intersection_array(q: int, form: Rho1Form) -> IntersectionArray:
     )
 
 
+def _rho1_disagreement(q: int, form, rep: RegularityReport) -> str | None:
+    """How the recognized column form and the measured regularity
+    disagree, or None: the form must be recognized exactly when the code
+    is completely regular with covering radius 1, and then the measured
+    array must be the predicted one."""
+    recognized = isinstance(form, Rho1Form)
+    if recognized != (rep.is_completely_regular and rep.rho == 1):
+        return "column form and measured regularity disagree"
+    if recognized and rep.array != rho1_intersection_array(q, form):
+        return f"array {rep.array} differs from prediction"
+    return None
+
+
 def verify_theorem31(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> bool:
     """Check the radius-1 characterization on one code: the column form
     is recognized iff the code is completely regular with covering
@@ -131,15 +144,10 @@ def verify_theorem31(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> boo
     equidistant."""
     form = classify_rho1(code)
     rep = complete_regularity(code, budget)
+    if _rho1_disagreement(code.field.q, form, rep) is not None:
+        return False
     recognized = isinstance(form, Rho1Form)
-    positive = rep.is_completely_regular and rep.rho == 1
-    if recognized != positive:
-        return False
-    if positive and rep.array != rho1_intersection_array(code.field.q, form):
-        return False
-    if rep.rho == 1 and recognized != is_equidistant(code.dual(), budget):
-        return False
-    return True
+    return rep.rho != 1 or recognized == is_equidistant(code.dual(), budget)
 
 
 @dataclass(frozen=True)
@@ -169,21 +177,37 @@ class Rho2Report:
         )
 
 
-def _pinned_complement_basis(Hs: MatrixGF) -> MatrixGF:
-    """Basis of rowspace(Hs) mod the all-one row: subtract from each row
-    its own constant multiple of all-ones (entry at any fixed column),
-    then row-reduce.  Requires all-ones in rowspace(Hs); the result has
-    one row fewer and any such complement yields the same verdicts since
-    adding constants to a row only translates its symbols."""
-    f = Hs.field
-    reduced = []
-    for row in Hs.data:
-        c = row[0]
-        reduced.append([f.sub(x, c) for x in row])
-    M = row_space_basis(MatrixGF(f, reduced, Hs.ncols))
-    if M.nrows != Hs.nrows - 1:
+def _pinned(f, rows, pin: int) -> list[list[int]]:
+    """Subtract from each row its own entry at column `pin`, which makes
+    that column zero and moves each row by a multiple of all-ones."""
+    return [[f.sub(x, row[pin]) for x in row] for row in rows]
+
+
+def _antipodal_split(A: MatrixGF, full, pin: int):
+    """The step Theorems 4.1 and 5.2 share, on a matrix A whose row space
+    holds the full-weight word `full`.  Scale the columns so that `full`
+    becomes all-ones, pin column `pin` to zero and row-reduce: W is a
+    basis of the scaled row space modulo all-ones, one row shorter than
+    A.  Any such complement gives the same verdicts, since adding a
+    constant to a word only translates its symbols.  One walk of
+    rowspace(W) collects the weights of its nonzero words and the number
+    of times each nonzero symbol occurs in each of them.
+
+    Returns (scaling, W, weights, counts)."""
+    f, n = A.field, A.ncols
+    scaling = tuple(f.inv(x) for x in full)
+    scaled = [[f.mul(scaling[j], row[j]) for j in range(n)] for row in A.data]
+    W = row_space_basis(MatrixGF(f, _pinned(f, scaled, pin), n))
+    if W.nrows != A.nrows - 1 or any(row[pin] for row in W.data):
         raise AssertionError("all-one row was not in the scaled row space")
-    return M
+    weights = set()
+    counts = set()
+    for i, word in enumerate(iter_rowspace(W)):
+        if i:
+            symbols = Counter(word)
+            weights.add(n - symbols.pop(0, 0))
+            counts.update(symbols.values())
+    return scaling, W, weights, counts
 
 
 def verify_theorem41(
@@ -214,49 +238,35 @@ def verify_theorem41(
         )
     f = code.field
     q, n = f.q, code.n
-    dual_size = q**code.redundancy
-    if dual_size > budget.max_codewords:
-        raise BudgetExceeded("max_codewords", dual_size, budget.max_codewords)
     analysis = analysis or CodeAnalysis(code, budget)
 
     full = None
-    if analysis.weight_pair[1][n]:
+    dual_size = q**code.redundancy
+    # Walk the dual only for a full-weight word that the weight pair
+    # shows.  When neither side is within budget there is no weight
+    # pair, and the budget error names the dual walk.
+    if (
+        min(q**code.k, dual_size) > budget.max_codewords
+        or analysis.weight_pair[1][n]
+    ):
+        if dual_size > budget.max_codewords:
+            raise BudgetExceeded("max_codewords", dual_size, budget.max_codewords)
         full = next(word for word in iter_rowspace(code.H) if all(word))
     if full is None:
         report = Rho2Report(False, None, None, False, False, None, None)
         _crosscheck_rho2(report, analysis)
         return report
 
-    scaling = tuple(f.inv(x) for x in full)
-    Hs = MatrixGF(
-        f,
-        [[f.mul(scaling[j], row[j]) for j in range(n)] for row in code.H.data],
-        n,
-    )
-    M = _pinned_complement_basis(Hs)
-
-    wts = set()
-    freqs = set()
-    for i, word in enumerate(iter_rowspace(M)):
-        if i:
-            wts.add(sum(1 for x in word if x))
-            freqs.update(Counter(word).values())
-    dtilde = min(wts)
-    equidistant_ok = len(wts) == 1
-    symbol_frequency_ok = freqs == {n - dtilde}
+    scaling, M, weights, counts = _antipodal_split(code.H, full, 0)
+    dtilde = min(weights)
+    equidistant_ok = len(weights) == 1
+    symbol_frequency_ok = equidistant_ok and counts == {n - dtilde}
 
     form = None
     pcol = None
     for j in range(n):
-        translated = []
-        for row in M.data:
-            c = row[j]
-            translated.append([f.sub(x, c) for x in row])
-        cols = [
-            tuple(row[jj] for row in translated)
-            for jj in range(n)
-            if jj != j
-        ]
+        translated = _pinned(f, M.data, j)
+        cols = [col for jj, col in enumerate(zip(*translated)) if jj != j]
         res = _columns_rho1_form(f, cols)
         if isinstance(res, Rho1Form):
             form = res
@@ -312,8 +322,16 @@ class TwoWeightStructure:
 def two_weight_structure(
     code: LinearCode, budget: Budgets = DEFAULT_BUDGETS
 ) -> TwoWeightStructure:
-    counts = weight_distribution(code, budget)
-    wts = nonzero_weights(counts)
+    """Theorem 5.2: the generator normal form of a two-weight code whose
+    larger weight w1 is the length.  This is the Theorem 4.1 split read
+    on the code's generator, which is its dual's parity check: scale the
+    columns so a full-weight codeword becomes all-ones, then split off
+    rows W that end in zero.  The generator is all-ones on top of W, and
+    M is W without its last column; the flags check that M generates an
+    equidistant code of weight w2 in which every nonzero symbol of a
+    nonzero word occurs n - w2 times.  When w1 < n the form does not
+    apply and only the weights are reported."""
+    wts = nonzero_weights(weight_distribution(code, budget))
     if len(wts) != 2:
         raise NotTwoWeight(f"nonzero weights are {wts}, need exactly two")
     w2, w1 = wts
@@ -322,41 +340,12 @@ def two_weight_structure(
     if w1 != n:
         return TwoWeightStructure(w1, w2, False, None, None, None, False, False)
 
-    full = None
-    for word in iter_rowspace(code.G):
-        if all(word):
-            full = word
-            break
-    scaling = tuple(f.inv(x) for x in full)
-    Gs = MatrixGF(
-        f,
-        [[f.mul(scaling[j], row[j]) for j in range(n)] for row in code.G.data],
-        n,
-    )
-    reduced = []
-    for row in Gs.data:
-        c = row[n - 1]
-        reduced.append([f.sub(x, c) for x in row])
-    W = row_space_basis(MatrixGF(f, reduced, n))
-    if W.nrows != code.k - 1 or any(row[n - 1] for row in W.data):
-        raise AssertionError("complement rows do not end in zero")
+    full = next(word for word in iter_rowspace(code.G) if all(word))
+    scaling, W, weights, counts = _antipodal_split(code.G, full, n - 1)
     generator = MatrixGF(f, [[1] * n] + [list(row) for row in W.data], n)
     M = MatrixGF(f, [row[: n - 1] for row in W.data], n - 1)
-
-    d = w2
-    target = n - d
-    equidistant_ok = True
-    symbol_frequency_ok = True
-    for i, word in enumerate(iter_rowspace(M)):
-        if not i:
-            continue
-        cnt = Counter(word)
-        if (n - 1) - cnt.get(0, 0) != d:
-            equidistant_ok = False
-        if any(c != target for sym, c in cnt.items() if sym):
-            symbol_frequency_ok = False
     return TwoWeightStructure(
-        w1, w2, True, scaling, generator, M, equidistant_ok, symbol_frequency_ok
+        w1, w2, True, scaling, generator, M, weights == {w2}, counts == {n - w2}
     )
 
 
@@ -421,16 +410,9 @@ def enumerate_rho1(
                 continue
             rep = complete_regularity(code, budget)
             form = classify_rho1(code)
-            recognized = isinstance(form, Rho1Form)
-            positive = rep.is_completely_regular and rep.rho == 1
-            if recognized != positive:
-                raise AssertionError(
-                    f"column form and measured regularity disagree on {multiset}"
-                )
-            if positive and rep.array != rho1_intersection_array(q, form):
-                raise AssertionError(
-                    f"array {rep.array} differs from prediction on {multiset}"
-                )
+            reason = _rho1_disagreement(q, form, rep)
+            if reason is not None:
+                raise AssertionError(f"{reason} on {multiset}")
             entries.append(
                 CorpusEntry(
                     multiset, n, code.k, rep.rho,

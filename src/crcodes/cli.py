@@ -30,6 +30,7 @@ from .classify import (
     NoZeroColumnReachable,
     NotOfForm,
     Rho1Form,
+    Rho2Report,
     TrivialCode,
     classify_rho1,
     two_weight_structure,
@@ -39,7 +40,12 @@ from .classify import (
 from .codes import LinearCode, nonzero_weights
 from .constructions import build_family, family_catalog
 from .matio import MatrixFormatError, format_matrix, read_matrix
-from .regularity import CodeAnalysis, beta_solve, complete_regularity_bruteforce
+from .regularity import (
+    CodeAnalysis,
+    IntersectionArray,
+    beta_solve,
+    complete_regularity_bruteforce,
+)
 
 FAMILIES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "lifted", "d1antipodal")
 
@@ -80,19 +86,23 @@ def _rho1_json(code: LinearCode) -> dict | None:
     return _form_json(form if isinstance(form, Rho1Form) else None)
 
 
-def _rho2_json(analysis: CodeAnalysis) -> dict | None:
-    try:
-        rep = verify_theorem41(analysis.code, analysis.budget, analysis)
-    except TrivialCode:
-        return None
+def _rho2_json(rep: Rho2Report) -> dict:
     return {
         "dual_antipodal": rep.dual_antipodal,
+        "column_scaling": (
+            list(rep.column_scaling) if rep.column_scaling else None
+        ),
+        "M": [list(row) for row in rep.M.data] if rep.M else None,
         "equidistant_ok": rep.equidistant_ok,
         "symbol_frequency_ok": rep.symbol_frequency_ok,
         "punctured_rho1_form": _form_json(rep.punctured_rho1_form),
         "puncture_column": rep.puncture_column,
         "all_flags": rep.all_flags,
     }
+
+
+def _array_json(arr: IntersectionArray) -> dict:
+    return {"b": list(arr.b), "c": list(arr.c), "a": list(arr.a)}
 
 
 def analysis_report(
@@ -121,13 +131,7 @@ def analysis_report(
         "dual_weights": dual_weights,
         "is_completely_regular": rep.is_completely_regular,
         "intersection_array": (
-            {
-                "b": list(rep.array.b),
-                "c": list(rep.array.c),
-                "a": list(rep.array.a),
-            }
-            if rep.is_completely_regular
-            else None
+            _array_json(rep.array) if rep.is_completely_regular else None
         ),
         "uniformly_packed": rep.rho == s,
     }
@@ -147,10 +151,14 @@ def analysis_report(
                 "syndrome-level and vector-level regularity scans disagree"
             )
         report["brute_force_agrees"] = True
-    report["classification"] = {
-        "rho1": _rho1_json(code),
-        "rho2": _rho2_json(analysis),
-    }
+    rho1 = _rho1_json(code)
+    try:
+        rho2 = _rho2_json(verify_theorem41(code, budget, analysis))
+    except TrivialCode:
+        rho2 = None
+    else:
+        del rho2["column_scaling"], rho2["M"]
+    report["classification"] = {"rho1": rho1, "rho2": rho2}
     return report
 
 
@@ -268,19 +276,7 @@ def cmd_classify(args) -> int:
         return 0 if holds else 5
     if args.theorem == "41":
         rep = verify_theorem41(code, budget)
-        payload = {
-            "theorem": "41",
-            "dual_antipodal": rep.dual_antipodal,
-            "column_scaling": (
-                list(rep.column_scaling) if rep.column_scaling else None
-            ),
-            "M": [list(row) for row in rep.M.data] if rep.M else None,
-            "equidistant_ok": rep.equidistant_ok,
-            "symbol_frequency_ok": rep.symbol_frequency_ok,
-            "punctured_rho1_form": _form_json(rep.punctured_rho1_form),
-            "puncture_column": rep.puncture_column,
-            "all_flags": rep.all_flags,
-        }
+        payload = {"theorem": "41", **_rho2_json(rep)}
         if args.json:
             sys.stdout.write(_dump_json(payload))
         else:
@@ -331,11 +327,7 @@ def cmd_catalog(args) -> int:
     mismatches = []
     for desc, code in entries:
         report = analysis_report(code, budget)
-        expected_array = {
-            "b": list(desc.array.b),
-            "c": list(desc.array.c),
-            "a": list(desc.array.a),
-        }
+        expected_array = _array_json(desc.array)
         match = (
             report["n"] == desc.n
             and report["k"] == desc.k

@@ -248,6 +248,22 @@ def test_two_weight_structure_rejects_other_weight_counts():
         two_weight_structure(simplex)
 
 
+
+def test_theorem52_on_the_dual_mirrors_theorem41(catalog48):
+    # Theorem 5.2 read on the dual's generator, which is the code's parity
+    # check, is the Theorem 4.1 split: both scale the same first
+    # full-weight word to all-ones and reach the same verdicts
+    rho2 = [(d, c) for d, c in catalog48 if d.rho == 2]
+    assert len(rho2) == 39
+    for desc, code in rho2:
+        rep = verify_theorem41(code)
+        tw = two_weight_structure(code.dual())
+        assert tw.w1_is_length == rep.dual_antipodal, desc.slug
+        assert tw.column_scaling == rep.column_scaling, desc.slug
+        assert tw.equidistant_ok and rep.equidistant_ok, desc.slug
+        assert tw.symbol_frequency_ok and rep.symbol_frequency_ok, desc.slug
+
+
 def test_enumerate_rho1_census(census_2_2_8):
     small = enumerate_rho1(2, 2, 6)
     assert len(small.entries) == 127

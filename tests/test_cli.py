@@ -13,6 +13,7 @@ import crcodes
 from crcodes import classify as classify_module
 from crcodes import codes as codes_module
 from crcodes.cli import analysis_report, main
+from crcodes.codes import LinearCode
 from crcodes.constructions import build_family, difference_matrix_code, hamming_code
 from crcodes.matio import write_matrix
 from crcodes.matrix import MatrixGF
@@ -203,6 +204,112 @@ def test_classify_52_rejects_three_weights(capsys, tmp_path):
     code, _, stderr = run(capsys, "classify", str(path), "--theorem", "52")
     assert code == 2
     assert "need exactly two" in stderr
+
+
+# The whole --theorem 41 and --theorem 52 payloads, rows of M and of the
+# generator included, on the hyperoval code ii-q4 and on the external
+# lines of the hyperoval in PG(2,4).
+CLASSIFY_PAYLOADS = {
+    "ii-q4": {
+        "41": {
+            "theorem": "41",
+            "dual_antipodal": True,
+            "column_scaling": [3, 1, 1, 3, 1, 3],
+            "M": [[0, 1, 0, 3, 3, 1], [0, 0, 1, 3, 1, 3]],
+            "equidistant_ok": True,
+            "symbol_frequency_ok": True,
+            "punctured_rho1_form": {"m": 2, "ell": 1, "u": 0},
+            "puncture_column": 0,
+            "all_flags": True,
+        },
+        "52": {
+            "theorem": "52",
+            "w1": 6,
+            "w2": 4,
+            "w1_is_length": True,
+            "column_scaling": [3, 1, 1, 3, 3, 1],
+            "generator": [
+                [1, 1, 1, 1, 1, 1], [1, 0, 3, 3, 1, 0], [0, 1, 3, 1, 3, 0],
+            ],
+            "M": [[1, 0, 3, 3, 1], [0, 1, 3, 1, 3]],
+            "equidistant_ok": True,
+            "symbol_frequency_ok": True,
+        },
+    },
+    "external-lines-q4": {
+        "41": {
+            "theorem": "41",
+            "dual_antipodal": True,
+            "column_scaling": [1, 1, 1, 1, 1, 1],
+            "M": [[0, 1, 0, 3, 1, 3], [0, 0, 1, 1, 3, 3]],
+            "equidistant_ok": True,
+            "symbol_frequency_ok": True,
+            "punctured_rho1_form": {"m": 2, "ell": 1, "u": 0},
+            "puncture_column": 0,
+            "all_flags": True,
+        },
+        "52": {
+            "theorem": "52",
+            "w1": 6,
+            "w2": 4,
+            "w1_is_length": True,
+            "column_scaling": [1, 1, 1, 1, 1, 1],
+            "generator": [
+                [1, 1, 1, 1, 1, 1], [1, 0, 3, 1, 3, 0], [0, 1, 1, 3, 3, 0],
+            ],
+            "M": [[1, 0, 3, 1, 3], [0, 1, 1, 3, 3]],
+            "equidistant_ok": True,
+            "symbol_frequency_ok": True,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_PAYLOADS))
+@pytest.mark.parametrize("theorem", ["41", "52"])
+def test_classify_json_payloads(capsys, tmp_path, name, theorem):
+    from crcodes.constructions import external_lines_code, hyperoval
+
+    if name == "ii-q4":
+        code = build_family("ii", q=4)[1]
+    else:
+        code = external_lines_code(hyperoval(4))
+    path = tmp_path / "code.txt"
+    write_matrix(code.H, path)
+    exit_code, stdout, stderr = run(
+        capsys, "classify", str(path), "--theorem", theorem, "--json"
+    )
+    assert (exit_code, stderr) == (0, "")
+    assert json.loads(stdout) == CLASSIFY_PAYLOADS[name][theorem]
+
+
+def _binary_code_file(tmp_path, rows):
+    code = LinearCode.from_generator(MatrixGF(GF(2), rows))
+    path = tmp_path / "code.txt"
+    write_matrix(code.H, path)
+    return str(path)
+
+
+def test_theorem41_budgets_only_the_dual_walk(capsys, tmp_path):
+    # [6,2]: 4 codewords within a budget of 8, 16 dual words over it.
+    # The odd-weight row keeps all-ones, the only full-weight binary
+    # word, out of the dual, so there is no dual walk to refuse.
+    path = _binary_code_file(tmp_path, [[1, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
+    budget = ("--max-codewords", "8")
+    exit_code, stdout, stderr = run(
+        capsys, "classify", path, "--theorem", "41", "--json", *budget
+    )
+    assert (exit_code, stderr) == (0, "")
+    assert json.loads(stdout)["dual_antipodal"] is False
+    exit_code, stdout, stderr = run(capsys, "analyze", path, "--json", *budget)
+    assert (exit_code, stderr) == (0, "")
+    assert json.loads(stdout)["classification"]["rho2"]["dual_antipodal"] is False
+    # with even rows all-ones lies in the dual, which must then be walked
+    path = _binary_code_file(tmp_path, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
+    for argv in (("classify", path, "--theorem", "41"), ("analyze", path)):
+        exit_code, _, stderr = run(capsys, *argv, *budget)
+        assert exit_code == 4
+        assert stderr == "error: max_codewords: needs 16 but the budget allows 8\n"
 
 
 def test_catalog_small_bound(capsys, tmp_path):
