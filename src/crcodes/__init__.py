@@ -36,7 +36,6 @@ from .codes import (
     nonzero_weights,
     num_pg_points,
     pg_points,
-    same_code,
     weight_distribution,
     weight_pair,
 )

@@ -281,8 +281,10 @@ def verify_theorem41(
 
 
 def _crosscheck_rho2(report: Rho2Report, analysis: CodeAnalysis):
+    if not report.dual_antipodal:
+        return
     code, rep = analysis.code, analysis.report
-    if rep.rho != 2 or not report.dual_antipodal:
+    if rep.rho != 2:
         return
     if rep.is_completely_regular == report.all_flags:
         return

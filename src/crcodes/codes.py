@@ -1,9 +1,10 @@
 """Linear codes over GF(q): construction, duality, weight analysis and the
 projective transformations used throughout the package.
 
-A LinearCode stores both a generator and a parity-check matrix in reduced
-row echelon form, so two equal codes (same codeword set over the same
-field) always hold identical matrices and compare equal.
+A LinearCode is its parity-check matrix H in reduced row echelon form,
+so two equal codes (same codeword set over the same field) always hold
+identical matrices and compare equal.  The canonical generator is built
+from H on first use.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import comb
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from .field import GF, Field
-from .matrix import MatrixGF, kernel_from_rref, rank, rref, row_space_basis
+from .matrix import MatrixGF, kernel_basis, rank, row_space_basis
 
 
 class EmptyMatrix(ValueError):
@@ -85,39 +86,38 @@ def num_pg_points(q: int, m: int) -> int:
 
 
 class LinearCode:
-    """An [n, k] linear code over GF(q), canonicalized at construction."""
+    """An [n, k] linear code over GF(q), held as its canonical parity check.
 
-    __slots__ = ("field", "n", "k", "G", "H")
+    H is the dual code's basis in reduced row echelon form, and k is
+    n - H.nrows.  G, the code's own basis in the same form, is built from
+    H when first read.  The constructor trusts its arguments; from_parity
+    and from_generator canonicalize a matrix.
+    """
 
-    def __init__(self, field: Field, G: MatrixGF, H: MatrixGF, _checked=False):
-        self.field = field
-        self.n = G.ncols
-        self.k = G.nrows
-        self.G = G
+    __slots__ = ("field", "n", "k", "H", "_G")
+
+    def __init__(self, H: MatrixGF, G: MatrixGF | None = None):
+        self.field = H.field
+        self.n = H.ncols
+        self.k = H.ncols - H.nrows
         self.H = H
-        if not _checked:
-            if G.ncols != H.ncols:
-                raise ValueError("generator and parity check disagree on length")
-            if not G.mul(H.transpose()).is_zero():
-                raise ValueError("generator rows are not annihilated by H")
+        self._G = G
 
     @classmethod
     def from_parity(cls, H: MatrixGF) -> "LinearCode":
         if H.ncols == 0:
             raise EmptyMatrix("a code needs at least one coordinate")
-        R, rk, pivots = rref(H)
-        Hc = MatrixGF(H.field, R.data[:rk], H.ncols)
-        G = row_space_basis(kernel_from_rref(R, pivots))
-        return cls(H.field, G, Hc)
+        return cls(row_space_basis(H))
 
     @classmethod
     def from_generator(cls, G: MatrixGF) -> "LinearCode":
-        if G.ncols == 0:
-            raise EmptyMatrix("a code needs at least one coordinate")
-        R, rk, pivots = rref(G)
-        Gc = MatrixGF(G.field, R.data[:rk], G.ncols)
-        H = row_space_basis(kernel_from_rref(R, pivots))
-        return cls(G.field, Gc, H)
+        return cls.from_parity(G).dual()
+
+    @property
+    def G(self) -> MatrixGF:
+        if self._G is None:
+            self._G = row_space_basis(kernel_basis(self.H))
+        return self._G
 
     @property
     def redundancy(self) -> int:
@@ -128,7 +128,7 @@ class LinearCode:
         return 2 <= self.k <= self.n - 2
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.field, self.H, self.G, _checked=True)
+        return LinearCode(self.G, self.H)
 
     def punctured(self, pos: int) -> "LinearCode":
         """Delete coordinate pos from every codeword."""
@@ -136,8 +136,6 @@ class LinearCode:
             raise ValueError(f"position {pos} out of range")
         if self.n == 1:
             raise ValueError("cannot puncture a length-1 code")
-        if self.k == 0:
-            return LinearCode.from_parity(MatrixGF.identity(self.field, self.n - 1))
         return LinearCode.from_generator(self.G.drop_column(pos))
 
     def extended(self) -> "LinearCode":
@@ -149,8 +147,6 @@ class LinearCode:
             for x in row:
                 acc = f.add(acc, x)
             rows.append(list(row) + [f.neg(acc)])
-        if not rows:
-            return LinearCode.from_parity(MatrixGF.identity(f, self.n + 1))
         return LinearCode.from_generator(MatrixGF(f, rows, self.n + 1))
 
     def complementary(self) -> "LinearCode":
@@ -192,22 +188,13 @@ class LinearCode:
         return LinearCode.from_parity(MatrixGF(target, rows, self.n))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LinearCode)
-            and self.field == other.field
-            and self.G == other.G
-        )
+        return isinstance(other, LinearCode) and self.H == other.H
 
     def __hash__(self):
-        return hash((self.field, self.G))
+        return hash(self.H)
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
-
-
-def same_code(a: LinearCode, b: LinearCode) -> bool:
-    """Codeword-set equality (canonical generators make this a comparison)."""
-    return a.field == b.field and a.n == b.n and a.G == b.G
 
 
 # ---------------------------------------------------------------------------

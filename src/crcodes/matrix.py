@@ -192,13 +192,6 @@ def kernel_basis(M: MatrixGF) -> MatrixGF:
     """Canonical basis of the right null space {v : M v = 0}, one row per
     free column of the rref, ordered by free column index."""
     R, _, pivots = rref(M)
-    return kernel_from_rref(R, pivots)
-
-
-def kernel_from_rref(R: MatrixGF, pivots) -> MatrixGF:
-    """kernel_basis of a matrix from R and pivots as rref returned them,
-    so that a caller needing both the row space and the kernel reduces
-    the matrix once."""
     f = R.field
     pivot_set = set(pivots)
     free = [c for c in range(R.ncols) if c not in pivot_set]

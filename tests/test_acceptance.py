@@ -33,7 +33,6 @@ from crcodes import (
     min_distance,
     point_set_code,
     rho1_intersection_array,
-    same_code,
     verify_theorem41,
     weight_distribution,
 )
@@ -76,7 +75,7 @@ def test_criterion_1_intersection_arrays(catalog48):
     ):
         desc, code = by_slug[f"iii-q{q}-m{m}"]
         assert _timed_array(code, 10.0) == want == str(desc.array)
-        assert same_code(code, difference_matrix_code(q, m))
+        assert code == difference_matrix_code(q, m)
 
     # family (iv): truncated difference matrices, closed-form array
     for q, n in ((4, 3), (5, 4), (7, 3)):
@@ -111,16 +110,16 @@ def test_criterion_1_intersection_arrays(catalog48):
         want = f"({4 * (q - 1)},{3 * (q - 3)};1,12)"
         assert _measured_array(code) == want
         if q in (4, 8):
-            assert same_code(code, code.dual())
+            assert code == code.dual()
         else:
-            assert not same_code(code, code.dual())
+            assert code != code.dual()
 
     # lifted codes
     desc, code = by_slug["lifted-q2-r2"]
     assert _measured_array(code) == "(9,4;1,6)" == str(desc.array)
     desc, code = by_slug["lifted-q3-r2"]
     assert _measured_array(code) == "(32,18;1,12)" == str(desc.array)
-    assert same_code(code, code.dual())
+    assert code == code.dual()
 
 
 def test_criterion_2_exhaustive_radius1_census():
@@ -310,7 +309,7 @@ def test_criterion_8_complementary_weight_relation():
 
     lines_code = external_lines_code(arc)
     assert (lines_code.n, lines_code.redundancy) == (28, 3)
-    assert same_code(lines_code, build_family("v", q=8)[1])
+    assert lines_code == build_family("v", q=8)[1]
     comp = check_pair(lines_code, 8**2)
     assert complete_regularity(lines_code).rho == 2
     assert complete_regularity(comp).rho == 2
@@ -323,4 +322,4 @@ def test_criterion_8_complementary_weight_relation():
     comp = check_pair(dm, 3**2)
     assert complete_regularity(dm).rho == 2
     assert complete_regularity(comp).rho == 1
-    assert same_code(comp, hamming_code(3, 2))
+    assert comp == hamming_code(3, 2)

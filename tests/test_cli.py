@@ -291,25 +291,35 @@ def _binary_code_file(tmp_path, rows):
 
 
 def test_theorem41_budgets_only_the_dual_walk(capsys, tmp_path):
-    # [6,2]: 4 codewords within a budget of 8, 16 dual words over it.
-    # The odd-weight row keeps all-ones, the only full-weight binary
-    # word, out of the dual, so there is no dual walk to refuse.
-    path = _binary_code_file(tmp_path, [[1, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
-    budget = ("--max-codewords", "8")
-    exit_code, stdout, stderr = run(
-        capsys, "classify", path, "--theorem", "41", "--json", *budget
-    )
-    assert (exit_code, stderr) == (0, "")
-    assert json.loads(stdout)["dual_antipodal"] is False
-    exit_code, stdout, stderr = run(capsys, "analyze", path, "--json", *budget)
-    assert (exit_code, stderr) == (0, "")
-    assert json.loads(stdout)["classification"]["rho2"]["dual_antipodal"] is False
-    # with even rows all-ones lies in the dual, which must then be walked
-    path = _binary_code_file(tmp_path, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
-    for argv in (("classify", path, "--theorem", "41"), ("analyze", path)):
-        exit_code, _, stderr = run(capsys, *argv, *budget)
-        assert exit_code == 4
-        assert stderr == "error: max_codewords: needs 16 but the budget allows 8\n"
+    # [6,2]: 4 codewords within a budget of 8, 16 dual words and 16
+    # syndromes over it.  The odd-weight row keeps all-ones, the only
+    # full-weight binary word, out of the dual, so there is no dual walk
+    # to refuse and no radius-2 cross-check that needs the syndrome table.
+    for flag in ("--max-codewords", "--max-syndromes"):
+        budget = (flag, "8")
+        path = _binary_code_file(
+            tmp_path, [[1, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]]
+        )
+        exit_code, stdout, stderr = run(
+            capsys, "classify", path, "--theorem", "41", "--json", *budget
+        )
+        assert (exit_code, stderr) == (0, "")
+        assert json.loads(stdout)["dual_antipodal"] is False
+        if flag == "--max-codewords":
+            exit_code, stdout, stderr = run(capsys, "analyze", path, "--json", *budget)
+            assert (exit_code, stderr) == (0, "")
+            rho2 = json.loads(stdout)["classification"]["rho2"]
+            assert rho2["dual_antipodal"] is False
+        # with even rows all-ones lies in the dual, which must then be
+        # walked and cross-checked against the syndrome table
+        path = _binary_code_file(
+            tmp_path, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]
+        )
+        name = flag[2:].replace("-", "_")
+        for argv in (("classify", path, "--theorem", "41"), ("analyze", path)):
+            exit_code, _, stderr = run(capsys, *argv, *budget)
+            assert exit_code == 4
+            assert stderr == f"error: {name}: needs 16 but the budget allows 8\n"
 
 
 def test_catalog_small_bound(capsys, tmp_path):

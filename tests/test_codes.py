@@ -5,7 +5,9 @@ from itertools import product
 
 import pytest
 
+from crcodes import codes
 from crcodes.budgets import Budgets, BudgetExceeded
+from crcodes.classify import Rho1Form, classify_rho1, enumerate_rho1
 from crcodes.codes import (
     AlreadyFullPointSet,
     LinearCode,
@@ -24,12 +26,12 @@ from crcodes.codes import (
     nonzero_weights,
     num_pg_points,
     pg_points,
-    same_code,
     weight_distribution,
 )
 from crcodes.constructions import hamming_code, hamming_parity
 from crcodes.field import GF
 from crcodes.matrix import MatrixGF
+from crcodes.regularity import complete_regularity
 
 
 def _span_oracle(M):
@@ -90,19 +92,75 @@ def test_pg_points(q, m):
         assert any(pt)
 
 
+def _assert_code_contract(code):
+    """The LinearCode constructor trusts its arguments; check that G and
+    H are complementary and orthogonal and that G alone rebuilds the
+    same code."""
+    assert code.G.ncols == code.H.ncols == code.n
+    assert code.G.nrows == code.k
+    assert code.k + code.redundancy == code.n
+    assert code.G.mul(code.H.transpose()).is_zero()
+    again = LinearCode.from_generator(code.G)
+    assert again == code
+    assert (again.H, again.G, hash(again)) == (code.H, code.G, hash(code))
+
+
 def test_linear_code_dimensions_and_orthogonality():
     rng = random.Random(3)
     for q in (2, 3, 4, 9):
         f = GF(q)
         for _ in range(10):
             code = _random_code(rng, q, rng.randrange(3, 8), rng.randrange(1, 4))
-            assert code.k + code.redundancy == code.n
-            prod = code.G.mul(code.H.transpose())
-            assert prod.is_zero()
+            rows = [
+                [rng.randrange(q) for _ in range(code.n)]
+                for _ in range(rng.randrange(4))
+            ]
             # dual swaps the two roles
             d = code.dual()
             assert d.k == code.redundancy
-            assert same_code(d.dual(), code)
+            assert d.dual() == code
+            derived = [
+                code,
+                LinearCode.from_generator(MatrixGF(f, rows, code.n)),
+                d,
+                code.punctured(rng.randrange(code.n)),
+                code.extended(),
+            ]
+            if q <= 3:
+                derived.append(code.lifted(2))
+            for c in derived:
+                _assert_code_contract(c)
+        m = 2 if q == 9 else 3
+        pts = pg_points(f, m)
+        projective = LinearCode.from_parity(MatrixGF.from_columns(f, pts[:-2], m))
+        _assert_code_contract(projective.complementary())
+
+
+def test_parity_side_never_builds_the_generator(monkeypatch):
+    # H, its columns and k are all that the coset analysis and the
+    # radius-1 census read, so none of them may build G
+    real_kernel = codes.kernel_basis
+
+    def refuse(M):
+        raise AssertionError("the generator was built")
+
+    monkeypatch.setattr(codes, "kernel_basis", refuse)
+    code = LinearCode.from_parity(hamming_parity(2, 3))
+    assert complete_regularity(code).is_completely_regular
+    assert isinstance(classify_rho1(code), Rho1Form)
+    assert len(enumerate_rho1(2, 2, 6).positives) == 4
+
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return real_kernel(M)
+
+    monkeypatch.setattr(codes, "kernel_basis", counting)
+    G = code.G
+    assert calls == [code.H]
+    assert G.mul(code.H.transpose()).is_zero()
+    assert code.G is G and len(calls) == 1
 
 
 def test_from_parity_reduces_rank():
@@ -130,9 +188,17 @@ def test_punctured_and_extended_are_inverse_at_the_parity_coordinate():
         for x in word:
             acc = f.add(acc, x)
         assert acc == 0
-    assert same_code(ext.punctured(ext.n - 1), code)
+    assert ext.punctured(ext.n - 1) == code
     with pytest.raises(ValueError):
         code.punctured(7)
+    # the zero code stays the zero code on both sides
+    for q in (2, 3, 4):
+        f = GF(q)
+        zero = LinearCode.from_parity(MatrixGF.identity(f, 4))
+        assert zero.k == 0
+        ext = zero.extended()
+        assert ext == LinearCode.from_parity(MatrixGF.identity(f, 5))
+        assert ext.punctured(ext.n - 1) == zero
 
 
 def test_iter_rowspace_matches_direct_span():
@@ -310,6 +376,5 @@ def test_equality_and_repr():
     a = hamming_code(2, 3)
     b = LinearCode.from_parity(hamming_parity(2, 3))
     assert a == b and hash(a) == hash(b)
-    assert same_code(a, b)
     assert a != hamming_code(2, 2)
     assert "[7,4]" in repr(a)
