@@ -341,9 +341,25 @@ def complete_regularity_bruteforce(
     budget: Budgets = DEFAULT_BUDGETS,
     analysis: CodeAnalysis | None = None,
 ) -> RegularityReport:
-    """Independent check: walk every vector of the ambient space, look up
-    its distance by syndrome, and count the levels of its n(q-1)
-    neighbors v + beta*e_j, verifying constancy vector by vector."""
+    """Independent check of the definition: every vector v at distance i
+    from the code has the same number c_i of neighbors v + beta*e_j at
+    distance i - 1 and b_i at distance i + 1.
+
+    The walk visits all q^n vectors in odometer order (coordinate 0
+    fastest) and takes each one's distance as the leader weight of its
+    syndrome.  The profile is recounted from those leader weights over
+    the n(q-1) neighbor syndromes s + step[j][beta]; the (c, b) counts
+    the table's BFS keeps are never read, so this checks them.
+
+    The neighbor syndromes of v depend only on the syndrome s of v, so
+    the profile is counted once per syndrome, at the first vector that
+    reaches it: q^m profiles for q^n vectors.  Skipping a later vector
+    of the same coset is exact, because its level's first profile was
+    taken at or before that first visit, and comparing the same profile
+    against the same reference again can add neither a first profile
+    nor a conflict.  The report, witness syndromes included, is the one
+    a count at every vector gives.
+    """
     q, n = code.field.q, code.n
     total = q**n
     if total > budget.max_vectors:
@@ -354,7 +370,11 @@ def complete_regularity_bruteforce(
     neighbors = st.translator([d for row in st.step for d in row[1:]])
     first: list = [None] * (rho + 1)
     conflicts: list = [None] * (rho + 1)
+    seen = bytearray(st.size)
     for s, _ in _ambient_walk(st):
+        if seen[s]:
+            continue
+        seen[s] = 1
         level = lw[s]
         levels = [lw[t] for t in neighbors(s)]
         profile = (levels.count(level - 1), levels.count(level + 1))

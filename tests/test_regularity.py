@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import crcodes
+from crcodes import regularity
 from crcodes.budgets import Budgets, BudgetExceeded
 from crcodes.codes import (
     LinearCode,
@@ -24,6 +26,7 @@ from crcodes.constructions import hamming_code
 from crcodes.field import GF
 from crcodes.matrix import MatrixGF
 from crcodes.regularity import (
+    CodeAnalysis,
     IntersectionArray,
     RegularityReport,
     SyndromeTable,
@@ -192,8 +195,122 @@ def test_profiles_against_coset_leader_oracle(q):
             assert (st.c[s], st.b[s]) == profile[s]
         expected = _report_oracle(code, level, profile)
         assert complete_regularity(code) == expected
+        assert complete_regularity_bruteforce(code) == _walk_report_oracle(
+            code, level, profile
+        )
         kinds.add(expected.is_completely_regular)
     assert kinds == {True, False}
+
+
+def _walk_report_oracle(code, level, profile):
+    """The report of a per-vector check: walk the ambient space with
+    coordinate 0 fastest; the first vector at each level sets its
+    reference profile, and the first later vector whose profile differs
+    is its conflict.  The lowest level with a conflict is the witness."""
+    q, n = code.field.q, code.n
+    rho = max(level.values())
+    first = {}
+    conflicts = {}
+    for digits in product(range(q), repeat=n):
+        s = encode_vector(q, code.H.mul_vector(digits[::-1]))
+        lv, prof = level[s], profile[s]
+        if lv not in first:
+            first[lv] = (s, prof)
+        elif lv not in conflicts and prof != first[lv][1]:
+            conflicts[lv] = (s, prof)
+    if conflicts:
+        lv = min(conflicts)
+        (ref, ref_prof), (bad, bad_prof) = first[lv], conflicts[lv]
+        return RegularityReport(
+            False, rho, None, Witness(lv, ref, bad, ref_prof, bad_prof)
+        )
+    b = [first[l][1][1] for l in range(rho)]
+    c = [first[l][1][0] for l in range(1, rho + 1)]
+    return RegularityReport(
+        True, rho, IntersectionArray.from_levels(q, n, b, c), None
+    )
+
+
+@pytest.mark.parametrize(
+    "q,rows,cr",
+    [
+        (2, [[1, 0, 1, 1], [0, 1, 0, 1]], False),
+        (2, [[1, 0, 1, 0, 1, 0, 1],
+             [0, 1, 1, 0, 0, 1, 1],
+             [0, 0, 0, 1, 1, 1, 1]], True),
+        (9, [[1, 0, 0, 1], [0, 1, 1, 3]], False),
+        (9, [[1, 1, 0], [0, 1, 1]], True),
+    ],
+)
+def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
+    q, rows, cr, monkeypatch
+):
+    code = LinearCode.from_parity(MatrixGF(GF(q), rows, len(rows[0])))
+    expected = complete_regularity_bruteforce(code)
+    assert expected.is_completely_regular == cr
+    analysis = CodeAnalysis(code)
+    st = analysis.table
+    # the fast scan's profile counts are not an input of the brute force
+    st.c[:] = array(st.c.typecode, [0]) * st.size
+    st.b[:] = array(st.b.typecode, [0]) * st.size
+
+    calls = 0
+    translator = SyndromeTable.translator
+
+    def counting_translator(self, steps):
+        neighbors = translator(self, steps)
+
+        def counted(s):
+            nonlocal calls
+            calls += 1
+            return neighbors(s)
+
+        return counted
+
+    vectors = 0
+    walk = regularity._ambient_walk
+
+    def counting_walk(table):
+        nonlocal vectors
+        for item in walk(table):
+            vectors += 1
+            yield item
+
+    monkeypatch.setattr(SyndromeTable, "translator", counting_translator)
+    monkeypatch.setattr(regularity, "_ambient_walk", counting_walk)
+    assert complete_regularity_bruteforce(code, analysis=analysis) == expected
+    assert vectors == q**code.n
+    assert 0 < calls <= st.size
+
+
+def test_catalog_intersection_arrays_against_coset_graphs(catalog48):
+    """The coset graph of a projective code with d >= 3 is distance
+    regular, with the code's intersection array (Brouwer, Cohen and
+    Neumaier, Distance-Regular Graphs, 11.1).  Its edges s -- s + beta*h_j
+    come from H.mul_vector, not from the syndrome table."""
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for desc, code in catalog48:
+        f = code.field
+        q, m = f.q, code.redundancy
+        if q**m > 4096:
+            continue
+        steps = set()
+        for j in range(code.n):
+            for beta in range(1, q):
+                unit = [0] * code.n
+                unit[j] = beta
+                steps.add(code.H.mul_vector(unit))
+        graph = nx.Graph()
+        for s in range(q**m):
+            vec = decode_vector(q, s, m)
+            graph.add_edges_from(
+                (s, encode_vector(q, map(f.add, vec, step))) for step in steps
+            )
+        arr = complete_regularity(code).array
+        assert nx.intersection_array(graph) == (list(arr.b), list(arr.c)), desc.slug
+        checked += 1
+    assert checked >= 30
 
 
 # A seeded random binary [28,10] code (2^18 syndromes), drawn as the
