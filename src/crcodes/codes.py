@@ -201,43 +201,46 @@ class LinearCode:
 # enumeration and weight analysis
 
 
+def odometer(start, inc, add):
+    """Yield start + sum_j a_j * x_j for every digit vector a in
+    range(q)^k, with k = len(inc) and q = len(inc[j]), in odometer order
+    (digit 0 fastest), with one add per digit that changes.  inc[j][a]
+    is the element that turns digit j from a into (a + 1) % q, so a step
+    adds inc[j][q - 1] for every digit that wraps and inc[j][a] for the
+    one that moves on from a."""
+    cur = start
+    yield cur
+    if not inc:
+        return
+    q = len(inc[0])
+    digits = [0] * len(inc)
+    for _ in range(q ** len(inc) - 1):
+        j = 0
+        while digits[j] == q - 1:
+            cur = add(cur, inc[j][q - 1])
+            digits[j] = 0
+            j += 1
+        a = digits[j]
+        cur = add(cur, inc[j][a])
+        digits[j] = a + 1
+        yield cur
+
+
 def iter_rowspace(M: MatrixGF):
     """Yield every vector in the row space of M, q^rows of them, in
     odometer order over the message digits (digit 0 fastest)."""
     f = M.field
     q = f.q
-    k = M.nrows
-    n = M.ncols
-    cur = [0] * n
-    yield tuple(cur)
-    if k == 0:
-        return
-    # scaled[j][s] = s * row_j, so each odometer step is one row add
-    scaled = [[None] * q for _ in range(k)]
-    for j in range(k):
-        row = M.data[j]
-        for s in range(1, q):
-            scaled[j][s] = [f.mul(s, x) for x in row]
-    digits = [0] * k
-    add = f.add
-    total = q**k
-    for _ in range(total - 1):
-        j = 0
-        while digits[j] == q - 1:
-            delta = f.sub(0, q - 1)
-            srow = scaled[j][delta] if delta else None
-            if srow is not None:
-                for c in range(n):
-                    cur[c] = add(cur[c], srow[c])
-            digits[j] = 0
-            j += 1
-        old = digits[j]
-        digits[j] = old + 1
-        delta = f.sub(old + 1, old)
-        srow = scaled[j][delta]
-        for c in range(n):
-            cur[c] = add(cur[c], srow[c])
-        yield tuple(cur)
+    fadd, mul = f.add, f.mul
+    # digit j moving from a to a + 1 adds (a + 1 - a) * row_j
+    deltas = [f.sub((a + 1) % q, a) for a in range(q)]
+    inc = [[tuple([mul(d, x) for x in row]) for d in deltas] for row in M.data]
+    # a tuple built from a list reuses a freed word of its length;
+    # tuple(map(...)) resizes a guessed one instead, so the freed words
+    # would pile up on the interpreter's tuple free list
+    yield from odometer(
+        (0,) * M.ncols, inc, lambda u, v: tuple([*map(fadd, u, v)])
+    )
 
 
 def iter_codewords(code: LinearCode):

@@ -12,6 +12,7 @@ is bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .codes import LinearCode, canonical_column, num_pg_points, pg_points
 from .field import GF, Field, NotPrime, factor_prime_power
@@ -78,19 +79,8 @@ def difference_matrix(q: int, m: int) -> MatrixGF:
     lexicographic order, each with an extra final coordinate 1."""
     if m < 1:
         raise ParameterRange(f"difference matrix needs m >= 1, got {m}")
-    f = GF(q)
-    cols = []
-    vec = [0] * m
-    while True:
-        cols.append(tuple(vec) + (1,))
-        j = m - 1
-        while j >= 0 and vec[j] == q - 1:
-            vec[j] = 0
-            j -= 1
-        if j < 0:
-            break
-        vec[j] += 1
-    return MatrixGF.from_columns(f, cols)
+    cols = [vec + (1,) for vec in product(range(q), repeat=m)]
+    return MatrixGF.from_columns(GF(q), cols)
 
 
 def difference_matrix_code(q: int, m: int) -> LinearCode:

@@ -93,6 +93,15 @@ def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
     return num
 
 
+def _base_digits(e: int, p: int, length: int) -> tuple[int, ...]:
+    """The lowest `length` base-p digits of e, least significant first."""
+    out = []
+    for _ in range(length):
+        e, d = divmod(e, p)
+        out.append(d)
+    return tuple(out)
+
+
 def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg//2."""
     deg = len(coeffs) - 1
@@ -101,12 +110,7 @@ def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         # iterate all monic polynomials of degree d over GF(p)
         for code in range(p**d):
-            den = []
-            e = code
-            for _ in range(d):
-                e, digit = divmod(e, p)
-                den.append(digit)
-            den.append(1)
+            den = [*_base_digits(code, p, d), 1]
             if not _poly_trim(_poly_mod(list(coeffs), den, p)):
                 return False
     return True
@@ -116,14 +120,9 @@ def _search_default_modulus(p: int, r: int) -> tuple[int, ...]:
     # smallest encoding wins; encoding of a monic degree-r polynomial is
     # sum(c_i * p^i) including the leading 1
     for code in range(p**r):
-        coeffs = []
-        e = code
-        for _ in range(r):
-            e, digit = divmod(e, p)
-            coeffs.append(digit)
-        coeffs.append(1)
-        if _poly_is_irreducible(tuple(coeffs), p):
-            return tuple(coeffs)
+        coeffs = (*_base_digits(code, p, r), 1)
+        if _poly_is_irreducible(coeffs, p):
+            return coeffs
     raise ReducibleModulus(f"no irreducible polynomial of degree {r} over GF({p})")
 
 
@@ -176,7 +175,7 @@ class Field:
         self.q = q
         self.modulus = modulus
         if r > 1:
-            self._dig = [self._int_digits(e) for e in range(q)]
+            self._dig = [_base_digits(e, p, r) for e in range(q)]
             self._build_log_tables()
         else:
             self._dig = None
@@ -185,13 +184,6 @@ class Field:
         self._hash = hash((p, r, modulus))
 
     # -- encoding helpers ------------------------------------------------
-
-    def _int_digits(self, e: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.r):
-            e, d = divmod(e, self.p)
-            out.append(d)
-        return tuple(out)
 
     def digits(self, a: int) -> tuple[int, ...]:
         """Base-p digits of a, least significant first (the coefficients)."""

@@ -46,10 +46,6 @@ class MatrixGF:
         return cls(field, [[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "MatrixGF":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, field: Field, columns, nrows: int | None = None) -> "MatrixGF":
         columns = [tuple(c) for c in columns]
         if columns:
@@ -58,17 +54,11 @@ class MatrixGF:
             raise ValueError("nrows required for a matrix with no columns")
         return cls(field, [[c[i] for c in columns] for i in range(nrows)], len(columns))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(self.field, self.columns() or [], self.nrows)
 
     def hstack(self, other: "MatrixGF") -> "MatrixGF":
         if other.field != self.field or other.nrows != self.nrows:
@@ -79,34 +69,12 @@ class MatrixGF:
             self.ncols + other.ncols,
         )
 
-    def vstack(self, other: "MatrixGF") -> "MatrixGF":
-        if other.field != self.field or other.ncols != self.ncols:
-            raise ValueError("shape or field mismatch")
-        return MatrixGF(self.field, self.data + other.data, self.ncols)
-
     def drop_column(self, j: int) -> "MatrixGF":
         return MatrixGF(
             self.field,
             [row[:j] + row[j + 1 :] for row in self.data],
             self.ncols - 1,
         )
-
-    def mul(self, other: "MatrixGF") -> "MatrixGF":
-        if other.field != self.field or self.ncols != other.nrows:
-            raise ValueError("shape or field mismatch")
-        f = self.field
-        out = []
-        bcols = other.columns()
-        for row in self.data:
-            out_row = []
-            for col in bcols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return MatrixGF(f, out, other.ncols)
 
     def mul_vector(self, vec) -> tuple[int, ...]:
         f = self.field
@@ -124,9 +92,6 @@ class MatrixGF:
         return MatrixGF(
             self.field, [[f.mul(s, x) for x in row] for row in self.data], self.ncols
         )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
     def __eq__(self, other):
         return (

@@ -14,6 +14,13 @@ a pair of split-half translation tables per distinct step, each of
 q^ceil(m/2) entries.  Nothing of length q^m is kept per step: the table
 holds five bytes per syndrome, its leader weight and its (c, b) profile,
 which one BFS finds together.
+
+The exhaustive passes over all q^n ambient vectors walk syndromes only,
+with the odometer of codes.py stepping by one table addition per
+vector.  complete_regularity and its brute-force check differ only in
+where each coset's profile comes from; both hand (syndrome, level,
+profile) triples to one scan that picks each level's reference profile
+and the first conflict.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from math import comb
 from operator import xor
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
-from .codes import LinearCode, nonzero_weights, weight_pair
+from .codes import LinearCode, nonzero_weights, odometer, weight_pair
 from .matrix import solve_rational
 
 
@@ -66,12 +73,12 @@ class SyndromeTable:
     """Leader weights and coset profiles of a code, from one BFS over its
     syndrome graph.
 
-    step[j][beta] is the syndrome of beta*e_j (step[j][0] is 0), and
-    column_syndrome[j] is step[j][1].  leader_weight[s] is the weight of
-    a coset leader for syndrome s (the distance of the coset from the
-    code), and rho is the covering radius.  c[s] and b[s] count, with
-    multiplicity, the steps beta*e_j (beta != 0) that take s one level
-    down and one level up: the (c, b) profile of coset s.
+    step[j][beta] is the syndrome of beta*e_j (step[j][0] is 0).
+    leader_weight[s] is the weight of a coset leader for syndrome s (the
+    distance of the coset from the code), and rho is the covering
+    radius.  c[s] and b[s] count, with multiplicity, the steps beta*e_j
+    (beta != 0) that take s one level down and one level up: the (c, b)
+    profile of coset s.
 
     add(s, d) is s + d for a step d.  In characteristic 2 that is s ^ d.
     Otherwise every distinct step d keeps a pair of split-half
@@ -84,7 +91,7 @@ class SyndromeTable:
     """
 
     __slots__ = (
-        "code", "size", "step", "column_syndrome", "add", "_halves", "_split",
+        "code", "size", "step", "add", "_halves", "_split",
         "leader_weight", "c", "b", "rho",
     )
 
@@ -103,7 +110,6 @@ class SyndromeTable:
             + [encode_vector(q, [mul(beta, x) for x in col]) for beta in range(1, q)]
             for col in code.H.columns()
         ]
-        self.column_syndrome = [row[1] for row in self.step]
         if f.p == 2:
             self.add = xor
             self._halves = None
@@ -262,20 +268,30 @@ class RegularityReport:
     witness: Witness | None
 
 
-def _report_from_profiles(q, n, rho, first, conflicts) -> RegularityReport:
-    bad_levels = [l for l in range(rho + 1) if conflicts[l] is not None]
-    if bad_levels:
-        level = min(bad_levels)
-        ref_s, ref_profile = first[level][1], first[level][0]
-        bad_s, bad_profile = conflicts[level]
-        return RegularityReport(
-            False,
-            rho,
-            None,
-            Witness(level, ref_s, bad_s, ref_profile, bad_profile),
-        )
-    b = [first[l][0][1] for l in range(rho)]
-    c = [first[l][0][0] for l in range(1, rho + 1)]
+def _scan_cosets(q, n, rho, cosets) -> RegularityReport:
+    """The report from (syndrome, level, profile) triples in visiting
+    order.  Each level's first profile is its reference; the witness
+    pairs it with the first differing profile at the lowest level that
+    has one, and with none the references give the array."""
+    first: list = [None] * (rho + 1)
+    conflicts: list = [None] * (rho + 1)
+    for s, level, profile in cosets:
+        ref = first[level]
+        if ref is None:
+            first[level] = (s, profile)
+        elif conflicts[level] is None and profile != ref[1]:
+            conflicts[level] = (s, profile)
+    for level, bad in enumerate(conflicts):
+        if bad is not None:
+            (ref_s, ref_profile), (bad_s, bad_profile) = first[level], bad
+            return RegularityReport(
+                False,
+                rho,
+                None,
+                Witness(level, ref_s, bad_s, ref_profile, bad_profile),
+            )
+    b = [first[l][1][1] for l in range(rho)]
+    c = [first[l][1][0] for l in range(1, rho + 1)]
     return RegularityReport(
         True, rho, IntersectionArray.from_levels(q, n, b, c), None
     )
@@ -294,46 +310,17 @@ def complete_regularity(
     CodeAnalysis read its cached `report` rather than scanning again.
     """
     st = analysis.table if analysis else SyndromeTable(code, budget)
-    rho = st.rho
-    first: list = [None] * (rho + 1)
-    conflicts: list = [None] * (rho + 1)
-    for s, level, c, b in zip(range(st.size), st.leader_weight, st.c, st.b):
-        ref = first[level]
-        if ref is None:
-            first[level] = ((c, b), s)
-        elif conflicts[level] is None and (c, b) != ref[0]:
-            conflicts[level] = (s, (c, b))
-    return _report_from_profiles(code.field.q, code.n, rho, first, conflicts)
+    cosets = zip(range(st.size), st.leader_weight, zip(st.c, st.b))
+    return _scan_cosets(code.field.q, code.n, st.rho, cosets)
 
 
-def _ambient_walk(st: SyndromeTable):
-    """Yield (syndrome, weight) of every vector of the ambient space in
-    odometer order, coordinate 0 fastest, with one step per vector."""
+def _ambient_steps(st: SyndromeTable) -> list[list[int]]:
+    """The odometer increments that walk the ambient space by syndrome:
+    entry [j][a] turns coordinate j from a into (a + 1) % q."""
     f = st.code.field
-    q, n = f.q, st.code.n
-    add = st.add
-    # inc[j][a]: the step that turns digit j from a into a + 1 (q - 1 into 0)
-    inc = [[row[f.sub((a + 1) % q, a)] for a in range(q)] for row in st.step]
-    total = q**n
-    digits = [0] * n
-    s = w = 0
-    count = 0
-    while True:
-        yield s, w
-        count += 1
-        if count == total:
-            return
-        j = 0
-        while digits[j] == q - 1:
-            s = add(s, inc[j][q - 1])
-            digits[j] = 0
-            w -= 1
-            j += 1
-        a = digits[j]
-        s = add(s, inc[j][a])
-        digits[j] = a + 1
-        if a == 0:
-            w += 1
+    q = f.q
+    deltas = [f.sub((a + 1) % q, a) for a in range(q)]
+    return [[row[d] for d in deltas] for row in st.step]
 
 
 def complete_regularity_bruteforce(
@@ -345,11 +332,12 @@ def complete_regularity_bruteforce(
     from the code has the same number c_i of neighbors v + beta*e_j at
     distance i - 1 and b_i at distance i + 1.
 
-    The walk visits all q^n vectors in odometer order (coordinate 0
-    fastest) and takes each one's distance as the leader weight of its
-    syndrome.  The profile is recounted from those leader weights over
-    the n(q-1) neighbor syndromes s + step[j][beta]; the (c, b) counts
-    the table's BFS keeps are never read, so this checks them.
+    The walk visits the syndromes of all q^n vectors in odometer order
+    (coordinate 0 fastest) and takes each one's distance as the leader
+    weight of its syndrome.  The profile is recounted from those leader
+    weights over the n(q-1) neighbor syndromes s + step[j][beta]; the
+    (c, b) counts the table's BFS keeps are never read, so this checks
+    them.
 
     The neighbor syndromes of v depend only on the syndrome s of v, so
     the profile is counted once per syndrome, at the first vector that
@@ -366,23 +354,18 @@ def complete_regularity_bruteforce(
         raise BudgetExceeded("max_vectors", total, budget.max_vectors)
     st = analysis.table if analysis else SyndromeTable(code, budget)
     lw = st.leader_weight
-    rho = st.rho
     neighbors = st.translator([d for row in st.step for d in row[1:]])
-    first: list = [None] * (rho + 1)
-    conflicts: list = [None] * (rho + 1)
     seen = bytearray(st.size)
-    for s, _ in _ambient_walk(st):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        level = lw[s]
-        levels = [lw[t] for t in neighbors(s)]
-        profile = (levels.count(level - 1), levels.count(level + 1))
-        if first[level] is None:
-            first[level] = (profile, s)
-        elif conflicts[level] is None and profile != first[level][0]:
-            conflicts[level] = (s, profile)
-    return _report_from_profiles(q, n, rho, first, conflicts)
+
+    def first_visits():
+        for s in odometer(0, _ambient_steps(st), st.add):
+            if not seen[s]:
+                seen[s] = 1
+                level = lw[s]
+                levels = [lw[t] for t in neighbors(s)]
+                yield s, level, (levels.count(level - 1), levels.count(level + 1))
+
+    return _scan_cosets(q, n, st.rho, first_visits())
 
 
 def coset_weight_counts(
@@ -396,8 +379,11 @@ def coset_weight_counts(
     if total > budget.max_vectors:
         raise BudgetExceeded("max_vectors", total, budget.max_vectors)
     st = SyndromeTable(code, budget)
+    # a coordinate's weight rises as its digit leaves 0 and falls as it wraps
+    weight_steps = [[1] + [0] * (q - 2) + [-1]] * n
     counts = [[0] * (n + 1) for _ in range(st.size)]
-    for s, w in _ambient_walk(st):
+    syndromes = odometer(0, _ambient_steps(st), st.add)
+    for s, w in zip(syndromes, odometer(0, weight_steps, int.__add__)):
         counts[s][w] += 1
     return counts
 

@@ -90,7 +90,8 @@ def test_classify_rho1_is_presentation_invariant():
             scaled.append([f.mul(s, x) for x in col])
         M = MatrixGF.from_columns(f, scaled)
         T = _random_invertible(rng, f, M.nrows)
-        assert classify_rho1(LinearCode.from_parity(T.mul(M))) == expect
+        TM = MatrixGF.from_columns(f, [T.mul_vector(c) for c in M.columns()])
+        assert classify_rho1(LinearCode.from_parity(TM)) == expect
 
 
 def _random_invertible(rng, f, size):
@@ -201,7 +202,7 @@ def test_verify_theorem41_trivial_inputs():
     with pytest.raises(TrivialCode):
         verify_theorem41(LinearCode.from_parity(MatrixGF(f, [[1, 1, 1]])))
     with pytest.raises(TrivialCode):
-        verify_theorem41(LinearCode.from_parity(MatrixGF.identity(f, 2)))
+        verify_theorem41(LinearCode.from_parity(MatrixGF(f, [[1, 0], [0, 1]])))
     assert issubclass(NoZeroColumnReachable, RuntimeError)
 
 

@@ -351,6 +351,25 @@ def test_catalog_is_deterministic(capsys, tmp_path):
         assert item.read_bytes() == (b / item.name).read_bytes()
 
 
+SAVED_CATALOGS = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected").glob("catalog-*")
+)
+
+
+@pytest.mark.parametrize("saved", SAVED_CATALOGS, ids=lambda path: path.name)
+def test_catalog_matches_saved_benchmark_output(capsys, tmp_path, saved):
+    """Refactors keep catalog output byte-identical: rerun each bound the
+    benchmark saved and compare every file."""
+    bound = saved.name.split("-")[1]
+    out = tmp_path / "cat"
+    code, _, _ = run(capsys, "catalog", "--qn-bound", bound, "--out", str(out))
+    assert code == 0
+    names = sorted(path.name for path in saved.iterdir())
+    assert sorted(path.name for path in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (saved / name).read_bytes(), name
+
+
 class WalkTooLong(Exception):
     pass
 

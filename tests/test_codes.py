@@ -99,7 +99,7 @@ def _assert_code_contract(code):
     assert code.G.ncols == code.H.ncols == code.n
     assert code.G.nrows == code.k
     assert code.k + code.redundancy == code.n
-    assert code.G.mul(code.H.transpose()).is_zero()
+    assert all(not any(code.H.mul_vector(g)) for g in code.G.data)
     again = LinearCode.from_generator(code.G)
     assert again == code
     assert (again.H, again.G, hash(again)) == (code.H, code.G, hash(code))
@@ -159,7 +159,7 @@ def test_parity_side_never_builds_the_generator(monkeypatch):
     monkeypatch.setattr(codes, "kernel_basis", counting)
     G = code.G
     assert calls == [code.H]
-    assert G.mul(code.H.transpose()).is_zero()
+    assert all(not any(code.H.mul_vector(g)) for g in G.data)
     assert code.G is G and len(calls) == 1
 
 
@@ -194,10 +194,12 @@ def test_punctured_and_extended_are_inverse_at_the_parity_coordinate():
     # the zero code stays the zero code on both sides
     for q in (2, 3, 4):
         f = GF(q)
-        zero = LinearCode.from_parity(MatrixGF.identity(f, 4))
+        eye4 = [[int(i == j) for j in range(4)] for i in range(4)]
+        zero = LinearCode.from_parity(MatrixGF(f, eye4))
         assert zero.k == 0
         ext = zero.extended()
-        assert ext == LinearCode.from_parity(MatrixGF.identity(f, 5))
+        eye5 = [[int(i == j) for j in range(5)] for i in range(5)]
+        assert ext == LinearCode.from_parity(MatrixGF(f, eye5))
         assert ext.punctured(ext.n - 1) == zero
 
 
@@ -212,6 +214,16 @@ def test_iter_rowspace_matches_direct_span():
         assert words[0] == (0,) * 5
         assert len(words) == q**2
         assert set(words) == _span_oracle(M)
+        # the order is pinned: Theorem 4.1 scales by the first full-weight
+        # word it meets.  product runs its last digit fastest, so each
+        # digit tuple is reversed to put digit 0 fastest.
+        ordered = []
+        for digits in product(range(q), repeat=M.nrows):
+            acc = [0] * M.ncols
+            for a, row in zip(reversed(digits), M.data):
+                acc = [f.add(x, f.mul(a, y)) for x, y in zip(acc, row)]
+            ordered.append(tuple(acc))
+        assert words == ordered
 
 
 def test_weight_distribution_known_values():

@@ -103,9 +103,6 @@ def test_syndrome_table_against_vector_scan(q, n, r):
         for beta in range(1, q):
             col = [f.mul(beta, x) for x in code.H.column(j)]
             assert st.step[j][beta] == encode_vector(q, col)
-    assert st.column_syndrome == [
-        encode_vector(q, code.H.column(j)) for j in range(code.n)
-    ]
 
 
 def _profile_oracle(code):
@@ -268,16 +265,16 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
         return counted
 
     vectors = 0
-    walk = regularity._ambient_walk
+    walk = regularity.odometer
 
-    def counting_walk(table):
+    def counting_walk(*args):
         nonlocal vectors
-        for item in walk(table):
+        for item in walk(*args):
             vectors += 1
             yield item
 
     monkeypatch.setattr(SyndromeTable, "translator", counting_translator)
-    monkeypatch.setattr(regularity, "_ambient_walk", counting_walk)
+    monkeypatch.setattr(regularity, "odometer", counting_walk)
     assert complete_regularity_bruteforce(code, analysis=analysis) == expected
     assert vectors == q**code.n
     assert 0 < calls <= st.size
@@ -422,17 +419,25 @@ def test_fast_and_bruteforce_reports_agree():
 
 
 def test_coset_weight_counts_shape_and_marginals():
-    code = hamming_code(2, 3)
-    counts = coset_weight_counts(code)
-    q, n = 2, 7
-    assert counts[0] == weight_distribution(code)
-    for w in range(n + 1):
-        assert sum(row[w] for row in counts) == comb(n, w) * (q - 1) ** w
-    for s, row in enumerate(counts):
-        assert sum(row) == q ** code.k
-        # the first nonzero distance is the leader weight
-        first = next(w for w in range(n + 1) if row[w])
-        assert first == SyndromeTable(code).leader_weight[s]
+    rng = random.Random(43)
+    for code in (
+        hamming_code(2, 3), _random_code(rng, 4, 5, 2), _random_code(rng, 9, 4, 2)
+    ):
+        q, n = code.field.q, code.n
+        counts = coset_weight_counts(code)
+        assert counts[0] == weight_distribution(code)
+        for w in range(n + 1):
+            assert sum(row[w] for row in counts) == comb(n, w) * (q - 1) ** w
+        leader_weight = SyndromeTable(code).leader_weight
+        for s, row in enumerate(counts):
+            assert sum(row) == q ** code.k
+            # the first nonzero distance is the leader weight
+            first = next(w for w in range(n + 1) if row[w])
+            assert first == leader_weight[s]
+        oracle = [[0] * (n + 1) for _ in range(q**code.redundancy)]
+        for vec in product(range(q), repeat=n):
+            oracle[encode_vector(q, code.H.mul_vector(vec))][_weight(vec)] += 1
+        assert counts == oracle
 
 
 def test_low_weight_counts_truncate_the_full_pass():
