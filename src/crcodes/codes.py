@@ -157,25 +157,22 @@ class LinearCode:
         rank-reduced, so the complementary code's redundancy can be lower
         than n - k.
         """
-        f = self.field
-        m = self.redundancy
-        if m == 0:
+        if self.redundancy == 0:
             raise NotProjective("the whole space has no projective parity check")
-        cols = self.H.columns()
         seen = set()
-        for col in cols:
+        for col in self.H.columns():
             if all(x == 0 for x in col):
                 raise NotProjective("parity check has a zero column")
-            canon = canonical_column(f, col)
+            canon = canonical_column(self.field, col)
             if canon in seen:
                 raise NotProjective("parity check has projectively equal columns")
             seen.add(canon)
-        missing = [pt for pt in pg_points(f, m) if pt not in seen]
-        if not missing:
+        H = complementary_parity_columns(self)
+        if H.ncols == 0:
             raise AlreadyFullPointSet(
                 "parity check already uses every projective point"
             )
-        return LinearCode.from_parity(MatrixGF.from_columns(f, missing))
+        return LinearCode.from_parity(H)
 
     def lifted(self, r: int) -> "LinearCode":
         """Reinterpret the parity-check entries over GF(q^r), r >= 2."""

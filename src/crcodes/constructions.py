@@ -521,19 +521,13 @@ def family_catalog(qn_bound: int) -> list[tuple[FamilyDescriptor, LinearCode]]:
             if q * (q * (q - h + 1) // h) <= qn_bound:
                 out.append(build_family("vii", q=q, h=h))
             h *= 2
-    q = 2
-    while q * q * (q + 1) <= qn_bound:
+    for q in _prime_powers(2, qn_bound):
+        if q * q * (q + 1) > qn_bound:
+            break
         r = 2
         while q**r * (q + 1) <= qn_bound:
             out.append(build_family("lifted", q=q, r=r))
             r += 1
-        q += 1
-        while True:
-            try:
-                factor_prime_power(q)
-                break
-            except NotPrime:
-                q += 1
     for q in _prime_powers(4, qn_bound // 4):
         if 4 * q <= qn_bound:
             out.append(build_family("d1antipodal", q=q))

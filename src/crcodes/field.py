@@ -3,11 +3,16 @@
 Element encoding: the integer e in 0..q-1 stands for the polynomial whose
 coefficient of x^i is the i-th base-p digit of e, least significant digit
 first.  0 and 1 therefore always encode the additive and multiplicative
-identities, and for r = 1 the arithmetic is plain integers mod p.
+identities; for r = 1 the encoding is the residue itself.
 
-Multiplication and inversion in extension fields go through log/antilog
-tables built once per field (O(q) memory); addition is digitwise mod p,
-which in characteristic 2 is integer XOR.
+Every field, prime or extension, builds the same tables once (O(q)
+memory): digit vectors, negatives, and log/antilog tables with the
+antilog table stored twice over, so that multiplication, inversion and
+powers are one lookup each.  Addition is (a + b) mod p when r = 1, XOR
+in characteristic 2 and digitwise mod p otherwise.  The base-p codec
+(`_base_digits`, `_from_base`) and the digitwise adder (`_add_digitwise`)
+here are the only copies; regularity.py encodes and adds syndromes with
+them too.
 
 Fields are immutable after construction.  ``GF(q)`` caches one instance
 per (p, r, modulus) so equal fields are identical objects.
@@ -102,6 +107,27 @@ def _base_digits(e: int, p: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _from_base(digits, radix: int) -> int:
+    """The integer whose base-`radix` digits, least significant first, are
+    the sequence `digits`; the inverse of _base_digits."""
+    e = 0
+    for d in reversed(digits):
+        e = e * radix + d
+    return e
+
+
+def _add_digitwise(x: int, y: int, p: int) -> int:
+    """Digitwise mod-p sum of two base-p encodings."""
+    acc = 0
+    mult = 1
+    while x or y:
+        acc += ((x + y) % p) * mult
+        x //= p
+        y //= p
+        mult *= p
+    return acc
+
+
 def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg//2."""
     deg = len(coeffs) - 1
@@ -149,7 +175,7 @@ class Field:
     Division by zero raises ZeroDivisionError.
     """
 
-    __slots__ = ("p", "r", "q", "modulus", "_dig", "_exp", "_log", "_hash")
+    __slots__ = ("p", "r", "q", "modulus", "_dig", "_neg", "_exp", "_log", "_hash")
 
     def __init__(self, p: int, r: int = 1, modulus=None):
         if not _is_prime(p):
@@ -174,28 +200,20 @@ class Field:
         self.r = r
         self.q = q
         self.modulus = modulus
-        if r > 1:
-            self._dig = [_base_digits(e, p, r) for e in range(q)]
-            self._build_log_tables()
-        else:
-            self._dig = None
-            self._exp = None
-            self._log = None
+        self._dig = [_base_digits(e, p, r) for e in range(q)]
+        self._neg = [_from_base([-d % p for d in dig], p) for dig in self._dig]
+        self._build_log_tables()
         self._hash = hash((p, r, modulus))
 
     # -- encoding helpers ------------------------------------------------
 
     def digits(self, a: int) -> tuple[int, ...]:
         """Base-p digits of a, least significant first (the coefficients)."""
-        if self.r == 1:
-            return (a,)
         return self._dig[a]
 
     def from_digits(self, digits) -> int:
-        e = 0
-        for d in reversed(list(digits)):
-            e = e * self.p + (int(d) % self.p)
-        return e
+        p = self.p
+        return _from_base([int(d) % p for d in digits], p)
 
     # -- table construction ----------------------------------------------
 
@@ -208,23 +226,20 @@ class Field:
             if ca:
                 for j, cb in enumerate(db):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
-        rem = _poly_mod(prod, list(self.modulus), p)
-        rem += [0] * (r - len(rem))
-        e = 0
-        for d in reversed(rem[:r]):
-            e = e * p + d
-        return e
+        return _from_base(_poly_mod(prod, list(self.modulus), p), p)
 
     def _build_log_tables(self):
+        # g = 1 generates GF(2); the antilog table is stored twice over so
+        # that a sum of two logs indexes it without reduction
         q = self.q
-        for g in range(2, q):
+        for g in range(1, q):
             exp = [1]
             cur = g
             while cur != 1:
                 exp.append(cur)
                 cur = self._raw_mul(cur, g)
             if len(exp) == q - 1:
-                self._exp = exp
+                self._exp = exp + exp
                 log = [0] * q
                 for i, e in enumerate(exp):
                     log[e] = i
@@ -239,41 +254,21 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        p = self.p
-        da, db = self._dig[a], self._dig[b]
-        e = 0
-        for i in range(self.r - 1, -1, -1):
-            e = e * p + (da[i] + db[i]) % p
-        return e
+        return _add_digitwise(a, b, self.p)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.r == 1:
-            return (-a) % self.p
-        p = self.p
-        da = self._dig[a]
-        e = 0
-        for i in range(self.r - 1, -1, -1):
-            e = e * p + (-da[i]) % p
-        return e
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.r == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -285,8 +280,6 @@ class Field:
             if e < 0:
                 raise ZeroDivisionError("0 has no multiplicative inverse")
             return 0
-        if self.r == 1:
-            return pow(a, e % (self.p - 1) if e >= 0 else e, self.p)
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def elements(self) -> list[int]:
@@ -307,8 +300,6 @@ class Field:
             raise IncompatibleModulusTable(
                 f"GF({self.q}) does not embed into GF({target.q})"
             )
-        if self.r == 1:
-            return list(range(self.p))
         root = None
         for e in range(target.q):
             acc = 0

@@ -8,12 +8,14 @@ analysis that passes it along computes each of them once.
 Syndromes are encoded as mixed-radix integers with coordinate 0 least
 significant.  Since field elements are themselves base-p encodings, the
 whole syndrome code is the base-p encoding of the concatenated digit
-vector, and syndrome addition is digitwise mod p.  SyndromeTable adds a
-step (the syndrome of beta*e_j) as XOR when p = 2, and for odd p through
-a pair of split-half translation tables per distinct step, each of
-q^ceil(m/2) entries.  Nothing of length q^m is kept per step: the table
-holds five bytes per syndrome, its leader weight and its (c, b) profile,
-which one BFS finds together.
+vector, and syndrome addition is digitwise mod p; the codec and the
+digitwise adder are the ones field.py uses for field elements.
+SyndromeTable adds a step (the syndrome of beta*e_j) as XOR when p = 2,
+and for odd p through a pair of split-half translation tables per
+distinct step, each of q^ceil(m/2) entries, built with that adder.
+Nothing of length q^m is kept per step: the table holds five bytes per
+syndrome, its leader weight and its (c, b) profile, which one BFS finds
+together.
 
 The exhaustive passes over all q^n ambient vectors walk syndromes only,
 with the odometer of codes.py stepping by one table addition per
@@ -36,37 +38,20 @@ from operator import xor
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from .codes import LinearCode, nonzero_weights, odometer, weight_pair
+from .field import _add_digitwise, _base_digits, _from_base
 from .matrix import solve_rational
 
 
 def encode_vector(q: int, vec) -> int:
-    acc = 0
-    for x in reversed(tuple(vec)):
-        acc = acc * q + x
-    return acc
+    """The base-q code of vec, coordinate 0 least significant."""
+    return _from_base(tuple(vec), q)
 
 
 def decode_vector(q: int, code: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        code, d = divmod(code, q)
-        out.append(d)
-    return tuple(out)
+    return _base_digits(code, q, length)
 
 
 _UNSEEN = 0xFF  # leader_weight of a syndrome the BFS has not reached
-
-
-def _add_codes(x: int, y: int, p: int) -> int:
-    """Digitwise base-p addition of two encoded vectors, p odd."""
-    acc = 0
-    mult = 1
-    while x or y:
-        acc += ((x + y) % p) * mult
-        x //= p
-        y //= p
-        mult *= p
-    return acc
 
 
 class SyndromeTable:
@@ -107,7 +92,7 @@ class SyndromeTable:
         mul = f.mul
         self.step = [
             [0]
-            + [encode_vector(q, [mul(beta, x) for x in col]) for beta in range(1, q)]
+            + [_from_base([mul(beta, x) for x in col], q) for beta in range(1, q)]
             for col in code.H.columns()
         ]
         if f.p == 2:
@@ -123,8 +108,8 @@ class SyndromeTable:
                     if d not in halves:
                         lo, hi = d % Q, d // Q
                         halves[d] = (
-                            [_add_codes(x, lo, p) for x in range(Q)],
-                            [_add_codes(y, hi, p) * Q for y in range(hi_size)],
+                            [_add_digitwise(x, lo, p) for x in range(Q)],
+                            [_add_digitwise(y, hi, p) * Q for y in range(hi_size)],
                         )
 
             def add(s: int, d: int) -> int:

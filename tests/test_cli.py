@@ -5,13 +5,16 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import crcodes
 from crcodes import classify as classify_module
+from crcodes import cli as cli_module
 from crcodes import codes as codes_module
+from crcodes.classify import NoZeroColumnReachable
 from crcodes.cli import analysis_report, main
 from crcodes.codes import LinearCode
 from crcodes.constructions import build_family, difference_matrix_code, hamming_code
@@ -137,6 +140,31 @@ def test_analyze_error_exits(capsys, tmp_path, hamming32_path):
     )
     assert code == 4
     assert "max_syndromes" in stderr
+
+
+def test_brute_force_budget_exits_4(capsys, hamming32_path):
+    # the ternary [4,2] Hamming code has 3^4 = 81 ambient vectors
+    code, stdout, stderr = run(
+        capsys, "analyze", hamming32_path, "--brute-force", "--max-vectors", "7"
+    )
+    assert code == 4
+    assert stdout == ""
+    assert stderr == "error: max_vectors: needs 81 but the budget allows 7\n"
+
+
+@pytest.mark.parametrize(
+    "error", [NoZeroColumnReachable("no puncture works"), AssertionError("broken")]
+)
+def test_verifier_failures_exit_5(capsys, monkeypatch, diffmat32_path, error):
+    # today's mapping, which ROADMAP item 5 plans to narrow to typed errors
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_module, "verify_theorem41", failing)
+    code, stdout, stderr = run(capsys, "classify", diffmat32_path, "--theorem", "41")
+    assert code == 5
+    assert stdout == ""
+    assert stderr == f"error: {error}\n"
 
 
 def test_classify_31(capsys, hamming32_path, tmp_path):
@@ -337,6 +365,28 @@ def test_catalog_small_bound(capsys, tmp_path):
         entry["computed"]["intersection_array"]
     )
     assert not list(out.glob("*.tmp"))
+
+
+def test_catalog_reports_a_mismatch(capsys, monkeypatch, tmp_path):
+    # a descriptor expecting the wrong covering radius for i-m2
+    real = cli_module.family_catalog
+
+    def with_wrong_rho(bound):
+        return [(replace(desc, rho=desc.rho + 1), code) for desc, code in real(bound)]
+
+    monkeypatch.setattr(cli_module, "family_catalog", with_wrong_rho)
+    out = tmp_path / "cat"
+    code, stdout, stderr = run(
+        capsys, "catalog", "--qn-bound", "8", "--out", str(out)
+    )
+    assert code == 5
+    assert stdout == ""
+    assert stderr == "mismatch: i-m2\n"
+    index = json.loads((out / "index.json").read_text())
+    assert index == {"qn_bound": 8, "entries": ["i-m2"], "all_match": False}
+    entry = json.loads((out / "i-m2.json").read_text())
+    assert entry["match"] is False
+    assert entry["expected"]["rho"] == entry["computed"]["rho"] + 1
 
 
 def test_catalog_is_deterministic(capsys, tmp_path):

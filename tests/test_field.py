@@ -165,3 +165,100 @@ def test_field_identity_and_cache():
     assert GF(9) != GF(3)
     assert repr(GF(3)) == "GF(3)"
     assert "poly" in repr(GF(4))
+
+
+# -- reference oracle: schoolbook arithmetic, independent of the tables ------
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _check_against_integers(f, p, pairs):
+    for a, b in pairs:
+        assert f.add(a, b) == (a + b) % p
+        assert f.sub(a, b) == (a - b) % p
+        assert f.mul(a, b) == a * b % p
+    for a in {a for pair in pairs for a in pair}:
+        assert f.neg(a) == -a % p
+        if a:
+            assert f.inv(a) == pow(a, -1, p)
+            for e in (-p - 1, -2, -1, 1, 2, p - 1, p, 3 * p + 2):
+                assert f.pow(a, e) == pow(a, e, p), (a, e)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_prime_fields_against_integers_mod_p(p):
+    f = GF(p)
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    _check_against_integers(f, p, pairs)
+
+
+def test_largest_prime_field_against_integers_mod_p():
+    p = 16381
+    f = GF(p)
+    rng = random.Random(p)
+    pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(2000)]
+    _check_against_integers(f, p, pairs + [(0, p - 1), (p - 1, p - 1), (1, 0)])
+
+
+# The pinned moduli the encodings depend on, low-order first.
+PINNED = {
+    4: (2, (1, 1, 1)),
+    8: (2, (1, 1, 0, 1)),
+    9: (3, (2, 2, 1)),
+    16: (2, (1, 1, 0, 0, 1)),
+    25: (5, (2, 4, 1)),
+    27: (3, (1, 2, 0, 1)),
+    32: (2, (1, 0, 1, 0, 0, 1)),
+}
+
+
+def _poly(e, p, r):
+    out = []
+    for _ in range(r):
+        e, d = divmod(e, p)
+        out.append(d)
+    return out
+
+
+def _unpoly(c, p):
+    return sum(d * p**i for i, d in enumerate(c))
+
+
+def _schoolbook_mul(a, b, p, modulus):
+    r = len(modulus) - 1
+    prod = [0] * (2 * r - 1)
+    for i, x in enumerate(_poly(a, p, r)):
+        for j, y in enumerate(_poly(b, p, r)):
+            prod[i + j] += x * y
+    for top in range(2 * r - 2, r - 1, -1):
+        lead = prod[top]
+        for i, c in enumerate(modulus):
+            prod[top - r + i] -= lead * c
+    return _unpoly([c % p for c in prod[:r]], p)
+
+
+@pytest.mark.parametrize("q", sorted(PINNED))
+def test_extension_fields_against_schoolbook_polynomials(q):
+    p, modulus = PINNED[q]
+    r = len(modulus) - 1
+    f = GF(q)
+    assert f.modulus == modulus
+    digits = {a: _poly(a, p, r) for a in range(q)}
+    for a in range(q):
+        assert list(f.digits(a)) == digits[a]
+        assert f.neg(a) == _unpoly([-d % p for d in digits[a]], p)
+        for b in range(q):
+            pair = zip(digits[a], digits[b])
+            assert f.add(a, b) == _unpoly([(x + y) % p for x, y in pair], p)
+            pair = zip(digits[a], digits[b])
+            assert f.sub(a, b) == _unpoly([(x - y) % p for x, y in pair], p)
+            assert f.mul(a, b) == _schoolbook_mul(a, b, p, modulus)
+    for a in range(1, q):
+        inverse = [b for b in range(1, q) if _schoolbook_mul(a, b, p, modulus) == 1]
+        assert [f.inv(a)] == inverse
+        powers = {0: 1}
+        for e in range(1, 2 * q + 1):
+            powers[e] = _schoolbook_mul(powers[e - 1], a, p, modulus)
+            powers[-e] = _schoolbook_mul(powers[-e + 1], inverse[0], p, modulus)
+        for e, want in powers.items():
+            assert f.pow(a, e) == want, (a, e)

@@ -459,6 +459,16 @@ def test_coset_count_budgets():
         coset_low_weight_counts(code, 1, Budgets(max_vectors=7))
 
 
+def test_bruteforce_budget():
+    code = hamming_code(2, 3)
+    with pytest.raises(BudgetExceeded) as err:
+        complete_regularity_bruteforce(code, Budgets(max_vectors=127))
+    assert (err.value.budget, err.value.needed, err.value.limit) == (
+        "max_vectors", 128, 127,
+    )
+    assert complete_regularity_bruteforce(code, Budgets(max_vectors=128)).rho == 1
+
+
 def test_beta_solve_known_values():
     assert beta_solve(hamming_code(2, 3)) == [1, 1]
     assert beta_solve(hamming_code(2, 3).extended()) == [
