@@ -234,6 +234,49 @@ def test_classify_52_rejects_three_weights(capsys, tmp_path):
     assert "need exactly two" in stderr
 
 
+def test_analyze_prints_no_forms(capsys, tmp_path):
+    # the binary [3,2] even-weight code: k = n - 1 is outside the range
+    # of the radius-1 recognizer, and one parity row is too few for
+    # Theorem 4.1
+    path = tmp_path / "even3.txt"
+    write_matrix(MatrixGF(GF(2), [[1, 1, 1]]), path)
+    assert run(capsys, "analyze", str(path)) == (0, (
+        "[3,2,2]_2\n"
+        "rho=1 s=1 completely regular: yes\n"
+        "intersection array (3;3) with a=(0,0)\n"
+        "uniformly packed: yes\n"
+        "weights: 2\n"
+        "dual weights: 3\n"
+        "radius-1 column form: none\n"
+        "radius-2 normal form: not applicable\n"
+    ), "")
+
+
+def test_classify_52_when_w1_is_not_the_length(capsys, tmp_path):
+    path = _binary_code_file(tmp_path, [[1, 1, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
+    assert run(capsys, "classify", path, "--theorem", "52") == (0, (
+        "weights: w1=3 w2=2\n"
+        "w1 differs from the length; structure theorem not applicable\n"
+    ), "")
+
+
+def test_classify_41_without_a_punctured_form(capsys, tmp_path):
+    # a [5,2]_4 code drawn with random.Random(0); its dual is antipodal
+    # but no puncture leaves a radius-1 column form
+    code = LinearCode.from_generator(
+        MatrixGF(GF(4), [[3, 3, 0, 2, 3], [3, 2, 3, 2, 1]])
+    )
+    path = tmp_path / "rand5_2.txt"
+    write_matrix(code.H, path)
+    assert run(capsys, "classify", str(path), "--theorem", "41") == (0, (
+        "dual antipodal: True\n"
+        "equidistant residual: False\n"
+        "symbol frequency: False\n"
+        "punctured form: none\n"
+        "all flags: False\n"
+    ), "")
+
+
 # The whole --theorem 41 and --theorem 52 payloads, rows of M and of the
 # generator included, on the hyperoval code ii-q4 and on the external
 # lines of the hyperoval in PG(2,4).

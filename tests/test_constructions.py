@@ -1,7 +1,10 @@
 """Constructors: parity-check builders, plane point sets, the catalog."""
 
+from bisect import bisect_right
+
 import pytest
 
+from crcodes import constructions
 from crcodes.codes import (
     LinearCode,
     is_antipodal,
@@ -235,6 +238,26 @@ def test_build_family_rejects_bad_parameters():
         build_family("ii", q=3)
 
 
+@pytest.mark.parametrize(
+    "family,params,error,message",
+    [
+        ("i", {"m": 1}, ParameterRange, "family i needs m >= 2"),
+        ("lifted", {"q": 2, "r": 1}, ParameterRange, "lifted family needs r >= 2"),
+        (
+            "d1antipodal", {"q": 3}, ParameterRange,
+            "the antipodal length-4 family needs q >= 4",
+        ),
+        # the builder refuses before the expected array would divide by 4
+        ("v", {"q": 3}, NotCharacteristicTwo, "hyperovals need q = 2^r >= 4, got 3"),
+    ],
+)
+def test_build_family_range_checks(family, params, error, message):
+    with pytest.raises(error) as err:
+        build_family(family, **params)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_family_catalog_census(catalog48):
     slugs = [desc.slug for desc, _ in catalog48]
     assert len(slugs) == len(set(slugs)) == 39
@@ -263,6 +286,79 @@ def test_family_catalog_census(catalog48):
 def test_family_catalog_grows_with_the_bound():
     small = family_catalog(8)
     assert [desc.slug for desc, _ in small] == ["i-m2"]
+
+
+# Every member of family_catalog(200) in catalog order, and the sorted
+# q*n of those members, so that the member count at bound B is the
+# number of entries of CATALOG_200_QN that are at most B.
+CATALOG_200 = (
+    "i-m2 i-m3 i-m4 i-m5 i-m6 ii-q4 ii-q8 "
+    "iii-q3-m1 iii-q3-m2 iii-q3-m3 iii-q4-m1 iii-q4-m2 iii-q5-m1 iii-q5-m2 "
+    "iii-q7-m1 iii-q8-m1 iii-q9-m1 iii-q11-m1 iii-q13-m1 "
+    "iv-q4-n3 iv-q5-n3 iv-q5-n4 iv-q7-n3 iv-q7-n4 iv-q7-n5 iv-q7-n6 "
+    "iv-q8-n3 iv-q8-n4 iv-q8-n5 iv-q8-n6 iv-q8-n7 "
+    "iv-q9-n3 iv-q9-n4 iv-q9-n5 iv-q9-n6 iv-q9-n7 iv-q9-n8 "
+    "iv-q11-n3 iv-q11-n4 iv-q11-n5 iv-q11-n6 iv-q11-n7 iv-q11-n8 iv-q11-n9 "
+    "iv-q11-n10 "
+    "iv-q13-n3 iv-q13-n4 iv-q13-n5 iv-q13-n6 iv-q13-n7 iv-q13-n8 iv-q13-n9 "
+    "iv-q13-n10 iv-q13-n11 iv-q13-n12 "
+    "iv-q16-n3 iv-q16-n4 iv-q16-n5 iv-q16-n6 iv-q16-n7 iv-q16-n8 iv-q16-n9 "
+    "iv-q16-n10 iv-q16-n11 iv-q16-n12 "
+    "iv-q17-n3 iv-q17-n4 iv-q17-n5 iv-q17-n6 iv-q17-n7 iv-q17-n8 iv-q17-n9 "
+    "iv-q17-n10 iv-q17-n11 "
+    "iv-q19-n3 iv-q19-n4 iv-q19-n5 iv-q19-n6 iv-q19-n7 iv-q19-n8 iv-q19-n9 "
+    "iv-q19-n10 "
+    "iv-q23-n3 iv-q23-n4 iv-q23-n5 iv-q23-n6 iv-q23-n7 iv-q23-n8 "
+    "iv-q25-n3 iv-q25-n4 iv-q25-n5 iv-q25-n6 iv-q25-n7 iv-q25-n8 "
+    "iv-q27-n3 iv-q27-n4 iv-q27-n5 iv-q27-n6 iv-q27-n7 "
+    "iv-q29-n3 iv-q29-n4 iv-q29-n5 iv-q29-n6 "
+    "iv-q31-n3 iv-q31-n4 iv-q31-n5 iv-q31-n6 "
+    "iv-q32-n3 iv-q32-n4 iv-q32-n5 iv-q32-n6 "
+    "iv-q37-n3 iv-q37-n4 iv-q37-n5 iv-q41-n3 iv-q41-n4 iv-q43-n3 iv-q43-n4 "
+    "iv-q47-n3 iv-q47-n4 iv-q49-n3 iv-q49-n4 iv-q53-n3 iv-q59-n3 iv-q61-n3 "
+    "iv-q64-n3 "
+    "v-q4 vi-q4-h2 vi-q8-h2 vii-q4-h2 vii-q8-h4 "
+    "lifted-q2-r2 lifted-q2-r3 lifted-q2-r4 lifted-q2-r5 lifted-q2-r6 "
+    "lifted-q3-r2 lifted-q3-r3 lifted-q4-r2 lifted-q5-r2 "
+    "d1antipodal-q4 d1antipodal-q5 d1antipodal-q7 d1antipodal-q8 "
+    "d1antipodal-q9 d1antipodal-q11 d1antipodal-q13 d1antipodal-q16 "
+    "d1antipodal-q17 d1antipodal-q19 d1antipodal-q23 d1antipodal-q25 "
+    "d1antipodal-q27 d1antipodal-q29 d1antipodal-q31 d1antipodal-q32 "
+    "d1antipodal-q37 d1antipodal-q41 d1antipodal-q43 d1antipodal-q47 "
+    "d1antipodal-q49"
+).split()
+CATALOG_200_QN = [
+    8, 9, 12, 12, 15, 16, 16, 16, 20, 20, 21, 24, 24, 24, 24, 24, 24, 25,
+    27, 27, 28, 28, 32, 32, 32, 33, 35, 36, 36, 36, 39, 40, 42, 44, 44, 45,
+    48, 48, 48, 49, 51, 52, 52, 54, 55, 56, 57, 63, 64, 64, 64, 64, 64, 65,
+    66, 68, 68, 69, 72, 75, 76, 76, 77, 78, 80, 80, 80, 80, 80, 81, 81, 81,
+    85, 87, 88, 91, 92, 92, 93, 95, 96, 96, 96, 99, 100, 100, 102, 104, 108,
+    108, 108, 110, 111, 112, 114, 115, 116, 116, 117, 119, 121, 123, 124,
+    124, 125, 125, 128, 128, 128, 128, 129, 130, 133, 135, 136, 138, 141,
+    143, 144, 145, 147, 148, 148, 150, 150, 152, 153, 155, 156, 159, 160,
+    160, 161, 162, 164, 164, 169, 170, 171, 172, 172, 174, 175, 176, 177,
+    183, 184, 185, 186, 187, 188, 188, 189, 190, 192, 192, 192, 192, 196,
+    196, 200,
+]
+
+
+def test_family_catalog_members_up_to_bound_200(monkeypatch):
+    catalog = family_catalog(200)
+    assert [desc.slug for desc, _ in catalog] == CATALOG_200
+    qn = {desc.slug: code.field.q * code.n for desc, code in catalog}
+    assert sorted(qn.values()) == CATALOG_200_QN
+
+    calls = []
+
+    def record(family, **params):
+        calls.append("-".join([family] + [f"{k}{v}" for k, v in params.items()]))
+
+    monkeypatch.setattr(constructions, "build_family", record)
+    for bound in range(4, 201):
+        calls.clear()
+        family_catalog(bound)
+        assert len(calls) == bisect_right(CATALOG_200_QN, bound), bound
+        assert calls == [slug for slug in CATALOG_200 if qn[slug] <= bound], bound
 
 
 def test_arc_failure_is_an_assertion():
