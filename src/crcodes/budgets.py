@@ -1,9 +1,9 @@
 """Enumeration budgets shared by the analysis routines.
 
 Every exhaustive pass states up front how many objects it would walk and
-refuses with BudgetExceeded when that exceeds the relevant cap, instead
-of silently grinding.  The caps are per-call arguments so the CLI can
-raise or lower them.
+calls Budgets.require, which raises BudgetExceeded when that exceeds the
+named cap, instead of silently grinding.  The caps are per-call
+arguments so the CLI can raise or lower them.
 """
 
 from __future__ import annotations
@@ -16,6 +16,12 @@ class Budgets:
     max_syndromes: int = 1 << 24
     max_codewords: int = 1 << 26
     max_vectors: int = 1 << 20
+
+    def require(self, name: str, needed: int):
+        """Raise BudgetExceeded when needed is over the cap called name."""
+        limit = getattr(self, name)
+        if needed > limit:
+            raise BudgetExceeded(name, needed, limit)
 
 
 DEFAULT_BUDGETS = Budgets()

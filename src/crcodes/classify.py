@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
-from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets
 from .codes import (
     LinearCode,
-    canonical_column,
+    _column_points,
     is_equidistant,
     iter_pg_points,
     iter_rowspace,
@@ -80,13 +80,7 @@ def _columns_rho1_form(field, columns) -> Rho1Form | NotOfForm:
     """Recognize the repeated-full-point-set-plus-zeros column multiset;
     works on any full-row-rank parity matrix since invertible row maps
     permute projective points and preserve zero columns."""
-    u = 0
-    groups: Counter = Counter()
-    for col in columns:
-        if any(col):
-            groups[canonical_column(field, col)] += 1
-        else:
-            u += 1
+    u, groups = _column_points(field, columns)
     if not groups:
         return NotOfForm("no nonzero columns")
     m = rank(MatrixGF.from_columns(field, sorted(groups)))
@@ -249,8 +243,7 @@ def verify_theorem41(
         min(q**code.k, dual_size) > budget.max_codewords
         or analysis.weight_pair[1][n]
     ):
-        if dual_size > budget.max_codewords:
-            raise BudgetExceeded("max_codewords", dual_size, budget.max_codewords)
+        budget.require("max_codewords", dual_size)
         full = next(word for word in iter_rowspace(code.H) if all(word))
     if full is None:
         report = Rho2Report(False, None, None, False, False, None, None)
@@ -401,8 +394,7 @@ def enumerate_rho1(
     total = sum(
         comb(len(choices) + n - 1, n) for n in range(m + 2, n_max + 1)
     )
-    if total > budget.max_vectors:
-        raise BudgetExceeded("max_vectors", total, budget.max_vectors)
+    budget.require("max_vectors", total)
 
     entries = []
     for n in range(m + 2, n_max + 1):

@@ -38,7 +38,7 @@ from .classify import (
     verify_theorem41,
 )
 from .codes import LinearCode, nonzero_weights
-from .constructions import build_family, family_catalog
+from .constructions import FAMILIES, build_family, family_catalog
 from .matio import MatrixFormatError, format_matrix, read_matrix
 from .regularity import (
     CodeAnalysis,
@@ -46,8 +46,6 @@ from .regularity import (
     beta_solve,
     complete_regularity_bruteforce,
 )
-
-FAMILIES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "lifted", "d1antipodal")
 
 
 def _budgets(args) -> Budgets:
@@ -224,12 +222,9 @@ def _write_json_atomic(path: str, payload):
 
 
 def cmd_construct(args) -> int:
-    params = {
-        name: getattr(args, name)
-        for name in ("q", "m", "n", "h", "r")
-        if getattr(args, name) is not None
-    }
-    desc, code = build_family(args.family, **params)
+    desc, code = build_family(
+        args.family, q=args.q, m=args.m, n=args.n, h=args.h, r=args.r
+    )
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(format_matrix(code.H, comment=f"{desc.slug} parity check"))
     q = code.field.q

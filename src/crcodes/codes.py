@@ -9,10 +9,11 @@ from H on first use.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
-from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets
 from .field import GF, Field
 from .matrix import MatrixGF, kernel_basis, rank, row_space_basis
 
@@ -56,6 +57,19 @@ def canonical_column(field: Field, col) -> tuple[int, ...]:
             inv = field.inv(x)
             return tuple(field.mul(inv, y) for y in col)
     return col
+
+
+def _column_points(field: Field, columns) -> tuple[int, Counter]:
+    """The number of zero columns, and how often each canonical point
+    occurs among the nonzero ones."""
+    zeros = 0
+    points: Counter = Counter()
+    for col in columns:
+        if any(col):
+            points[canonical_column(field, col)] += 1
+        else:
+            zeros += 1
+    return zeros, points
 
 
 def pg_points(field: Field, m: int) -> list[tuple[int, ...]]:
@@ -159,14 +173,11 @@ class LinearCode:
         """
         if self.redundancy == 0:
             raise NotProjective("the whole space has no projective parity check")
-        seen = set()
-        for col in self.H.columns():
-            if all(x == 0 for x in col):
-                raise NotProjective("parity check has a zero column")
-            canon = canonical_column(self.field, col)
-            if canon in seen:
-                raise NotProjective("parity check has projectively equal columns")
-            seen.add(canon)
+        zeros, points = _column_points(self.field, self.H.columns())
+        if zeros:
+            raise NotProjective("parity check has a zero column")
+        if len(points) < self.n:
+            raise NotProjective("parity check has projectively equal columns")
         H = complementary_parity_columns(self)
         if H.ncols == 0:
             raise AlreadyFullPointSet(
@@ -253,8 +264,7 @@ def weight_distribution(
     the distribution through the smaller of the code and its dual.
     """
     total = code.field.q**code.k
-    if total > budget.max_codewords:
-        raise BudgetExceeded("max_codewords", total, budget.max_codewords)
+    budget.require("max_codewords", total)
     counts = [0] * (code.n + 1)
     for word in iter_codewords(code):
         counts[sum(1 for x in word if x)] += 1
@@ -271,10 +281,7 @@ def weight_pair(
     q = code.field.q
     direct = q**code.k
     via_dual = q**code.redundancy
-    if min(direct, via_dual) > budget.max_codewords:
-        raise BudgetExceeded(
-            "max_codewords", min(direct, via_dual), budget.max_codewords
-        )
+    budget.require("max_codewords", min(direct, via_dual))
     if direct <= via_dual:
         counts = weight_distribution(code, budget)
         return counts, macwilliams_transform(counts, q)
@@ -349,12 +356,10 @@ def min_distance(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
     if code.redundancy == 0:
         return 1
     cols = code.H.columns()
-    canon = []
-    for col in cols:
-        if all(x == 0 for x in col):
-            return 1
-        canon.append(canonical_column(f, col))
-    if len(set(canon)) < len(canon):
+    zeros, points = _column_points(f, cols)
+    if zeros:
+        return 1
+    if len(points) < len(cols):
         return 2
     for t in (3, 4, 5):
         if t > code.n:
@@ -377,6 +382,6 @@ def complementary_parity_columns(code: LinearCode) -> MatrixGF:
     every projective point H misses, in lexicographic order."""
     f = code.field
     m = code.redundancy
-    seen = {canonical_column(f, col) for col in code.H.columns()}
+    seen = _column_points(f, code.H.columns())[1]
     missing = [pt for pt in pg_points(f, m) if pt not in seen]
     return MatrixGF.from_columns(f, missing, m)

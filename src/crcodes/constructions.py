@@ -2,8 +2,9 @@
 matrices, zero-column padding, scaled concatenation, difference
 matrices, latin-square codes, the antipodal length-4 family, plane
 arcs (hyperovals and Denniston-style maximal arcs), external-line
-codes, lifted codes, and a catalog of small instances paired with
-their expected parameters and intersection arrays.
+codes, lifted codes, and FAMILIES: one table of the catalog's
+families, each with its parameters, builder, expected parameters and
+intersection array, and the members the catalog tries under a bound.
 
 All column orderings are pinned lexicographic, so every construction
 is bit-reproducible.
@@ -11,8 +12,10 @@ is bit-reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt
 
 from .codes import LinearCode, canonical_column, num_pg_points, pg_points
 from .field import GF, Field, NotPrime, factor_prime_power
@@ -132,6 +135,8 @@ def antipodal_d1_pair(q: int) -> tuple[int, int] | None:
 def d1_antipodal_code(q: int) -> LinearCode:
     """The length-4 member of the latin-square family, presented with
     the summing-to-zero column pair when one exists."""
+    if q < 4:
+        raise ParameterRange("the antipodal length-4 family needs q >= 4")
     pair = antipodal_d1_pair(q)
     if pair is None:
         return latin_square_code(q, 4)
@@ -275,13 +280,7 @@ def extendable_hamming_code(q: int) -> LinearCode:
     """
     f = GF(q)
     s = hyperoval(q)
-    lines = pg_points(f, 3)
-    ell = next(
-        line
-        for line in lines
-        if all(_dot(f, line, pt) != 0 for pt in s.points)
-    )
-    rows = [list(ell)]
+    rows = [list(external_lines(s).points[0])]
     for i in range(3):
         unit = [0, 0, 0]
         unit[i] = 1
@@ -334,134 +333,6 @@ def _exact_div(a: int, b: int) -> int:
     return quot
 
 
-def build_family(family: str, **params) -> tuple[FamilyDescriptor, LinearCode]:
-    """Instantiate one catalog family member; every family id is listed
-    in the module docstring of `cli`.  Raises ParameterRange on missing
-    or out-of-range parameters."""
-
-    def need(*names) -> list[int]:
-        vals = []
-        for name in names:
-            if name not in params or params[name] is None:
-                raise ParameterRange(f"family {family!r} needs parameter {name!r}")
-            vals.append(int(params[name]))
-        extra = set(params) - {n for n in names} - {
-            k for k in params if params[k] is None
-        }
-        if extra:
-            raise ParameterRange(f"family {family!r} does not take {sorted(extra)}")
-        return vals
-
-    if family == "i":
-        (m,) = need("m")
-        if m < 2:
-            raise ParameterRange("family i needs m >= 2")
-        code = hamming_code(2, m).extended()
-        n = 2**m
-        desc = FamilyDescriptor(
-            "i", (("m", m),), n, n - m - 1, 4, 2,
-            IntersectionArray.from_levels(2, n, (n, n - 1), (1, n)),
-        )
-    elif family == "ii":
-        (q,) = need("q")
-        code = point_set_code(hyperoval(q))
-        n = q + 2
-        desc = FamilyDescriptor(
-            "ii", (("q", q),), n, q - 1, 4, 2,
-            IntersectionArray.from_levels(
-                q, n, ((q + 2) * (q - 1), q * q - 1), (1, q + 2)
-            ),
-        )
-    elif family == "iii":
-        q, m = need("q", "m")
-        code = difference_matrix_code(q, m)
-        n = q**m
-        desc = FamilyDescriptor(
-            "iii", (("q", q), ("m", m)), n, n - m - 1, 3, 2,
-            IntersectionArray.from_levels(
-                q, n, (n * (q - 1), n - 1), (1, n * (q - 1))
-            ),
-        )
-    elif family == "iv":
-        q, n = need("q", "n")
-        code = latin_square_code(q, n)
-        desc = FamilyDescriptor(
-            "iv", (("q", q), ("n", n)), n, n - 2, 3, 2,
-            IntersectionArray.from_levels(
-                q, n, (n * (q - 1), (q - n + 1) * (n - 1)), (1, n * (n - 1))
-            ),
-        )
-    elif family == "v":
-        (q,) = need("q")
-        code = external_lines_code(hyperoval(q))
-        n = _exact_div(q * (q - 1), 2)
-        desc = FamilyDescriptor(
-            "v", (("q", q),), n, n - 3, 4, 2,
-            IntersectionArray.from_levels(
-                q, n,
-                ((q - 1) * n, _exact_div((q - 2) * (q + 1) * (q + 2), 4)),
-                (1, _exact_div(q * (q - 1) * (q - 2), 4)),
-            ),
-        )
-    elif family == "vi":
-        q, h = need("q", "h")
-        code = point_set_code(denniston_arc(q, h))
-        n = q * (h - 1) + h
-        desc = FamilyDescriptor(
-            "vi", (("q", q), ("h", h)), n, n - 3, 4, 2,
-            IntersectionArray.from_levels(
-                q, n,
-                ((q - 1) * n, (q + 1) * (h - 1) * (q - h + 1)),
-                (1, (h - 1) * n),
-            ),
-        )
-    elif family == "vii":
-        q, h = need("q", "h")
-        code = external_lines_code(denniston_arc(q, h))
-        n = _exact_div(q * (q - h + 1), h)
-        desc = FamilyDescriptor(
-            "vii", (("q", q), ("h", h)), n, n - 3, 4, 2,
-            IntersectionArray.from_levels(
-                q, n,
-                ((q - 1) * n, _exact_div((q + 1) * (q - h) * (q * (h - 1) + h), h * h)),
-                (1, _exact_div(q * (q - h) * (q - h + 1), h * h)),
-            ),
-        )
-    elif family == "lifted":
-        q, r = need("q", "r")
-        if r < 2:
-            raise ParameterRange("lifted family needs r >= 2")
-        code = hamming_code(q, 2).lifted(r)
-        big = q**r
-        n = q + 1
-        desc = FamilyDescriptor(
-            "lifted", (("q", q), ("r", r)), n, q - 1, 3, 2,
-            IntersectionArray.from_levels(
-                big, n,
-                ((q + 1) * (big - 1), q * q * (q ** (r - 1) - 1)),
-                (1, q * (q + 1)),
-            ),
-        )
-    elif family == "d1antipodal":
-        (q,) = need("q")
-        if q < 4:
-            raise ParameterRange("the antipodal length-4 family needs q >= 4")
-        code = d1_antipodal_code(q)
-        desc = FamilyDescriptor(
-            "d1antipodal", (("q", q),), 4, 2, 3, 2,
-            IntersectionArray.from_levels(
-                q, 4, (4 * (q - 1), 3 * (q - 3)), (1, 12)
-            ),
-        )
-    else:
-        raise ParameterRange(f"unknown family {family!r}")
-    if (code.n, code.k) != (desc.n, desc.k):
-        raise ArcPropertyFailed(
-            f"{desc.slug}: built [{code.n},{code.k}], expected [{desc.n},{desc.k}]"
-        )
-    return desc, code
-
-
 def _prime_powers(lo: int, hi: int) -> list[int]:
     out = []
     for q in range(max(lo, 2), hi + 1):
@@ -473,62 +344,179 @@ def _prime_powers(lo: int, hi: int) -> list[int]:
     return out
 
 
-def _two_powers(lo: int, hi: int) -> list[int]:
-    q = 4
-    out = []
-    while q <= hi:
-        if q >= lo:
-            out.append(q)
-        q *= 2
-    return out
+def _two_powers(hi: int) -> list[int]:
+    """The q = 2^r with 4 <= q <= hi."""
+    return [1 << r for r in range(2, hi.bit_length())]
+
+
+def _expect_i(m):
+    n = 2**m
+    return 2, n, n - m - 1, 4, (n, n - 1), (1, n)
+
+
+def _expect_ii(q):
+    return q, q + 2, q - 1, 4, ((q + 2) * (q - 1), q * q - 1), (1, q + 2)
+
+
+def _expect_iii(q, m):
+    n = q**m
+    return q, n, n - m - 1, 3, (n * (q - 1), n - 1), (1, n * (q - 1))
+
+
+def _expect_iv(q, n):
+    return q, n, n - 2, 3, (n * (q - 1), (q - n + 1) * (n - 1)), (1, n * (n - 1))
+
+
+def _expect_v(q):
+    n = _exact_div(q * (q - 1), 2)
+    b1 = _exact_div((q - 2) * (q + 1) * (q + 2), 4)
+    c2 = _exact_div(q * (q - 1) * (q - 2), 4)
+    return q, n, n - 3, 4, ((q - 1) * n, b1), (1, c2)
+
+
+def _expect_vi(q, h):
+    n = q * (h - 1) + h
+    b1 = (q + 1) * (h - 1) * (q - h + 1)
+    return q, n, n - 3, 4, ((q - 1) * n, b1), (1, (h - 1) * n)
+
+
+def _expect_vii(q, h):
+    n = _exact_div(q * (q - h + 1), h)
+    b1 = _exact_div((q + 1) * (q - h) * (q * (h - 1) + h), h * h)
+    c2 = _exact_div(q * (q - h) * (q - h + 1), h * h)
+    return q, n, n - 3, 4, ((q - 1) * n, b1), (1, c2)
+
+
+def _expect_lifted(q, r):
+    big = q**r
+    b = ((q + 1) * (big - 1), q * q * (q ** (r - 1) - 1))
+    return big, q + 1, q - 1, 3, b, (1, q * (q + 1))
+
+
+def _expect_d1antipodal(q):
+    return q, 4, 2, 3, (4 * (q - 1), 3 * (q - 3)), (1, 12)
+
+
+def _extended_hamming(m: int) -> LinearCode:
+    if m < 2:
+        raise ParameterRange("family i needs m >= 2")
+    return hamming_code(2, m).extended()
+
+
+def _lifted_hamming(q: int, r: int) -> LinearCode:
+    if r < 2:
+        raise ParameterRange("lifted family needs r >= 2")
+    return hamming_code(q, 2).lifted(r)
+
+
+def _arc_degrees(bound: int) -> list[tuple[int, int]]:
+    """(q, h) for q = 2^r <= bound and h = 2^s with 0 < s < r."""
+    return [
+        (q, 1 << s) for q in _two_powers(bound) for s in range(1, q.bit_length() - 1)
+    ]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family.  names: its parameters in slug order; build
+    and expect take them in that order, and expect returns the member's
+    (q, n, k, d, b, c), with q the field order and (b; c) the
+    intersection array.  candidates(bound): in catalog order, a superset
+    of the parameters of the members whose expected q*n is at most
+    bound.  Every n is at least 3, so no q above bound // 3 is tried,
+    and for iii and lifted, whose q*n is at least q^2, none above
+    isqrt(bound)."""
+
+    names: tuple[str, ...]
+    build: Callable[..., LinearCode]
+    expect: Callable[..., tuple]
+    candidates: Callable[[int], Iterable[tuple[int, ...]]]
+
+
+FAMILIES: dict[str, Family] = {
+    "i": Family(
+        ("m",), _extended_hamming, _expect_i,
+        lambda bound: [(m,) for m in range(2, bound.bit_length())],
+    ),
+    "ii": Family(
+        ("q",), lambda q: point_set_code(hyperoval(q)), _expect_ii,
+        lambda bound: [(q,) for q in _two_powers(bound // 3)],
+    ),
+    "iii": Family(
+        ("q", "m"), difference_matrix_code, _expect_iii,
+        lambda bound: product(
+            _prime_powers(3, isqrt(bound)), range(1, bound.bit_length())
+        ),
+    ),
+    "iv": Family(
+        ("q", "n"), latin_square_code, _expect_iv,
+        lambda bound: [
+            (q, n) for q in _prime_powers(4, bound // 3) for n in range(3, q)
+        ],
+    ),
+    "v": Family(
+        ("q",), lambda q: external_lines_code(hyperoval(q)), _expect_v,
+        lambda bound: [(q,) for q in _two_powers(bound // 3)],
+    ),
+    "vi": Family(
+        ("q", "h"), lambda q, h: point_set_code(denniston_arc(q, h)), _expect_vi,
+        lambda bound: _arc_degrees(bound // 3),
+    ),
+    "vii": Family(
+        ("q", "h"), lambda q, h: external_lines_code(denniston_arc(q, h)),
+        _expect_vii, lambda bound: _arc_degrees(bound // 3),
+    ),
+    "lifted": Family(
+        ("q", "r"), _lifted_hamming, _expect_lifted,
+        lambda bound: product(
+            _prime_powers(2, isqrt(bound)), range(2, bound.bit_length())
+        ),
+    ),
+    "d1antipodal": Family(
+        ("q",), d1_antipodal_code, _expect_d1antipodal,
+        lambda bound: [(q,) for q in _prime_powers(4, bound // 3)],
+    ),
+}
+
+
+def build_family(family: str, **params) -> tuple[FamilyDescriptor, LinearCode]:
+    """Instantiate one member of a family in FAMILIES; parameters given
+    as None count as absent.  Raises ParameterRange on an unknown family
+    and on missing, extra or out-of-range parameters."""
+    entry = FAMILIES.get(family)
+    if entry is None:
+        raise ParameterRange(f"unknown family {family!r}")
+    values = []
+    for name in entry.names:
+        if params.get(name) is None:
+            raise ParameterRange(f"family {family!r} needs parameter {name!r}")
+        values.append(int(params[name]))
+    extra = {name for name, val in params.items() if val is not None} - set(entry.names)
+    if extra:
+        raise ParameterRange(f"family {family!r} does not take {sorted(extra)}")
+    code = entry.build(*values)
+    q, n, k, d, b, c = entry.expect(*values)
+    desc = FamilyDescriptor(
+        family, tuple(zip(entry.names, values)), n, k, d, len(b),
+        IntersectionArray.from_levels(q, n, b, c),
+    )
+    if (code.n, code.k) != (desc.n, desc.k):
+        raise ArcPropertyFailed(
+            f"{desc.slug}: built [{code.n},{code.k}], expected [{desc.n},{desc.k}]"
+        )
+    return desc, code
 
 
 def family_catalog(qn_bound: int) -> list[tuple[FamilyDescriptor, LinearCode]]:
-    """All family instances with q*n <= qn_bound (q the field order the
-    code lives over), in a fixed order."""
+    """Every member of the families in FAMILIES whose expected q*n (q
+    the field order the code lives over) is at most qn_bound, in table
+    order."""
     if qn_bound < 4:
         raise ParameterRange(f"bound must be >= 4, got {qn_bound}")
     out = []
-
-    m = 2
-    while 2 * 2**m <= qn_bound:
-        out.append(build_family("i", m=m))
-        m += 1
-    for q in _two_powers(4, qn_bound):
-        if q * (q + 2) <= qn_bound:
-            out.append(build_family("ii", q=q))
-    for q in _prime_powers(3, qn_bound):
-        m = 1
-        while q * q**m <= qn_bound:
-            out.append(build_family("iii", q=q, m=m))
-            m += 1
-    for q in _prime_powers(4, qn_bound):
-        for n in range(3, q):
+    for family, entry in FAMILIES.items():
+        for values in entry.candidates(qn_bound):
+            q, n = entry.expect(*values)[:2]
             if q * n <= qn_bound:
-                out.append(build_family("iv", q=q, n=n))
-    for q in _two_powers(4, qn_bound):
-        if q * (q * (q - 1) // 2) <= qn_bound:
-            out.append(build_family("v", q=q))
-    for q in _two_powers(4, qn_bound):
-        h = 2
-        while h < q:
-            if q * (q * (h - 1) + h) <= qn_bound:
-                out.append(build_family("vi", q=q, h=h))
-            h *= 2
-    for q in _two_powers(4, qn_bound):
-        h = 2
-        while h < q:
-            if q * (q * (q - h + 1) // h) <= qn_bound:
-                out.append(build_family("vii", q=q, h=h))
-            h *= 2
-    for q in _prime_powers(2, qn_bound):
-        if q * q * (q + 1) > qn_bound:
-            break
-        r = 2
-        while q**r * (q + 1) <= qn_bound:
-            out.append(build_family("lifted", q=q, r=r))
-            r += 1
-    for q in _prime_powers(4, qn_bound // 4):
-        if 4 * q <= qn_bound:
-            out.append(build_family("d1antipodal", q=q))
+                out.append(build_family(family, **dict(zip(entry.names, values))))
     return out

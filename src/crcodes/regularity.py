@@ -36,7 +36,7 @@ from itertools import combinations, product
 from math import comb
 from operator import xor
 
-from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
+from .budgets import DEFAULT_BUDGETS, Budgets
 from .codes import LinearCode, nonzero_weights, odometer, weight_pair
 from .field import _add_digitwise, _base_digits, _from_base
 from .matrix import solve_rational
@@ -85,8 +85,7 @@ class SyndromeTable:
         q, n = f.q, code.n
         m = code.redundancy
         size = q**m
-        if size > budget.max_syndromes:
-            raise BudgetExceeded("max_syndromes", size, budget.max_syndromes)
+        budget.require("max_syndromes", size)
         self.code = code
         self.size = size
         mul = f.mul
@@ -335,8 +334,7 @@ def complete_regularity_bruteforce(
     """
     q, n = code.field.q, code.n
     total = q**n
-    if total > budget.max_vectors:
-        raise BudgetExceeded("max_vectors", total, budget.max_vectors)
+    budget.require("max_vectors", total)
     st = analysis.table if analysis else SyndromeTable(code, budget)
     lw = st.leader_weight
     neighbors = st.translator([d for row in st.step for d in row[1:]])
@@ -361,8 +359,7 @@ def coset_weight_counts(
     distance distribution of any vector in coset s to the code."""
     q, n = code.field.q, code.n
     total = q**n
-    if total > budget.max_vectors:
-        raise BudgetExceeded("max_vectors", total, budget.max_vectors)
+    budget.require("max_vectors", total)
     st = SyndromeTable(code, budget)
     # a coordinate's weight rises as its digit leaves 0 and falls as it wraps
     weight_steps = [[1] + [0] * (q - 2) + [-1]] * n
@@ -384,8 +381,7 @@ def coset_low_weight_counts(
     f = code.field
     q, n = f.q, code.n
     total = sum(comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
-    if total > budget.max_vectors:
-        raise BudgetExceeded("max_vectors", total, budget.max_vectors)
+    budget.require("max_vectors", total)
     st = analysis.table if analysis else SyndromeTable(code, budget)
     add = st.add
     step = st.step

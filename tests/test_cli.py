@@ -17,7 +17,12 @@ from crcodes import codes as codes_module
 from crcodes.classify import NoZeroColumnReachable
 from crcodes.cli import analysis_report, main
 from crcodes.codes import LinearCode
-from crcodes.constructions import build_family, difference_matrix_code, hamming_code
+from crcodes.constructions import (
+    FAMILIES,
+    build_family,
+    difference_matrix_code,
+    hamming_code,
+)
 from crcodes.matio import write_matrix
 from crcodes.matrix import MatrixGF
 from crcodes.field import GF
@@ -72,6 +77,21 @@ def test_construct_more_families(capsys, tmp_path):
         code, stdout, _ = run(capsys, "construct", *argv, "--out", str(out))
         assert code == 0
         assert stdout.strip() == expect
+
+
+def test_docstring_lists_the_family_table():
+    # the family lines of the module docstring: id, then one --flag per
+    # parameter, then a description
+    doc = cli_module.__doc__.split("Families and their parameters:\n\n")[1]
+    listed = []
+    for line in doc.split("\n\n")[0].splitlines():
+        family, *words = line.split()
+        listed.append((family, tuple(w for w in words if w.startswith("--"))))
+    assert listed == [
+        (family, tuple("--" + name for name in entry.names))
+        for family, entry in FAMILIES.items()
+    ]
+    assert cli_module.FAMILIES is FAMILIES
 
 
 def test_construct_rejects_bad_parameters(capsys, tmp_path):

@@ -375,6 +375,14 @@ def test_complementary_code_method():
         LinearCode.from_parity(MatrixGF(f, [[1, 1], [1, 1]])).complementary()
 
 
+def test_complementary_reports_a_zero_column_first():
+    # columns (1), (1), (0): a repeated pair before the zero column
+    code = LinearCode.from_parity(MatrixGF(GF(2), [[1, 1, 0]]))
+    with pytest.raises(NotProjective, match="^parity check has a zero column$"):
+        code.complementary()
+    assert min_distance(code) == 1
+
+
 def test_lifted():
     base = hamming_code(2, 2)
     lifted = base.lifted(2)
