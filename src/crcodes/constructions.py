@@ -367,24 +367,35 @@ def _expect_iv(q, n):
     return q, n, n - 2, 3, (n * (q - 1), (q - n + 1) * (n - 1)), (1, n * (n - 1))
 
 
+def _arc_distance(per_line: int) -> int:
+    """Minimum distance of a code whose parity-check columns are points of
+    PG(2, q), when the most of them on one line is per_line: three
+    collinear columns are dependent, and with at most two on any line
+    every three are independent.  A maximal arc of degree h meets every
+    line in 0 or h points, and each point off it lies on q/h lines that
+    miss it (Denniston 1969), so the arc's points have per_line = h and
+    its external lines, as points of the dual plane, per_line = q/h."""
+    return 3 if per_line >= 3 else 4
+
+
 def _expect_v(q):
     n = _exact_div(q * (q - 1), 2)
     b1 = _exact_div((q - 2) * (q + 1) * (q + 2), 4)
     c2 = _exact_div(q * (q - 1) * (q - 2), 4)
-    return q, n, n - 3, 4, ((q - 1) * n, b1), (1, c2)
+    return q, n, n - 3, _arc_distance(q // 2), ((q - 1) * n, b1), (1, c2)
 
 
 def _expect_vi(q, h):
     n = q * (h - 1) + h
     b1 = (q + 1) * (h - 1) * (q - h + 1)
-    return q, n, n - 3, 4, ((q - 1) * n, b1), (1, (h - 1) * n)
+    return q, n, n - 3, _arc_distance(h), ((q - 1) * n, b1), (1, (h - 1) * n)
 
 
 def _expect_vii(q, h):
     n = _exact_div(q * (q - h + 1), h)
     b1 = _exact_div((q + 1) * (q - h) * (q * (h - 1) + h), h * h)
     c2 = _exact_div(q * (q - h) * (q - h + 1), h * h)
-    return q, n, n - 3, 4, ((q - 1) * n, b1), (1, c2)
+    return q, n, n - 3, _arc_distance(q // h), ((q - 1) * n, b1), (1, c2)
 
 
 def _expect_lifted(q, r):

@@ -10,12 +10,18 @@ significant.  Since field elements are themselves base-p encodings, the
 whole syndrome code is the base-p encoding of the concatenated digit
 vector, and syndrome addition is digitwise mod p; the codec and the
 digitwise adder are the ones field.py uses for field elements.
-SyndromeTable adds a step (the syndrome of beta*e_j) as XOR when p = 2,
-and for odd p through a pair of split-half translation tables per
-distinct step, each of q^ceil(m/2) entries, built with that adder.
-Nothing of length q^m is kept per step: the table holds five bytes per
-syndrome, its leader weight and its (c, b) profile, which one BFS finds
-together.
+
+SyndromeTable finds each syndrome's leader weight and (c, b) profile in
+one BFS and keeps five bytes per syndrome.  The BFS has two paths with
+the same output.  Tables of fewer than _WORD_BFS_MIN_SIZE = 2^10
+syndromes visit one syndrome at a time and add a step (the syndrome of
+beta*e_j) as XOR when p = 2, and for odd p through a pair of split-half
+translation tables per distinct step, each of q^ceil(m/2) entries.
+Larger tables move whole levels at once as bit sets, a step being a few
+masked shifts per digit for every p, and hold about two more bytes per
+syndrome while they run.  The split-half tables are built only when
+something adds steps one at a time: the small path, the brute force and
+the low-weight counts.
 
 The exhaustive passes over all q^n ambient vectors walk syndromes only,
 with the odometer of codes.py stepping by one table addition per
@@ -31,10 +37,11 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import comb
 from operator import xor
+import sys
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .codes import LinearCode, nonzero_weights, odometer, weight_pair
@@ -53,6 +60,17 @@ def decode_vector(q: int, code: int, length: int) -> tuple[int, ...]:
 
 _UNSEEN = 0xFF  # leader_weight of a syndrome the BFS has not reached
 
+# Tables of at least this many syndromes run the word-parallel BFS.  Timed
+# against the per-syndrome BFS on three seeded random codes per size over
+# GF(2, 3, 4, 5, 8, 9, 16) with 2^6 to 2^12 syndromes, it lost on some code
+# at every size up to 2^9 and won on every code from 2^10 on.
+_WORD_BFS_MIN_SIZE = 1 << 10
+
+# The word-parallel BFS holds a set of syndromes as chunks of about this
+# many bits: the largest power of p that fits, so that digit masks are
+# one chunk long and the digits above a chunk only permute the chunks.
+_CHUNK_BITS = 1 << 16
+
 
 class SyndromeTable:
     """Leader weights and coset profiles of a code, from one BFS over its
@@ -65,20 +83,24 @@ class SyndromeTable:
     (beta != 0) that take s one level down and one level up: the (c, b)
     profile of coset s.
 
-    add(s, d) is s + d for a step d.  In characteristic 2 that is s ^ d.
-    Otherwise every distinct step d keeps a pair of split-half
-    translation tables of q^ceil(m/2) entries, so that s + d is
-    lo[s % Q] + hi[s // Q] with Q = q^ceil(m/2).  Nothing of length q^m
-    is kept per step: a syndrome costs one byte of leader weight and two
-    profile counts (two bytes each while n(q-1) < 2^16), five bytes in
-    all, and the BFS walks each level by searching leader_weight, so it
-    keeps no frontier list.
+    Two BFS paths fill the same arrays.  Below _WORD_BFS_MIN_SIZE
+    syndromes the BFS visits one syndrome at a time, searching
+    leader_weight for each level, and adds one step at a time.  From
+    there on, _word_bfs moves whole levels at once as bit sets and keeps
+    the counts bit-sliced until it unpacks them.  Either way a syndrome
+    costs one byte of leader weight and two profile counts (two bytes
+    each while n(q-1) < 2^16): five bytes in all, and the word path
+    holds about two more bytes per syndrome while it runs.
+
+    add(s, d) is s + d for a step d, and translator(steps) gives all
+    s + d at once.  In characteristic 2 that is s ^ d.  Otherwise every
+    distinct step d has a pair of split-half translation tables of
+    q^ceil(m/2) entries, so that s + d is lo[s % Q] + hi[s // Q] with
+    Q = q^ceil(m/2); they are built the first time add or translator is
+    read, which the word path never does.
     """
 
-    __slots__ = (
-        "code", "size", "step", "add", "_halves", "_split",
-        "leader_weight", "c", "b", "rho",
-    )
+    __slots__ = ("code", "size", "step", "_halves", "leader_weight", "c", "b", "rho")
 
     def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
         f = code.field
@@ -88,40 +110,26 @@ class SyndromeTable:
         budget.require("max_syndromes", size)
         self.code = code
         self.size = size
+        self._halves = None
         mul = f.mul
         self.step = [
             [0]
             + [_from_base([mul(beta, x) for x in col], q) for beta in range(1, q)]
             for col in code.H.columns()
         ]
-        if f.p == 2:
-            self.add = xor
-            self._halves = None
-        else:
-            p = f.p
-            Q = self._split = q ** ((m + 1) // 2)
-            hi_size = size // Q
-            halves = self._halves = {}
-            for row in self.step:
-                for d in row:
-                    if d not in halves:
-                        lo, hi = d % Q, d // Q
-                        halves[d] = (
-                            [_add_digitwise(x, lo, p) for x in range(Q)],
-                            [_add_digitwise(y, hi, p) * Q for y in range(hi_size)],
-                        )
-
-            def add(s: int, d: int) -> int:
-                lo, hi = halves[d]
-                return lo[s % Q] + hi[s // Q]
-
-            self.add = add
-
         mult = Counter(d for row in self.step for d in row[1:] if d)
-        moves = list(mult)
-        weights = list(mult.values())
-        targets = self.translator(moves)
         counts = array("H" if n * (q - 1) < 1 << 16 else "I", [0])
+        if size < _WORD_BFS_MIN_SIZE:
+            found = self._syndrome_bfs(mult, counts)
+        else:
+            found = _word_bfs(f.p, m * f.r, mult, counts)
+        self.leader_weight, self.c, self.b, self.rho = found
+
+    def _syndrome_bfs(self, mult: Counter, counts: array):
+        """The BFS one syndrome at a time: (leader_weight, c, b, rho)."""
+        size = self.size
+        weights = list(mult.values())
+        targets = self.translator(list(mult))
         lw = bytearray([_UNSEEN]) * size
         c = counts * size
         b = counts * size
@@ -150,23 +158,232 @@ class SyndromeTable:
                 raise AssertionError("syndrome graph is not connected")
             reached += found
             level = up
-        self.leader_weight = lw
-        self.c = c
-        self.b = b
-        self.rho = level
+        return lw, c, b, level
+
+    def _split_halves(self):
+        """(Q, {d: (lo, hi)}) for every distinct step d, built on first use."""
+        if self._halves is None:
+            p = self.code.field.p
+            Q = self.code.field.q ** ((self.code.redundancy + 1) // 2)
+            hi_size = self.size // Q
+            halves = {}
+            for row in self.step:
+                for d in row:
+                    if d not in halves:
+                        lo, hi = d % Q, d // Q
+                        halves[d] = (
+                            [_add_digitwise(x, lo, p) for x in range(Q)],
+                            [_add_digitwise(y, hi, p) * Q for y in range(hi_size)],
+                        )
+            self._halves = Q, halves
+        return self._halves
+
+    @property
+    def add(self):
+        """The function (s, d) -> s + d for a syndrome s and a step d."""
+        if self.code.field.p == 2:
+            return xor
+        Q, halves = self._split_halves()
+
+        def add(s: int, d: int) -> int:
+            lo, hi = halves[d]
+            return lo[s % Q] + hi[s // Q]
+
+        return add
 
     def translator(self, steps):
         """A function taking a syndrome s to the list [s + d for d in steps]."""
-        if self._halves is None:
+        if self.code.field.p == 2:
             return lambda s: [s ^ d for d in steps]
-        Q = self._split
-        pairs = [self._halves[d] for d in steps]
+        Q, halves = self._split_halves()
+        pairs = [halves[d] for d in steps]
 
         def translate(s):
             s_lo, s_hi = s % Q, s // Q
             return [lo[s_lo] + hi[s_hi] for lo, hi in pairs]
 
         return translate
+
+
+def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
+    """The syndrome BFS on whole levels: (leader_weight, c, b, rho) for
+    the syndromes 0..p^digits - 1 under the steps d of mult, each taken
+    mult[d] times, with c and b typed like counts.
+
+    A set of syndromes is a list of chunk ints: bit s % C of chunk s // C
+    is set for each member s, with C = p^low.  Adding a step d to every
+    member goes one nonzero base-p digit a of d at a time.  Inside a
+    chunk, the members whose digit h (of weight w = p^h) is below p - a
+    move up by a*w and the rest wrap down by (p - a)*w: two masked
+    shifts.  The digits from `low` on name the chunk, so they only
+    reorder the list.  One code path serves every p.
+
+    Each level L is translated once by every step d.  With `seen` the
+    levels up to L and `before` the level below L:
+
+        (L + d) - seen is where d leads up from L: it joins the next
+            level, and mult[d] is added to c there;
+        (L + d) & before is where -d leads up into L: -d is a step as
+            often as d, so mult[d] is added to b there.
+
+    A last pass over the top level finishes b on the level below it.
+    The level numbers (at most m <= digits) and the counts are
+    bit-sliced, planes[i][j] holding bit j of the values in chunk i, and
+    are unpacked into the output arrays at the end, chunk by chunk, each
+    chunk's planes dropped once written.  Masks are built by doubling:
+    dividing a q^m-bit int would take quadratic time.
+    """
+    low = min(digits, max(1, _digits_within(p, _CHUNK_BITS)))
+    C = p**low
+    chunks = p ** (digits - low)
+    size = C * chunks
+    full = (1 << C) - 1
+    masks: dict = {}
+
+    def under(h: int, t: int) -> int:
+        # the positions in a chunk whose digit h is below t
+        key = h, t
+        if key not in masks:
+            w = p**h
+            mask = (1 << t * w) - 1
+            span = p * w
+            while span < C:
+                mask |= mask << span
+                span <<= 1
+            masks[key] = mask & full
+        return masks[key]
+
+    def plan(d: int):
+        # the digit shifts and the chunk order that add d to a set
+        shifts = []
+        for h in range(low):
+            d, a = divmod(d, p)
+            if a:
+                w = p**h
+                shifts.append((under(h, p - a), a * w, (p - a) * w, under(h, a)))
+        # what is left of d names chunks: chunk i moves to chunk i + d
+        src = [0] * chunks
+        for i in range(chunks):
+            src[_add_digitwise(i, d, p)] = i
+        return shifts, src
+
+    moves = [(k, *plan(d)) for d, k in mult.items()]
+    count_bits = sum(mult.values()).bit_length()
+    c_planes = [[0] * count_bits for _ in range(chunks)]
+    b_planes = [[0] * count_bits for _ in range(chunks)]
+    lw_planes = [[0] * digits.bit_length() for _ in range(chunks)]
+    level = [1] + [0] * (chunks - 1)
+    seen = level
+    before = [0] * chunks
+    reached = 1
+    rho = 0
+    while True:
+        nxt = [0] * chunks
+        for k, shifts, src in moves:
+            # one chunk of L + d at a time, into chunk j
+            for j, i in enumerate(src):
+                x = level[i]
+                if not x:
+                    continue
+                for keep, up, down, wrap in shifts:
+                    x = ((x & keep) << up) | ((x >> down) & wrap)
+                new = x & ~seen[j]
+                if new:
+                    nxt[j] |= new
+                    _add_bitsliced(c_planes[j], new, k)
+                x &= before[j]
+                if x:
+                    _add_bitsliced(b_planes[j], x, k)
+        found = sum(x.bit_count() for x in nxt)
+        if not found:
+            break
+        rho += 1
+        for planes, x in zip(lw_planes, nxt):
+            for j in range(rho.bit_length()):
+                if rho >> j & 1:
+                    planes[j] |= x
+        seen = [x | y for x, y in zip(seen, nxt)]
+        before, level = level, nxt
+        reached += found
+    if reached < size:
+        # cannot happen for a full-rank parity check
+        raise AssertionError("syndrome graph is not connected")
+    # free the level sets and masks before the output arrays are allocated
+    del level, before, seen, moves, masks
+    lw = _unpacked(lw_planes, C, bytearray(size), 1)
+    c = _unpacked(c_planes, C, counts * size, counts.itemsize)
+    b = _unpacked(b_planes, C, counts * size, counts.itemsize)
+    if sys.byteorder == "big":
+        c.byteswap()
+        b.byteswap()
+    return lw, c, b, rho
+
+
+def _unpacked(planes: list, C: int, out, width: int):
+    """out, zeroed and of `width` bytes per value, with the bit-sliced
+    values of planes written into it chunk by chunk as little-endian
+    integers, each chunk's planes dropped once written."""
+    with memoryview(out).cast("B") as out_bytes:
+        for i in range(len(planes)):
+            _unpack(planes[i], C, width, out_bytes, i * C * width)
+            planes[i] = None
+    return out
+
+
+def _digits_within(p: int, bits: int) -> int:
+    """The largest h with p^h <= bits."""
+    h = 0
+    while p ** (h + 1) <= bits:
+        h += 1
+    return h
+
+
+def _add_bitsliced(planes: list[int], members: int, k: int) -> None:
+    """Add k to the bit-sliced counts of one chunk (planes[j] is bit j)
+    at every member of the set, by ripple carry.  No count outgrows the
+    planes: each is at most the total multiplicity they were sized for."""
+    j = 0
+    while k:
+        if k & 1:
+            carry = members
+            i = j
+            while carry:
+                plane = planes[i]
+                planes[i] = plane ^ carry
+                carry &= plane
+                i += 1
+        k >>= 1
+        j += 1
+
+
+@cache
+def _bit_table(bit: int, shift: int) -> bytes:
+    """The bytes.translate table taking a byte to its bit `bit`, moved to
+    bit `shift`."""
+    return bytes((x >> bit & 1) << shift for x in range(256))
+
+
+def _unpack(planes: list[int], C: int, width: int, out, at: int) -> None:
+    """Write the C values whose bit j is bit i of planes[j] (value i) to
+    the zeroed bytes out[at : at + C*width], `width` little-endian bytes
+    each.  Value 8y + x takes bit x of byte y of each plane, so for each
+    x, every plane's bytes are translated at once and written with one
+    strided slice; no temporary is longer than a chunk's bytes."""
+    nbytes = (C + 7) // 8
+    data = [
+        (j, plane.to_bytes(nbytes, "little")) for j, plane in enumerate(planes) if plane
+    ]
+    for x in range(min(8, C)):
+        values = (C - x + 7) // 8  # the y with 8y + x < C
+        for byte in range(width):
+            acc = 0
+            for j, plane in data:
+                if j >> 3 == byte:
+                    bits = plane.translate(_bit_table(x, j & 7))
+                    acc |= int.from_bytes(bits, "little")
+            if acc:
+                cut = slice(at + x * width + byte, at + C * width, 8 * width)
+                out[cut] = acc.to_bytes(nbytes, "little")[:values]
 
 
 def covering_radius(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
@@ -316,7 +533,7 @@ def complete_regularity_bruteforce(
     from the code has the same number c_i of neighbors v + beta*e_j at
     distance i - 1 and b_i at distance i + 1.
 
-    The walk visits the syndromes of all q^n vectors in odometer order
+    The walk visits the syndromes of the q^n vectors in odometer order
     (coordinate 0 fastest) and takes each one's distance as the leader
     weight of its syndrome.  The profile is recounted from those leader
     weights over the n(q-1) neighbor syndromes s + step[j][beta]; the
@@ -330,7 +547,9 @@ def complete_regularity_bruteforce(
     taken at or before that first visit, and comparing the same profile
     against the same reference again can add neither a first profile
     nor a conflict.  The report, witness syndromes included, is the one
-    a count at every vector gives.
+    a count at every vector gives.  For the same reason the walk stops at
+    the vector that reaches the last unseen syndrome; the max_vectors
+    budget still counts all q^n vectors, as the walk's worst case.
     """
     q, n = code.field.q, code.n
     total = q**n
@@ -341,12 +560,16 @@ def complete_regularity_bruteforce(
     seen = bytearray(st.size)
 
     def first_visits():
+        unseen = st.size
         for s in odometer(0, _ambient_steps(st), st.add):
             if not seen[s]:
                 seen[s] = 1
                 level = lw[s]
                 levels = [lw[t] for t in neighbors(s)]
                 yield s, level, (levels.count(level - 1), levels.count(level + 1))
+                unseen -= 1
+                if not unseen:
+                    return
 
     return _scan_cosets(q, n, st.rho, first_visits())
 

@@ -523,6 +523,20 @@ def test_catalog_past_the_long_primal_codes(capsys, tmp_path):
     assert index["all_match"] is True
 
 
+def test_catalog_through_the_first_arc_codes_with_distance_3(capsys, tmp_path):
+    # bound 224 adds v-q8, vi-q8-h4 and vii-q8-h2, the first members with
+    # three collinear parity-check columns, so d = 3
+    out = tmp_path / "cat"
+    code, _, stderr = run(capsys, "catalog", "--qn-bound", "224", "--out", str(out))
+    assert (code, stderr) == (0, "")
+    index = json.loads((out / "index.json").read_text())
+    assert {"v-q8", "vi-q8-h4", "vii-q8-h2"} <= set(index["entries"])
+    assert index["all_match"] is True
+    for slug in ("v-q8", "vi-q8-h4", "vii-q8-h2"):
+        entry = json.loads((out / f"{slug}.json").read_text())
+        assert entry["expected"]["d"] == entry["computed"]["d"] == 3, slug
+
+
 def test_one_syndrome_table_per_analysis(monkeypatch):
     built = []
     real = SyndromeTable.__init__

@@ -9,8 +9,10 @@ from crcodes.codes import (
     LinearCode,
     is_antipodal,
     min_distance,
+    nonzero_weights,
     num_pg_points,
     pg_points,
+    weight_pair,
 )
 from crcodes.constructions import (
     ArcPropertyFailed,
@@ -225,6 +227,34 @@ def test_build_family_descriptor_consistency():
     assert str(desc.array) == "(18,8;1,18)"
     desc, code = build_family("i", m=2)
     assert (code.n, code.k) == (4, 1)
+
+
+# (family, parameters, d): three columns on one line give d = 3, so the
+# arc points have d = 3 from h = 3 on and the external lines from q/h = 3 on
+ARC_DISTANCES = [
+    ("v", {"q": 4}, 4),
+    ("v", {"q": 8}, 3),
+    ("v", {"q": 16}, 3),
+    ("vi", {"q": 4, "h": 2}, 4),
+    ("vi", {"q": 8, "h": 2}, 4),
+    ("vi", {"q": 16, "h": 2}, 4),
+    ("vi", {"q": 32, "h": 2}, 4),
+    ("vi", {"q": 8, "h": 4}, 3),
+    ("vi", {"q": 16, "h": 4}, 3),
+    ("vi", {"q": 16, "h": 8}, 3),
+    ("vii", {"q": 8, "h": 2}, 3),
+    ("vii", {"q": 16, "h": 4}, 3),
+    ("vii", {"q": 8, "h": 4}, 4),
+    ("vii", {"q": 16, "h": 8}, 4),
+    ("vii", {"q": 32, "h": 16}, 4),
+]
+
+
+def test_arc_families_expect_the_measured_minimum_distance():
+    for family, params, d in ARC_DISTANCES:
+        desc, code = build_family(family, **params)
+        measured = min(nonzero_weights(weight_pair(code)[0]))
+        assert desc.d == measured == d, desc.slug
 
 
 def test_build_family_rejects_bad_parameters():

@@ -1,6 +1,7 @@
 """Coset geometry: syndrome BFS, regularity decisions, packing coefficients."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -22,7 +23,7 @@ from crcodes.codes import (
     pg_points,
     weight_distribution,
 )
-from crcodes.constructions import hamming_code
+from crcodes.constructions import family_catalog, hamming_code
 from crcodes.field import GF
 from crcodes.matrix import MatrixGF
 from crcodes.regularity import (
@@ -199,6 +200,109 @@ def test_profiles_against_coset_leader_oracle(q):
     assert kinds == {True, False}
 
 
+BFS_PATHS = {"word": 1, "syndrome": math.inf}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("path", BFS_PATHS)
+def test_profiles_against_coset_leader_oracle_on_each_bfs_path(
+    q, path, monkeypatch
+):
+    monkeypatch.setattr(regularity, "_WORD_BFS_MIN_SIZE", BFS_PATHS[path])
+    test_profiles_against_coset_leader_oracle(q)
+
+
+def _table_on_each_path(code, monkeypatch):
+    """(leader_weight, c, b, rho) from the per-syndrome BFS and from the
+    word-parallel one."""
+    tables = []
+    for cutoff in (math.inf, 1):
+        monkeypatch.setattr(regularity, "_WORD_BFS_MIN_SIZE", cutoff)
+        st = SyndromeTable(code)
+        tables.append((st.leader_weight, st.c, st.b, st.rho))
+    return tables
+
+
+def _columned_codes(rng, q, count):
+    """Seeded random codes over GF(q), every other one with a zero column
+    and a column repeated as a scalar multiple of another."""
+    f = GF(q)
+    for trial in range(count):
+        n = rng.randrange(3, 9)
+        rows = [
+            [rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(1, n))
+        ]
+        if trial % 2:
+            j0, j1, j2 = rng.sample(range(n), 3)
+            beta = rng.randrange(1, q)
+            for row in rows:
+                row[j0] = 0
+                row[j2] = f.mul(beta, row[j1])
+        code = LinearCode.from_parity(MatrixGF(f, rows, n))
+        if q**code.redundancy <= 1 << 12:
+            yield code
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("chunk_bits", [1 << 16, 8])
+def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatch):
+    # eight-bit chunks put most digits of a syndrome above the chunk, so
+    # steps move whole chunks as well as bits inside them
+    monkeypatch.setattr(regularity, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(3000 + q)
+    sizes = []
+    for code in _columned_codes(rng, q, 12):
+        syndrome, word = _table_on_each_path(code, monkeypatch)
+        assert word == syndrome
+        assert word[1].typecode == syndrome[1].typecode == "H"
+        sizes.append(q**code.redundancy)
+    assert len(sizes) >= 6 and max(sizes) > 8
+
+
+def test_word_bfs_matches_syndrome_bfs_on_the_catalog(monkeypatch):
+    checked = 0
+    for desc, code in family_catalog(200):
+        syndrome, word = _table_on_each_path(code, monkeypatch)
+        assert word == syndrome, desc.slug
+        checked += 1
+    assert checked == 161
+
+
+def test_word_bfs_on_one_syndrome(monkeypatch):
+    # the whole space as a code: m = 0 and a table of size 1
+    code = LinearCode.from_parity(MatrixGF(GF(3), [[0, 0, 0]], 3))
+    assert code.redundancy == 0
+    for table in _table_on_each_path(code, monkeypatch):
+        assert table == (bytearray([0]), array("H", [0]), array("H", [0]), 0)
+
+
+def test_word_bfs_across_chunks(monkeypatch):
+    # a random binary [20,3] code has 2^17 syndromes: two chunks of 2^16
+    rng = random.Random(17)
+    code = _random_code(rng, 2, 20, 17)
+    assert code.redundancy == 17
+    syndrome, word = _table_on_each_path(code, monkeypatch)
+    assert word == syndrome
+    assert word[3] >= 3
+
+
+def test_split_half_tables_are_built_on_first_use():
+    # 3^7 syndromes take the word path, which never adds one step at a time
+    code = _random_code(random.Random(37), 3, 10, 7)
+    analysis = CodeAnalysis(code)
+    st = analysis.table
+    assert st.size == 3**7
+    assert analysis.report.rho == st.rho
+    assert st._halves is None
+    add = st.add
+    assert st._halves is not None
+    for s in (0, 1, 5, 2186):
+        digits = decode_vector(3, s, 7)
+        for d in {d for row in st.step for d in row}:
+            total = [(x + y) % 3 for x, y in zip(digits, decode_vector(3, d, 7))]
+            assert add(s, d) == encode_vector(3, total)
+
+
 def _walk_report_oracle(code, level, profile):
     """The report of a per-vector check: walk the ambient space with
     coordinate 0 fastest; the first vector at each level sets its
@@ -276,8 +380,20 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
     monkeypatch.setattr(SyndromeTable, "translator", counting_translator)
     monkeypatch.setattr(regularity, "odometer", counting_walk)
     assert complete_regularity_bruteforce(code, analysis=analysis) == expected
-    assert vectors == q**code.n
+    # the walk stops at the vector that reaches the last unseen syndrome
+    assert vectors == _full_coverage_count(code) < q**code.n
     assert 0 < calls <= st.size
+
+
+def _full_coverage_count(code):
+    """How many vectors an odometer walk (coordinate 0 fastest) takes to
+    reach every syndrome, each syndrome from H.mul_vector."""
+    q = code.field.q
+    seen = set()
+    for count, digits in enumerate(product(range(q), repeat=code.n), 1):
+        seen.add(encode_vector(q, code.H.mul_vector(digits[::-1])))
+        if len(seen) == q**code.redundancy:
+            return count
 
 
 def test_catalog_intersection_arrays_against_coset_graphs(catalog48):
