@@ -29,7 +29,6 @@ from .codes import (
     external_distance,
     is_antipodal,
     is_equidistant,
-    iter_codewords,
     iter_rowspace,
     macwilliams_transform,
     min_distance,
@@ -76,7 +75,6 @@ from .regularity import (
     coset_low_weight_counts,
     coset_weight_counts,
     covering_radius,
-    uniformly_packed_wide,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

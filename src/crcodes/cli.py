@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from .classify import (
@@ -40,12 +41,8 @@ from .classify import (
 from .codes import LinearCode, nonzero_weights
 from .constructions import FAMILIES, build_family, family_catalog
 from .matio import MatrixFormatError, format_matrix, read_matrix
-from .regularity import (
-    CodeAnalysis,
-    IntersectionArray,
-    beta_solve,
-    complete_regularity_bruteforce,
-)
+from .matrix import MatrixGF
+from .regularity import CodeAnalysis, beta_solve, complete_regularity_bruteforce
 
 
 def _budgets(args) -> Budgets:
@@ -70,10 +67,17 @@ def _add_budget_flags(p: argparse.ArgumentParser):
 # -- report assembly --------------------------------------------------------
 
 
-def _form_json(form: Rho1Form | None) -> dict | None:
-    if form is None:
-        return None
-    return {"m": form.m, "ell": form.ell, "u": form.u}
+def _plain(value):
+    """A report value as JSON data: a dataclass becomes a dict of its
+    fields in declaration order, a matrix the list of its rows and a
+    tuple a list, each part converted the same way."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, MatrixGF):
+        value = value.data
+    if isinstance(value, tuple):
+        return [_plain(x) for x in value]
+    return value
 
 
 def _rho1_json(code: LinearCode) -> dict | None:
@@ -81,26 +85,11 @@ def _rho1_json(code: LinearCode) -> dict | None:
         form = classify_rho1(code)
     except TrivialCode:
         return None
-    return _form_json(form if isinstance(form, Rho1Form) else None)
+    return _plain(form) if isinstance(form, Rho1Form) else None
 
 
 def _rho2_json(rep: Rho2Report) -> dict:
-    return {
-        "dual_antipodal": rep.dual_antipodal,
-        "column_scaling": (
-            list(rep.column_scaling) if rep.column_scaling else None
-        ),
-        "M": [list(row) for row in rep.M.data] if rep.M else None,
-        "equidistant_ok": rep.equidistant_ok,
-        "symbol_frequency_ok": rep.symbol_frequency_ok,
-        "punctured_rho1_form": _form_json(rep.punctured_rho1_form),
-        "puncture_column": rep.puncture_column,
-        "all_flags": rep.all_flags,
-    }
-
-
-def _array_json(arr: IntersectionArray) -> dict:
-    return {"b": list(arr.b), "c": list(arr.c), "a": list(arr.a)}
+    return {**_plain(rep), "all_flags": rep.all_flags}
 
 
 def analysis_report(
@@ -129,7 +118,7 @@ def analysis_report(
         "dual_weights": dual_weights,
         "is_completely_regular": rep.is_completely_regular,
         "intersection_array": (
-            _array_json(rep.array) if rep.is_completely_regular else None
+            _plain(rep.array) if rep.is_completely_regular else None
         ),
         "uniformly_packed": rep.rho == s,
     }
@@ -257,7 +246,7 @@ def cmd_classify(args) -> int:
         payload = {
             "theorem": "31",
             "holds": holds,
-            "form": _form_json(form if recognized else None),
+            "form": _plain(form) if recognized else None,
             "reason": form.reason if isinstance(form, NotOfForm) else None,
         }
         if args.json:
@@ -289,17 +278,7 @@ def cmd_classify(args) -> int:
             print(f"all flags: {rep.all_flags}")
         return 0
     st = two_weight_structure(code, budget)
-    payload = {
-        "theorem": "52",
-        "w1": st.w1,
-        "w2": st.w2,
-        "w1_is_length": st.w1_is_length,
-        "column_scaling": list(st.column_scaling) if st.column_scaling else None,
-        "generator": [list(r) for r in st.generator.data] if st.generator else None,
-        "M": [list(r) for r in st.M.data] if st.M else None,
-        "equidistant_ok": st.equidistant_ok,
-        "symbol_frequency_ok": st.symbol_frequency_ok,
-    }
+    payload = {"theorem": "52", **_plain(st)}
     if args.json:
         sys.stdout.write(_dump_json(payload))
     else:
@@ -322,7 +301,7 @@ def cmd_catalog(args) -> int:
     mismatches = []
     for desc, code in entries:
         report = analysis_report(code, budget)
-        expected_array = _array_json(desc.array)
+        expected_array = _plain(desc.array)
         match = (
             report["n"] == desc.n
             and report["k"] == desc.k
@@ -409,28 +388,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The first entry that matches an error's type gives the exit code.
+_EXIT_CODES = {
+    MatrixFormatError: 3,
+    OSError: 3,
+    BudgetExceeded: 4,
+    NoZeroColumnReachable: 5,
+    ValueError: 2,
+    AssertionError: 5,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NoZeroColumnReachable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -153,15 +153,10 @@ class LinearCode:
         return LinearCode.from_generator(self.G.drop_column(pos))
 
     def extended(self) -> "LinearCode":
-        """Append an overall parity coordinate (coordinates sum to zero)."""
-        f = self.field
-        rows = []
-        for row in self.G.data:
-            acc = 0
-            for x in row:
-                acc = f.add(acc, x)
-            rows.append(list(row) + [f.neg(acc)])
-        return LinearCode.from_generator(MatrixGF(f, rows, self.n + 1))
+        """Append an overall parity coordinate (coordinates sum to zero):
+        the parity check is [H | 0] with an all-ones row below it."""
+        rows = [row + (0,) for row in self.H.data] + [(1,) * (self.n + 1)]
+        return LinearCode.from_parity(MatrixGF(self.field, rows, self.n + 1))
 
     def complementary(self) -> "LinearCode":
         """Code whose parity columns are the projective points missed by H.
@@ -251,10 +246,6 @@ def iter_rowspace(M: MatrixGF):
     )
 
 
-def iter_codewords(code: LinearCode):
-    yield from iter_rowspace(code.G)
-
-
 def weight_distribution(
     code: LinearCode, budget: Budgets = DEFAULT_BUDGETS
 ) -> list[int]:
@@ -266,7 +257,7 @@ def weight_distribution(
     total = code.field.q**code.k
     budget.require("max_codewords", total)
     counts = [0] * (code.n + 1)
-    for word in iter_codewords(code):
+    for word in iter_rowspace(code.G):
         counts[sum(1 for x in word if x)] += 1
     return counts
 

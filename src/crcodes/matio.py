@@ -134,5 +134,15 @@ def parse_matrix(text: str) -> MatrixGF:
 
 
 def read_matrix(path) -> MatrixGF:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the bad byte is on the line after the last break before it
+        before = raw[: exc.start].decode("ascii")
+        line = len((before + ".").splitlines())
+        raise MatrixFormatError(
+            line, f"non-ASCII byte {raw[exc.start]:#04x}"
+        ) from None
+    return parse_matrix(text)

@@ -44,7 +44,7 @@ from operator import xor
 import sys
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .codes import LinearCode, nonzero_weights, odometer, weight_pair
+from .codes import LinearCode, odometer, weight_pair
 from .field import _add_digitwise, _base_digits, _from_base
 from .matrix import solve_rational
 
@@ -579,7 +579,9 @@ def coset_weight_counts(
 ) -> list[list[int]]:
     """counts[s][w] = number of ambient vectors of weight w with syndrome
     s, accumulated in one pass over all q^n vectors.  Row s is also the
-    distance distribution of any vector in coset s to the code."""
+    distance distribution of any vector in coset s to the code.  This is
+    the reference oracle for coset_low_weight_counts, which reaches the
+    rows' low-weight columns by enumerating supports instead."""
     q, n = code.field.q, code.n
     total = q**n
     budget.require("max_vectors", total)
@@ -638,10 +640,3 @@ def beta_solve(
     counts = coset_low_weight_counts(code, analysis.table.rho, budget, analysis)
     rows = sorted({tuple(row) for row in counts})
     return solve_rational(rows, [1] * len(rows))
-
-
-def uniformly_packed_wide(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> bool:
-    """True iff the covering radius equals the external distance."""
-    analysis = CodeAnalysis(code, budget)
-    return analysis.table.rho == len(nonzero_weights(analysis.weight_pair[1]))
-

@@ -162,6 +162,16 @@ def test_analyze_error_exits(capsys, tmp_path, hamming32_path):
     assert "max_syndromes" in stderr
 
 
+def test_non_ascii_matrix_file_is_a_parse_error(capsys, tmp_path, hamming32_path):
+    # a UTF-8 comment ("ρ" is 0xcf 0x81) exits 3 like any other bad line
+    path = tmp_path / "utf8.txt"
+    path.write_bytes(
+        "# \u03c1=2\n".encode() + Path(hamming32_path).read_bytes()
+    )
+    for argv in (("analyze", str(path)), ("classify", str(path), "--theorem", "31")):
+        assert run(capsys, *argv) == (3, "", "error: line 1: non-ASCII byte 0xcf\n")
+
+
 def test_brute_force_budget_exits_4(capsys, hamming32_path):
     # the ternary [4,2] Hamming code has 3^4 = 81 ambient vectors
     code, stdout, stderr = run(

@@ -19,7 +19,6 @@ from crcodes.codes import (
     external_distance,
     is_antipodal,
     is_equidistant,
-    iter_codewords,
     iter_rowspace,
     macwilliams_transform,
     min_distance,
@@ -183,7 +182,7 @@ def test_punctured_and_extended_are_inverse_at_the_parity_coordinate():
     assert (ext.n, ext.k) == (8, 4)
     # every extended word sums to zero
     f = code.field
-    for word in iter_codewords(ext):
+    for word in iter_rowspace(ext.G):
         acc = 0
         for x in word:
             acc = f.add(acc, x)
@@ -201,6 +200,56 @@ def test_punctured_and_extended_are_inverse_at_the_parity_coordinate():
         eye5 = [[int(i == j) for j in range(5)] for i in range(5)]
         assert ext == LinearCode.from_parity(MatrixGF(f, eye5))
         assert ext.punctured(ext.n - 1) == zero
+
+
+def _extended_by_generator(code):
+    """The extension built from the generator: append to each row the
+    negated sum of its entries, then reduce through the dual."""
+    f = code.field
+    rows = []
+    for row in code.G.data:
+        acc = 0
+        for x in row:
+            acc = f.add(acc, x)
+        rows.append(list(row) + [f.neg(acc)])
+    return LinearCode.from_generator(MatrixGF(f, rows, code.n + 1))
+
+
+def test_extended_parity_check_matches_the_generator_route():
+    cases = [hamming_code(2, m) for m in range(2, 9)]
+    for q in (2, 3, 4):
+        f = GF(q)
+        eye = [[int(i == j) for j in range(4)] for i in range(4)]
+        cases.append(LinearCode.from_parity(MatrixGF(f, eye)))
+        cases.append(LinearCode.from_parity(MatrixGF(f, [], 4)))
+    rng = random.Random(41)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = GF(q)
+        for _ in range(6):
+            m = rng.randrange(1, 4)
+            cols = [
+                tuple(rng.randrange(q) for _ in range(m))
+                for _ in range(rng.randrange(2, 7))
+            ]
+            scalar = rng.randrange(1, q)
+            cols += [(0,) * m, tuple(f.mul(scalar, x) for x in cols[0])]
+            rng.shuffle(cols)
+            cases.append(LinearCode.from_parity(MatrixGF.from_columns(f, cols)))
+    for code in cases:
+        ext = code.extended()
+        assert (ext.n, ext.k) == (code.n + 1, code.k)
+        assert ext.H == _extended_by_generator(code).H
+
+
+def test_extended_needs_no_generator(monkeypatch):
+    expected = [_extended_by_generator(hamming_code(2, m)) for m in (2, 3, 4)]
+
+    def refuse(M):
+        raise AssertionError("extended() built a generator")
+
+    monkeypatch.setattr(codes, "kernel_basis", refuse)
+    for m, want in zip((2, 3, 4), expected):
+        assert hamming_code(2, m).extended() == want
 
 
 def test_iter_rowspace_matches_direct_span():

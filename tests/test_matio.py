@@ -76,3 +76,20 @@ def test_format_is_stable():
     m = MatrixGF(GF(4), [[1, 2, 3]])
     assert format_matrix(m) == format_matrix(m)
     assert format_matrix(m).endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "raw,line,byte",
+    [
+        (b"# \xcf\x81\nq=2\nrows=1 cols=1\n0\n", 1, 0xCF),
+        (b"q=2\r\nrows=1 cols=1\r\n0 \xff\n", 3, 0xFF),
+        (b"q=2\rrows=1 cols=1\r\x80", 3, 0x80),
+    ],
+)
+def test_non_ascii_byte_reports_its_line(tmp_path, raw, line, byte):
+    path = tmp_path / "m.txt"
+    path.write_bytes(raw)
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(path)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: non-ASCII byte {byte:#04x}"

@@ -17,6 +17,7 @@ import pytest
 import crcodes
 from crcodes import regularity
 from crcodes.budgets import Budgets, BudgetExceeded
+from crcodes.cli import analysis_report
 from crcodes.codes import (
     LinearCode,
     external_distance,
@@ -40,7 +41,6 @@ from crcodes.regularity import (
     covering_radius,
     decode_vector,
     encode_vector,
-    uniformly_packed_wide,
 )
 
 NON_CR_PROBE = MatrixGF(GF(2), [[1, 0, 1, 1], [0, 1, 0, 1]])
@@ -578,7 +578,8 @@ def test_beta_solve_unsolvable_when_radius_below_external_distance():
     assert covering_radius(code) == 2
     assert external_distance(code) == 3
     assert beta_solve(code) is None
-    assert not uniformly_packed_wide(code)
+    report = analysis_report(code, with_beta=True)
+    assert (report["uniformly_packed"], report["beta"]) == (False, None)
 
 
 def test_packing_predicate_matches_beta_solvability():
@@ -589,7 +590,8 @@ def test_packing_predicate_matches_beta_solvability():
         rho = covering_radius(code)
         s = external_distance(code)
         assert rho <= s
-        assert uniformly_packed_wide(code) == (beta_solve(code) is not None)
+        report = analysis_report(code, with_beta=True)
+        assert report["uniformly_packed"] == (report["beta"] is not None)
 
 
 def test_intersection_array_validation():
