@@ -30,7 +30,7 @@ from .codes import (
     weight_distribution,
 )
 from .field import GF
-from .matrix import MatrixGF, rank, row_space_basis
+from .matrix import MatrixGF, row_space_basis
 from .regularity import (
     CodeAnalysis,
     IntersectionArray,
@@ -79,14 +79,19 @@ class NotOfForm:
 def _columns_rho1_form(field, columns) -> Rho1Form | NotOfForm:
     """Recognize the repeated-full-point-set-plus-zeros column multiset;
     works on any full-row-rank parity matrix since invertible row maps
-    permute projective points and preserve zero columns."""
+    permute projective points and preserve zero columns.
+
+    m is the column length, which is the rank of a full-row-rank parity
+    matrix, so no row reduction is needed.  Columns of lower rank (the
+    Theorem 4.1 puncture loop can pass them) lie in a proper subspace,
+    miss a point of PG(m-1, q) and give NotOfForm, as a rank-based m
+    would too."""
     u, groups = _column_points(field, columns)
     if not groups:
         return NotOfForm("no nonzero columns")
-    m = rank(MatrixGF.from_columns(field, sorted(groups)))
-    # Every group is a canonical column of a rank-m set, so when m is
-    # the column length the groups lie in PG(m-1, q) and covering every
-    # point means equality; a longer column never matches a point.
+    m = len(next(iter(groups)))
+    # Every group is a canonical column of length m, so it is a point of
+    # PG(m-1, q), and covering every point means equality.
     for point in iter_pg_points(field, m):
         if point not in groups:
             return NotOfForm(

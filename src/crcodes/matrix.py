@@ -3,6 +3,13 @@
 Matrices are immutable: entries live in nested tuples of encoded field
 elements.  Everything here is deliberately plain Python; the problem
 sizes are small and exactness matters more than speed.
+
+The public constructor is the trust boundary: ``MatrixGF(...)`` and
+``MatrixGF.from_columns`` convert and check whatever they are given.
+Rows that field arithmetic in this module makes from already checked
+matrices (in ``rref``, ``row_space_basis``, ``kernel_basis`` and
+``hstack``) skip those checks through the private ``MatrixGF._of``,
+which nothing outside this module calls.
 """
 
 from __future__ import annotations
@@ -17,13 +24,16 @@ class MatrixGF:
     """A rows x cols matrix over a Field.
 
     ``cols`` must be passed explicitly when constructing a matrix with
-    zero rows, since it cannot be inferred from the data.
+    zero rows, since it cannot be inferred from the data.  The
+    constructor converts every entry with ``int`` and rejects ragged
+    rows and entries outside 0..q-1; ``_of`` builds a matrix from rows
+    this module has already checked or computed, and checks nothing.
     """
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
     def __init__(self, field: Field, data, ncols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(map(int, row)) for row in data)
         if rows:
             ncols = len(rows[0])
             for row in rows:
@@ -33,13 +43,24 @@ class MatrixGF:
             raise ValueError("ncols required for a matrix with no rows")
         q = field.q
         for row in rows:
-            for x in row:
-                if not 0 <= x < q:
-                    raise ValueError(f"entry {x} out of range for GF({q})")
+            if row and (min(row) < 0 or max(row) >= q):
+                bad = next(x for x in row if not 0 <= x < q)
+                raise ValueError(f"entry {bad} out of range for GF({q})")
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
         self.data = rows
+
+    @classmethod
+    def _of(cls, field: Field, rows: tuple, ncols: int) -> "MatrixGF":
+        """A matrix on trusted rows: a tuple of ncols-long tuples of field
+        codes, made in this module from checked matrices."""
+        M = cls.__new__(cls)
+        M.field = field
+        M.nrows = len(rows)
+        M.ncols = ncols
+        M.data = rows
+        return M
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "MatrixGF":
@@ -47,25 +68,29 @@ class MatrixGF:
 
     @classmethod
     def from_columns(cls, field: Field, columns, nrows: int | None = None) -> "MatrixGF":
-        columns = [tuple(c) for c in columns]
-        if columns:
-            nrows = len(columns[0])
-        elif nrows is None:
-            raise ValueError("nrows required for a matrix with no columns")
-        return cls(field, [[c[i] for c in columns] for i in range(nrows)], len(columns))
+        columns = list(map(tuple, columns))
+        if not columns:
+            if nrows is None:
+                raise ValueError("nrows required for a matrix with no columns")
+            return cls(field, [()] * nrows, 0)
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("ragged columns")
+        return cls(field, zip(*columns), len(columns))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
+        if not self.data:
+            return [()] * self.ncols
+        return list(zip(*self.data))
 
     def hstack(self, other: "MatrixGF") -> "MatrixGF":
         if other.field != self.field or other.nrows != self.nrows:
             raise ValueError("shape or field mismatch")
-        return MatrixGF(
+        return MatrixGF._of(
             self.field,
-            [self.data[i] + other.data[i] for i in range(self.nrows)],
+            tuple(a + b for a, b in zip(self.data, other.data)),
             self.ncols + other.ncols,
         )
 
@@ -140,7 +165,7 @@ def rref(M: MatrixGF) -> tuple[MatrixGF, int, list[int]]:
                 rows[i] = [f.sub(x, f.mul(c, px)) for x, px in zip(rows[i], prow)]
         pivots.append(col)
         pr += 1
-    return MatrixGF(f, rows, ncols), pr, pivots
+    return MatrixGF._of(f, tuple(map(tuple, rows)), ncols), pr, pivots
 
 
 def rank(M: MatrixGF) -> int:
@@ -150,7 +175,7 @@ def rank(M: MatrixGF) -> int:
 def row_space_basis(M: MatrixGF) -> MatrixGF:
     """Canonical full-rank basis of the row space (rref minus zero rows)."""
     R, rk, _ = rref(M)
-    return MatrixGF(M.field, R.data[:rk], M.ncols)
+    return MatrixGF._of(M.field, R.data[:rk], M.ncols)
 
 
 def kernel_basis(M: MatrixGF) -> MatrixGF:
@@ -169,7 +194,7 @@ def kernel_basis(M: MatrixGF) -> MatrixGF:
             if e:
                 vec[pc] = f.neg(e)
         rows.append(vec)
-    return MatrixGF(f, rows, R.ncols)
+    return MatrixGF._of(f, tuple(map(tuple, rows)), R.ncols)
 
 
 def solve_rational(A, b) -> list[Fraction] | None:

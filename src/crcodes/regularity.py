@@ -112,11 +112,12 @@ class SyndromeTable:
         self.size = size
         self._halves = None
         mul = f.mul
-        self.step = [
-            [0]
-            + [_from_base([mul(beta, x) for x in col], q) for beta in range(1, q)]
-            for col in code.H.columns()
-        ]
+        columns = code.H.columns()
+        by_column = {  # one step row per distinct column
+            col: [0] + [_from_base([mul(b, x) for x in col], q) for b in range(1, q)]
+            for col in set(columns)
+        }
+        self.step = [by_column[col] for col in columns]
         mult = Counter(d for row in self.step for d in row[1:] if d)
         counts = array("H" if n * (q - 1) < 1 << 16 else "I", [0])
         if size < _WORD_BFS_MIN_SIZE:

@@ -2,11 +2,14 @@
 two-weight generator shape, exhaustive small-parameter confirmation."""
 
 import random
+from collections import Counter
+from math import comb
 
 import pytest
 
 from crcodes import classify as classify_module
 from crcodes import codes as codes_module
+from crcodes import matrix as matrix_module
 from crcodes.budgets import Budgets, BudgetExceeded
 from crcodes.classify import (
     NoZeroColumnReachable,
@@ -21,7 +24,7 @@ from crcodes.classify import (
     verify_theorem31,
     verify_theorem41,
 )
-from crcodes.codes import LinearCode, iter_rowspace
+from crcodes.codes import LinearCode, iter_rowspace, pg_points
 from crcodes.constructions import (
     construction_I,
     construction_II,
@@ -281,6 +284,86 @@ def test_enumerate_rho1_census(census_2_2_8):
         (e.form.m, e.form.ell, e.form.u) for e in census_2_2_8.positives
     ]
     assert set(got) <= {(ell, u) for _, ell, u in prefixes}
+
+
+def test_census_row_reduces_once_per_multiset(monkeypatch):
+    # from_parity's rref is the only one: the column form takes m from
+    # the column length instead of row-reducing the columns again
+    lengths = []
+    original = matrix_module.rref
+
+    def counted(M):
+        lengths.append(M.ncols)
+        return original(M)
+
+    monkeypatch.setattr(matrix_module, "rref", counted)
+    enumerate_rho1(2, 2, 6)
+    choices = 1 + 3  # the zero column and the three points of PG(1, 2)
+    tried = {n: comb(choices + n - 1, n) for n in range(4, 7)}
+    assert Counter(lengths) == tried == {4: 35, 5: 56, 6: 84}
+
+
+def _rank_rule(field, columns):
+    """The column form with m taken as the rank of the distinct
+    canonical columns: the Rho1Form, or None for not of the form."""
+    u, groups = codes_module._column_points(field, columns)
+    if not groups:
+        return None
+    m = rank(MatrixGF.from_columns(field, sorted(groups)))
+    if any(point not in groups for point in pg_points(field, m)):
+        return None
+    mults = set(groups.values())
+    return Rho1Form(m, mults.pop(), u) if len(mults) == 1 else None
+
+
+def _full_rank_map(rng, f, rows, cols):
+    while True:
+        A = MatrixGF(
+            f, [[rng.randrange(f.q) for _ in range(cols)] for _ in range(rows)]
+        )
+        if rank(A) == cols:
+            return A
+
+
+def test_column_form_from_column_length_matches_rank_rule():
+    rng = random.Random(4101)
+    seen = Counter()
+    for q in (2, 3, 4, 5):
+        f = GF(q)
+        for _ in range(120):
+            kind = rng.choice(("random", "full", "deficient"))
+            length = rng.randint(2 if kind == "deficient" else 1, 3)
+            if kind == "random":
+                cols = [
+                    tuple(rng.randrange(q) for _ in range(length))
+                    for _ in range(rng.randint(1, 8))
+                ]
+            else:
+                # an injective map carries PG(r-1, q) onto the points of
+                # a rank-r subspace; r < length makes the set deficient
+                r = length if kind == "full" else rng.randint(1, length - 1)
+                A = _full_rank_map(rng, f, length, r)
+                cols = [
+                    tuple(f.mul(rng.randrange(1, q), x) for x in A.mul_vector(p))
+                    for p in pg_points(f, r)
+                    for _ in range(rng.randint(1, 2) if rng.random() < 0.2 else 1)
+                ] * rng.randint(1, 2)
+                if rng.random() < 0.25:
+                    cols.pop(rng.randrange(len(cols)))
+                cols += [(0,) * length] * rng.randint(0, 2)
+                rng.shuffle(cols)
+            want = _rank_rule(f, cols)
+            got = classify_module._columns_rho1_form(f, cols)
+            if want is None:
+                assert isinstance(got, NotOfForm), (q, cols)
+            else:
+                assert got == want, (q, cols)
+            seen[kind, want is not None] += 1
+    assert seen["deficient", True] == 0 and seen["deficient", False] >= 50
+    assert seen["full", True] >= 50 and seen["full", False] >= 10
+    assert seen["random", True] >= 10 and seen["random", False] >= 50
+    zeros = classify_module._columns_rho1_form(GF(3), [(0, 0)] * 3)
+    assert zeros == NotOfForm("no nonzero columns")
 
 
 def test_enumerate_rho1_budget():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from crcodes.classify import enumerate_rho1
+from crcodes.constructions import family_catalog
 from crcodes.field import GF
 from crcodes.matrix import (
     MatrixGF,
@@ -14,6 +16,7 @@ from crcodes.matrix import (
     rref,
     solve_rational,
 )
+from crcodes.regularity import complete_regularity
 
 
 def _random_matrix(rng, field, nrows, ncols):
@@ -32,10 +35,83 @@ def test_construction_and_accessors():
     assert m.column(2) == (2, 1)
     assert m.columns() == [(0, 2), (1, 0), (2, 1)]
     assert MatrixGF.from_columns(f, m.data).columns() == [(0, 1, 2), (2, 0, 1)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ragged rows$"):
         MatrixGF(f, [[0, 1], [1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entry 3 out of range for GF\(3\)$"):
         MatrixGF(f, [[0, 3]])
+
+
+def test_constructor_checks_what_it_is_given():
+    f = GF(3)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        MatrixGF(f, [[5], [1, 2]])
+    # the first bad entry in row-major order is named
+    with pytest.raises(ValueError, match=r"^entry 5 out of range for GF\(3\)$"):
+        MatrixGF(f, [[0, 1], [5, 7]])
+    with pytest.raises(ValueError, match=r"^entry 7 out of range for GF\(3\)$"):
+        MatrixGF(f, [[0, 1], [2, 7]])
+    with pytest.raises(ValueError, match=r"^entry -1 out of range for GF\(3\)$"):
+        MatrixGF(f, [[0, 2], [-1, 1]])
+    with pytest.raises(ValueError, match="^ncols required for a matrix with no rows$"):
+        MatrixGF(f, [])
+    with pytest.raises(ValueError):
+        MatrixGF(f, [["x"]])
+    m = MatrixGF(f, [[True, "2"], (0, 1)])
+    assert m.data == ((1, 2), (0, 1))
+    assert all(type(x) is int for row in m.data for x in row)
+
+
+def test_empty_shapes_transpose():
+    f = GF(3)
+    empty = MatrixGF(f, [], 3)
+    assert (empty.nrows, empty.ncols) == (0, 3)
+    assert empty.columns() == [(), (), ()]
+    thin = MatrixGF.from_columns(f, [], 2)
+    assert (thin.nrows, thin.ncols, thin.data) == (2, 0, ((), ()))
+    assert thin.columns() == []
+    flat = MatrixGF.from_columns(f, [(), ()])
+    assert (flat.nrows, flat.ncols) == (0, 2)
+    with pytest.raises(ValueError, match="^nrows required"):
+        MatrixGF.from_columns(f, [])
+
+
+def test_from_columns_rejects_ragged_columns():
+    f = GF(3)
+    for columns in ([(1, 0), (0, 1, 2)], [(1, 0, 2), (0, 1)]):
+        with pytest.raises(ValueError, match="^ragged columns$"):
+            MatrixGF.from_columns(f, columns)
+    with pytest.raises(ValueError, match=r"^entry 3 out of range for GF\(3\)$"):
+        MatrixGF.from_columns(f, [(1, 0), (3, 1)])
+
+
+def test_trusted_matrices_pass_the_public_checks(monkeypatch):
+    """Every matrix made through MatrixGF._of is one the public
+    constructor accepts unchanged, and no result depends on which of
+    the two built it."""
+
+    def run():
+        catalog = family_catalog(48)
+        return repr(
+            (
+                [(d, c.H.data, c.G.data, complete_regularity(c)) for d, c in catalog],
+                enumerate_rho1(3, 2, 5),
+                enumerate_rho1(2, 2, 6),
+            )
+        )
+
+    trusted = run()
+    built = []
+
+    def checked(cls, field, rows, ncols):
+        M = MatrixGF(field, rows, ncols)
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert (M.data, M.ncols) == (rows, ncols)
+        built.append(M)
+        return M
+
+    monkeypatch.setattr(MatrixGF, "_of", classmethod(checked))
+    assert run() == trusted
+    assert len(built) > 500
 
 
 def test_stack_scale_drop():
