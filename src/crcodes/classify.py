@@ -21,6 +21,7 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .codes import (
     LinearCode,
     _column_points,
+    canonical_column,
     is_equidistant,
     iter_pg_points,
     iter_rowspace,
@@ -30,7 +31,7 @@ from .codes import (
     weight_distribution,
 )
 from .field import GF
-from .matrix import MatrixGF, row_space_basis
+from .matrix import MatrixGF, row_space_basis, rref
 from .regularity import (
     CodeAnalysis,
     IntersectionArray,
@@ -393,6 +394,16 @@ def enumerate_rho1(
     count up to n_max, nontrivial lengths only) and confirm on each that
     the recognized column form coincides with measured complete
     regularity at covering radius 1.  A single disagreement is fatal.
+
+    Each fact is computed once.  The rank and the rref image of each
+    column depend only on the set of distinct columns: equal columns are
+    adjacent, so the pivot columns, and with them the change of basis,
+    are the same for the multiset as for that set.  A code's key is the
+    multiset of canonical points of its parity columns, zeros included,
+    which fixes its length and its coset graph Cay(GF(q)^m, {beta*h_j}).
+    Only the first code with a key is measured.  Reusing its verdict is
+    exact: the syndrome table reads only the steps beta*h_j with their
+    multiplicities, and the column form only the zeros and point counts.
     """
     f = GF(q)
     choices = [(0,) * m] + pg_points(f, m)
@@ -401,20 +412,35 @@ def enumerate_rho1(
     )
     budget.require("max_vectors", total)
 
+    images = {}  # distinct columns -> canonical rref points, () below rank m
+    measured = {}  # key: {(point, multiplicity)} -> (report, form)
     entries = []
     for n in range(m + 2, n_max + 1):
         for multiset in combinations_with_replacement(choices, n):
-            code = LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
-            if code.redundancy != m:
+            counts = Counter(multiset)
+            support = tuple(counts)
+            points = images.get(support)
+            if points is None:
+                R, rk, _ = rref(MatrixGF.from_columns(f, support))
+                points = images[support] = (
+                    tuple(canonical_column(f, c) for c in R.columns())
+                    if rk == m else ()
+                )
+            if not points:
                 continue
-            rep = complete_regularity(code, budget)
-            form = classify_rho1(code)
-            reason = _rho1_disagreement(q, form, rep)
-            if reason is not None:
-                raise AssertionError(f"{reason} on {multiset}")
+            key = frozenset(zip(points, counts.values()))
+            if key not in measured:
+                code = LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
+                rep = complete_regularity(code, budget)
+                form = classify_rho1(code)
+                reason = _rho1_disagreement(q, form, rep)
+                if reason is not None:
+                    raise AssertionError(f"{reason} on {multiset}")
+                measured[key] = rep, form
+            rep, form = measured[key]
             entries.append(
                 CorpusEntry(
-                    multiset, n, code.k, rep.rho,
+                    multiset, n, n - m, rep.rho,
                     rep.is_completely_regular, form, rep.array,
                 )
             )

@@ -95,6 +95,8 @@ class MatrixGF:
         )
 
     def drop_column(self, j: int) -> "MatrixGF":
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range for {self.ncols} columns")
         return MatrixGF(
             self.field,
             [row[:j] + row[j + 1 :] for row in self.data],

@@ -3,13 +3,14 @@ two-weight generator shape, exhaustive small-parameter confirmation."""
 
 import random
 from collections import Counter
-from math import comb
+from itertools import combinations_with_replacement
 
 import pytest
 
 from crcodes import classify as classify_module
 from crcodes import codes as codes_module
 from crcodes import matrix as matrix_module
+from crcodes import regularity as regularity_module
 from crcodes.budgets import Budgets, BudgetExceeded
 from crcodes.classify import (
     NoZeroColumnReachable,
@@ -286,21 +287,73 @@ def test_enumerate_rho1_census(census_2_2_8):
     assert set(got) <= {(ell, u) for _, ell, u in prefixes}
 
 
-def test_census_row_reduces_once_per_multiset(monkeypatch):
-    # from_parity's rref is the only one: the column form takes m from
-    # the column length instead of row-reducing the columns again
-    lengths = []
-    original = matrix_module.rref
+def _census_keys(f, m, n_max):
+    """The sets of distinct columns the census meets, and the column
+    points (zeros, point counts) of its rank-m codes, from the codes."""
+    choices = [(0,) * m] + pg_points(f, m)
+    supports, keys = set(), set()
+    for n in range(m + 2, n_max + 1):
+        for multiset in combinations_with_replacement(choices, n):
+            supports.add(frozenset(multiset))
+            code = LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
+            if code.redundancy == m:
+                u, groups = codes_module._column_points(f, code.H.columns())
+                keys.add((u, frozenset(groups.items())))
+    return supports, keys
 
-    def counted(M):
-        lengths.append(M.ncols)
-        return original(M)
 
-    monkeypatch.setattr(matrix_module, "rref", counted)
+def test_census_row_reduces_once_per_support_and_key(monkeypatch):
+    # one rref per set of distinct columns, and from_parity's rref and
+    # one syndrome table per coset graph, which the column points fix
+    supports, keys = _census_keys(GF(2), 2, 6)
+    assert len(keys) < len(enumerate_rho1(2, 2, 6).entries)
+    calls = Counter()
+    original_rref = matrix_module.rref
+    original_table = regularity_module.SyndromeTable.__init__
+
+    def counted_rref(M):
+        calls["rref"] += 1
+        return original_rref(M)
+
+    def counted_table(self, *args):
+        calls["table"] += 1
+        original_table(self, *args)
+
+    monkeypatch.setattr(matrix_module, "rref", counted_rref)
+    monkeypatch.setattr(classify_module, "rref", counted_rref)
+    monkeypatch.setattr(regularity_module.SyndromeTable, "__init__", counted_table)
     enumerate_rho1(2, 2, 6)
-    choices = 1 + 3  # the zero column and the three points of PG(1, 2)
-    tried = {n: comb(choices + n - 1, n) for n in range(4, 7)}
-    assert Counter(lengths) == tried == {4: 35, 5: 56, 6: 84}
+    assert calls == {"rref": len(supports) + len(keys), "table": len(keys)}
+
+
+def test_census_reuse_matches_fresh_measurement(
+    census_2_2_8, census_2_3_8, census_3_2_5
+):
+    # every entry, measured or reused, equals a fresh measurement of its
+    # own code
+    censuses = (census_2_2_8, census_2_3_8, census_3_2_5, enumerate_rho1(4, 2, 5))
+    for census in censuses:
+        for e in census.entries:
+            code = e.code(census.q)
+            rep = complete_regularity(code)
+            got = (e.rho, e.is_completely_regular, e.array, e.form, e.k)
+            assert got == (
+                rep.rho, rep.is_completely_regular, rep.array,
+                classify_rho1(code), code.k,
+            ), e.columns
+    # one set of distinct columns, two multiplicities, two coset graphs
+    f = GF(2)
+    p1, p2, p3 = pg_points(f, 2)
+    by_columns = {e.columns: e for e in enumerate_rho1(2, 2, 6).entries}
+    even = by_columns[(p1, p1, p2, p2, p3, p3)]
+    skewed = by_columns[(p1, p1, p1, p1, p2, p3)]
+    keys = [
+        codes_module._column_points(f, e.code(2).H.columns())
+        for e in (even, skewed)
+    ]
+    assert keys[0] != keys[1]
+    assert even.is_completely_regular and str(even.array) == "(6;2)"
+    assert not skewed.is_completely_regular and skewed.array is None
 
 
 def _rank_rule(field, columns):
@@ -369,3 +422,21 @@ def test_column_form_from_column_length_matches_rank_rule():
 def test_enumerate_rho1_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_rho1(2, 2, 8, Budgets(max_vectors=100))
+
+
+def test_enumerate_rho1_syndrome_budget_refuses_the_first_code(monkeypatch):
+    measured = []
+    original = classify_module.complete_regularity
+
+    def counted(code, budget):
+        measured.append(code)
+        return original(code, budget)
+
+    monkeypatch.setattr(classify_module, "complete_regularity", counted)
+    with pytest.raises(BudgetExceeded) as refused:
+        enumerate_rho1(2, 2, 6, Budgets(max_syndromes=3))
+    assert refused.value.budget == "max_syndromes" and len(measured) == 1
+    # max_vectors refuses before any code is measured
+    with pytest.raises(BudgetExceeded) as refused:
+        enumerate_rho1(2, 2, 6, Budgets(max_vectors=100))
+    assert refused.value.budget == "max_vectors" and len(measured) == 1

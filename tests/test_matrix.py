@@ -126,6 +126,19 @@ def test_stack_scale_drop():
         a.hstack(MatrixGF(f, [[1, 1]]))
 
 
+def test_drop_column_checks_its_index():
+    f = GF(3)
+    a = MatrixGF(f, [[1, 2, 0], [0, 1, 2]])
+    cols = a.columns()
+    for j in range(a.ncols):
+        dropped = a.drop_column(j)
+        assert dropped.columns() == cols[:j] + cols[j + 1 :]
+        assert (dropped.nrows, dropped.ncols) == (2, 2)
+    for j in (-1, a.ncols, a.ncols + 2):
+        with pytest.raises(IndexError):
+            a.drop_column(j)
+
+
 def _product(a, b):
     """a times b, one mul_vector per column of b."""
     return MatrixGF.from_columns(
