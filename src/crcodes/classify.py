@@ -386,6 +386,31 @@ class CorpusReport:
         return tuple(e for e in self.entries if not e.is_completely_regular)
 
 
+def _reduced_parity(field, zeros: int, columns, mults) -> MatrixGF:
+    """The parity check of `zeros` zero columns followed by each of
+    `columns` repeated by its multiplicity in `mults`, on trusted rows."""
+    cols = [(0,) * len(columns[0])] * zeros + [
+        col for col, k in zip(columns, mults) for _ in range(k)
+    ]
+    return MatrixGF._of(field, tuple(zip(*cols)), len(cols))
+
+
+def _with_zero_columns(q: int, n: int, u: int, rep, form):
+    """The report and column form of a length-n code with u zero columns
+    whose nonzero columns are those of the code measured as (rep, form).
+    Zero columns add only loops to the coset graph, so they change the
+    a_i of the array, through n, and the u of a Rho1Form, and no more."""
+    array = rep.array
+    if array is not None:
+        array = IntersectionArray.from_levels(q, n, array.b, array.c)
+    if isinstance(form, Rho1Form):
+        form = Rho1Form(form.m, form.ell, u)
+    return (
+        RegularityReport(rep.is_completely_regular, rep.rho, array, rep.witness),
+        form,
+    )
+
+
 def enumerate_rho1(
     q: int, m: int, n_max: int, budget: Budgets = DEFAULT_BUDGETS
 ) -> CorpusReport:
@@ -395,53 +420,82 @@ def enumerate_rho1(
     the recognized column form coincides with measured complete
     regularity at covering radius 1.  A single disagreement is fatal.
 
-    Each fact is computed once.  The rank and the rref image of each
-    column depend only on the set of distinct columns: equal columns are
-    adjacent, so the pivot columns, and with them the change of basis,
-    are the same for the multiset as for that set.  A code's key is the
-    multiset of canonical points of its parity columns, zeros included,
-    which fixes its length and its coset graph Cay(GF(q)^m, {beta*h_j}).
-    Only the first code with a key is measured.  Reusing its verdict is
-    exact: the syndrome table reads only the steps beta*h_j with their
-    multiplicities, and the column form only the zeros and point counts.
+    Each fact is computed once.  A multiset is u zero columns, which
+    come first, then its nonzero part, in which equal columns are
+    adjacent.  Row reduction makes neither a zero column nor a repeated
+    one a pivot, so the multiset's reduced parity check is u zero
+    columns followed by the reduced columns of its nonzero support, each
+    repeated by its multiplicity.  Each nonzero support is row-reduced
+    once, and no code again.  A code's key is the multiset of canonical
+    points of its nonzero reduced columns; it fixes the coset graph
+    Cay(GF(q)^m, {beta*h_j}) up to loops.  Deriving the rest from u is
+    exact: a zero column gives the step beta*0 = 0, which the syndrome
+    table drops, so the levels, b_i, c_i and rho do not depend on u, and
+    each a_i = (q-1)n - b_i - c_i grows by (q-1)u.  The column form
+    counts zeros apart from points, so u changes a Rho1Form's u and no
+    NotOfForm reason.  Only the first code with a key is measured; each
+    (key, u) takes its array at its own length and its Rho1Form with its
+    own u, and is checked against the column form on its first multiset.
     """
     f = GF(q)
-    choices = [(0,) * m] + pg_points(f, m)
-    total = sum(
-        comb(len(choices) + n - 1, n) for n in range(m + 2, n_max + 1)
-    )
+    points = pg_points(f, m)
+    total = sum(comb(len(points) + n, n) for n in range(m + 2, n_max + 1))
     budget.require("max_vectors", total)
 
-    images = {}  # distinct columns -> canonical rref points, () below rank m
-    measured = {}  # key: {(point, multiplicity)} -> (report, form)
+    # keys[L]: the key of each nonzero part of length L in
+    # combinations_with_replacement order, None below rank m.  Equal keys
+    # are interned, so a part costs one reference; the parts themselves
+    # are generated again where they are used.
+    keys = []
+    interned = {}
+    reduced = {}  # nonzero support -> (reduced columns, their points)
+    for length in range(n_max + 1):
+        row = []
+        for part in combinations_with_replacement(points, length):
+            support = tuple(dict.fromkeys(part))
+            if support not in reduced:
+                reduced[support] = None  # rank < m
+                if len(support) >= m:
+                    R, rk, _ = rref(MatrixGF.from_columns(f, support))
+                    columns = R.columns()
+                    if rk == m:
+                        canon = [canonical_column(f, c) for c in columns]
+                        reduced[support] = columns, canon
+            key = None
+            if reduced[support] is not None:
+                key = frozenset(zip(reduced[support][1], map(part.count, support)))
+                key = interned.setdefault(key, key)
+            row.append(key)
+        keys.append(row)
+
+    measured = {}  # key -> (report, form) of its first code
+    derived = {}  # (key, u) -> (rho, is_completely_regular, form, array)
     entries = []
     for n in range(m + 2, n_max + 1):
-        for multiset in combinations_with_replacement(choices, n):
-            counts = Counter(multiset)
-            support = tuple(counts)
-            points = images.get(support)
-            if points is None:
-                R, rk, _ = rref(MatrixGF.from_columns(f, support))
-                points = images[support] = (
-                    tuple(canonical_column(f, c) for c in R.columns())
-                    if rk == m else ()
-                )
-            if not points:
-                continue
-            key = frozenset(zip(points, counts.values()))
-            if key not in measured:
-                code = LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
-                rep = complete_regularity(code, budget)
-                form = classify_rho1(code)
-                reason = _rho1_disagreement(q, form, rep)
-                if reason is not None:
-                    raise AssertionError(f"{reason} on {multiset}")
-                measured[key] = rep, form
-            rep, form = measured[key]
-            entries.append(
-                CorpusEntry(
-                    multiset, n, n - m, rep.rho,
-                    rep.is_completely_regular, form, rep.array,
-                )
-            )
+        # combinations_with_replacement order: more zero columns first
+        for u in range(n, -1, -1):
+            zeros = ((0,) * m,) * u
+            parts = combinations_with_replacement(points, n - u)
+            for part, key in zip(parts, keys[n - u]):
+                if key is None:
+                    continue
+                fields = derived.get((key, u))
+                if fields is None:
+                    if key not in measured:
+                        support = tuple(dict.fromkeys(part))
+                        H = _reduced_parity(
+                            f, u, reduced[support][0], map(part.count, support)
+                        )
+                        code = LinearCode(H)
+                        measured[key] = (
+                            complete_regularity(code, budget), classify_rho1(code)
+                        )
+                    rep, form = _with_zero_columns(q, n, u, *measured[key])
+                    reason = _rho1_disagreement(q, form, rep)
+                    if reason is not None:
+                        raise AssertionError(f"{reason} on {zeros + part}")
+                    fields = derived[key, u] = (
+                        rep.rho, rep.is_completely_regular, form, rep.array
+                    )
+                entries.append(CorpusEntry(zeros + part, n, n - m, *fields))
     return CorpusReport(q, m, n_max, tuple(entries))

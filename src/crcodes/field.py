@@ -78,6 +78,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
@@ -228,24 +243,47 @@ class Field:
                     prod[i + j] = (prod[i + j] + ca * cb) % p
         return _from_base(_poly_mod(prod, list(self.modulus), p), p)
 
+    def _raw_pow(self, a: int, e: int) -> int:
+        # a^e by square and multiply on _raw_mul
+        out = 1
+        while e:
+            if e & 1:
+                out = self._raw_mul(out, a)
+            a = self._raw_mul(a, a)
+            e >>= 1
+        return out
+
     def _build_log_tables(self):
-        # g = 1 generates GF(2); the antilog table is stored twice over so
-        # that a sum of two logs indexes it without reduction
-        q = self.q
-        for g in range(1, q):
-            exp = [1]
-            cur = g
-            while cur != 1:
-                exp.append(cur)
-                cur = self._raw_mul(cur, g)
-            if len(exp) == q - 1:
-                self._exp = exp + exp
-                log = [0] * q
-                for i, e in enumerate(exp):
-                    log[e] = i
-                self._log = log
-                return
-        raise RuntimeError("no multiplicative generator found")  # unreachable
+        # The generator is the smallest g of order q - 1: the first with
+        # g^((q-1)/l) != 1 for every prime l dividing q - 1 (g = 1 for
+        # GF(2)).  Multiplying by g is GF(p)-linear, so it is tabulated
+        # once from the images g*x^i of the basis: on a = a' + d*p^i with
+        # a' < p^i it is g*a' + d*(g*x^i).  The antilog table follows
+        # that map from 1 and is stored twice over, so that a sum of two
+        # logs indexes it without reduction.
+        q, p = self.q, self.p
+        cofactors = [(q - 1) // l for l in _prime_factors(q - 1)]
+        g = next(
+            g for g in range(1, q)
+            if all(self._raw_pow(g, e) != 1 for e in cofactors)
+        )
+        images = [g]
+        for _ in range(self.r - 1):
+            images.append(self._raw_mul(images[-1], p))  # times x
+        times_g = [0]
+        for image in images:
+            block = times_g
+            for _ in range(1, p):
+                block = [self.add(t, image) for t in block]
+                times_g += block
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(times_g[exp[-1]])
+        log = [0] * q
+        for i, e in enumerate(exp):
+            log[e] = i
+        self._exp = exp + exp
+        self._log = log
 
     # -- arithmetic --------------------------------------------------------
 

@@ -37,7 +37,7 @@ from crcodes.constructions import (
     latin_square_code,
 )
 from crcodes.field import GF
-from crcodes.matrix import MatrixGF, rank
+from crcodes.matrix import MatrixGF, rank, rref
 from crcodes.regularity import complete_regularity
 
 
@@ -288,25 +288,30 @@ def test_enumerate_rho1_census(census_2_2_8):
 
 
 def _census_keys(f, m, n_max):
-    """The sets of distinct columns the census meets, and the column
-    points (zeros, point counts) of its rank-m codes, from the codes."""
-    choices = [(0,) * m] + pg_points(f, m)
+    """The supports of nonzero columns, at least m of them, that the
+    census meets, and the point counts of the nonzero parity columns of
+    its rank-m codes (their coset graphs without loops), from the codes."""
+    zero = (0,) * m
     supports, keys = set(), set()
     for n in range(m + 2, n_max + 1):
-        for multiset in combinations_with_replacement(choices, n):
-            supports.add(frozenset(multiset))
+        for multiset in combinations_with_replacement([zero] + pg_points(f, m), n):
+            support = set(multiset) - {zero}
+            if len(support) >= m:
+                supports.add(frozenset(support))
             code = LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
             if code.redundancy == m:
-                u, groups = codes_module._column_points(f, code.H.columns())
-                keys.add((u, frozenset(groups.items())))
+                _, groups = codes_module._column_points(f, code.H.columns())
+                keys.add(frozenset(groups.items()))
     return supports, keys
 
 
-def test_census_row_reduces_once_per_support_and_key(monkeypatch):
-    # one rref per set of distinct columns, and from_parity's rref and
-    # one syndrome table per coset graph, which the column points fix
+def test_census_reduces_each_support_once_and_measures_each_loopless_key_once(
+    monkeypatch,
+):
+    # one rref per set of distinct nonzero columns and one syndrome
+    # table per coset graph up to the loops that zero columns add
     supports, keys = _census_keys(GF(2), 2, 6)
-    assert len(keys) < len(enumerate_rho1(2, 2, 6).entries)
+    assert (len(supports), len(keys)) == (4, 35)
     calls = Counter()
     original_rref = matrix_module.rref
     original_table = regularity_module.SyndromeTable.__init__
@@ -323,7 +328,47 @@ def test_census_row_reduces_once_per_support_and_key(monkeypatch):
     monkeypatch.setattr(classify_module, "rref", counted_rref)
     monkeypatch.setattr(regularity_module.SyndromeTable, "__init__", counted_table)
     enumerate_rho1(2, 2, 6)
-    assert calls == {"rref": len(supports) + len(keys), "table": len(keys)}
+    assert calls == {"rref": len(supports), "table": len(keys)}
+
+
+@pytest.mark.parametrize("q, m, n_max", [(2, 2, 6), (3, 2, 4), (4, 2, 4)])
+def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
+    # zero columns first and equal columns adjacent: the multiset's rref
+    # is its nonzero support's rref with each column repeated
+    f = GF(q)
+    zero = (0,) * m
+    first = {}  # loopless key -> first rank-m multiset with it
+    for n in range(m + 2, n_max + 1):
+        for multiset in combinations_with_replacement([zero] + pg_points(f, m), n):
+            u = multiset.count(zero)
+            counts = Counter(multiset[u:])
+            R, rk, _ = rref(MatrixGF.from_columns(f, multiset))
+            S, rk_support, _ = rref(MatrixGF.from_columns(f, list(counts), m))
+            repeated = [zero] * u + [
+                col for col, k in zip(S.columns(), counts.values()) for _ in range(k)
+            ]
+            assert (rk, R.columns()) == (rk_support, repeated), multiset
+            if rk < m:
+                continue
+            code = LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
+            H = classify_module._reduced_parity(f, u, S.columns(), counts.values())
+            assert LinearCode(H) == code
+            _, groups = codes_module._column_points(f, code.H.columns())
+            first.setdefault(frozenset(groups.items()), multiset)
+    # the census measures the first code of each loopless key, built so
+    measured = []
+    original = classify_module.complete_regularity
+
+    def recorded(code, budget):
+        measured.append(code)
+        return original(code, budget)
+
+    monkeypatch.setattr(classify_module, "complete_regularity", recorded)
+    enumerate_rho1(q, m, n_max)
+    assert measured == [
+        LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
+        for multiset in first.values()
+    ]
 
 
 def test_census_reuse_matches_fresh_measurement(
@@ -331,7 +376,10 @@ def test_census_reuse_matches_fresh_measurement(
 ):
     # every entry, measured or reused, equals a fresh measurement of its
     # own code
-    censuses = (census_2_2_8, census_2_3_8, census_3_2_5, enumerate_rho1(4, 2, 5))
+    censuses = (
+        census_2_2_8, census_2_3_8, census_3_2_5,
+        enumerate_rho1(4, 2, 5), enumerate_rho1(5, 2, 4),
+    )
     for census in censuses:
         for e in census.entries:
             code = e.code(census.q)

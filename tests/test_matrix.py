@@ -96,6 +96,7 @@ def test_trusted_matrices_pass_the_public_checks(monkeypatch):
                 [(d, c.H.data, c.G.data, complete_regularity(c)) for d, c in catalog],
                 enumerate_rho1(3, 2, 5),
                 enumerate_rho1(2, 2, 6),
+                enumerate_rho1(2, 3, 6),
             )
         )
 

@@ -247,6 +247,56 @@ def test_word_bfs_matches_syndrome_bfs_on_the_catalog(monkeypatch):
     assert checked == 161
 
 
+def _with_zero_columns(code, u):
+    """The code with u zero columns appended to its parity check."""
+    rows = [row + (0,) * u for row in code.H.data]
+    return LinearCode.from_parity(MatrixGF(code.field, rows, code.n + u))
+
+
+# the smallest m with q^m >= 2^10, where the word-parallel BFS takes over
+WORD_PATH_M = {2: 10, 3: 7, 4: 5, 5: 5, 7: 4, 8: 4, 9: 4}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_zero_columns_add_only_loops(q, monkeypatch):
+    # a zero column adds only loops to the coset graph: the table and
+    # the levels stay, and each a_i grows by q - 1 per zero column
+    rng = random.Random(1100 + q)
+    m = WORD_PATH_M[q]
+    small = list(_oracle_codes(q))
+    large = [_random_code(rng, q, m + 3, m)]
+    if q < 5:
+        large.append(hamming_code(q, m))
+    if q == 2:
+        large.append(LinearCode.from_generator(MatrixGF(GF(2), [[1] * 11])))
+    assert max(q**c.redundancy for c in small) < 1 << 10
+    assert min(q**c.redundancy for c in large) >= 1 << 10
+    # the small codes on both BFS paths, the large ones on the word path
+    runs = [(c, cutoff) for c in small for cutoff in (math.inf, 1)]
+    runs += [(c, regularity._WORD_BFS_MIN_SIZE) for c in large]
+    shifted = 0
+    for code, cutoff in runs:
+        monkeypatch.setattr(regularity, "_WORD_BFS_MIN_SIZE", cutoff)
+        u = rng.randint(1, 3)
+        looped = _with_zero_columns(code, u)
+        tables = [SyndromeTable(c) for c in (code, looped)]
+        plain, padded = (
+            (bytes(st.leader_weight), st.c.typecode, st.c.tobytes(),
+             st.b.typecode, st.b.tobytes(), st.rho)
+            for st in tables
+        )
+        assert padded == plain
+        rep, rep_u = complete_regularity(code), complete_regularity(looped)
+        assert (rep_u.is_completely_regular, rep_u.rho, rep_u.witness) == (
+            rep.is_completely_regular, rep.rho, rep.witness
+        )
+        if rep.array is not None:
+            assert (rep_u.array.b, rep_u.array.c) == (rep.array.b, rep.array.c)
+            assert rep_u.array.a == tuple(a + (q - 1) * u for a in rep.array.a)
+            shifted += 1
+    assert shifted >= 4
+
+
 def test_word_bfs_on_one_syndrome(monkeypatch):
     # the whole space as a code: m = 0 and a table of size 1
     code = LinearCode.from_parity(MatrixGF(GF(3), [[0, 0, 0]], 3))
