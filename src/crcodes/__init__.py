@@ -29,7 +29,7 @@ from .codes import (
     external_distance,
     is_antipodal,
     is_equidistant,
-    iter_rowspace,
+    iter_projective,
     macwilliams_transform,
     min_distance,
     nonzero_weights,

@@ -16,15 +16,16 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
+from typing import NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .codes import (
     LinearCode,
     _column_points,
+    _rowspace_weights,
     canonical_column,
-    is_equidistant,
     iter_pg_points,
-    iter_rowspace,
+    iter_projective,
     nonzero_weights,
     num_pg_points,
     pg_points,
@@ -146,8 +147,9 @@ def verify_theorem31(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> boo
     rep = complete_regularity(code, budget)
     if _rho1_disagreement(code.field.q, form, rep) is not None:
         return False
-    recognized = isinstance(form, Rho1Form)
-    return rep.rho != 1 or recognized == is_equidistant(code.dual(), budget)
+    return rep.rho != 1 or isinstance(form, Rho1Form) == (
+        len(nonzero_weights(_rowspace_weights(code.H, budget))) == 1
+    )
 
 
 @dataclass(frozen=True)
@@ -183,18 +185,19 @@ def _pinned(f, rows, pin: int) -> list[list[int]]:
     return [[f.sub(x, row[pin]) for x in row] for row in rows]
 
 
-def _antipodal_split(A: MatrixGF, full, pin: int):
+def _antipodal_split(A: MatrixGF, pin: int):
     """The step Theorems 4.1 and 5.2 share, on a matrix A whose row space
-    holds the full-weight word `full`.  Scale the columns so that `full`
+    holds a full-weight word.  Scale the columns so that the first one
     becomes all-ones, pin column `pin` to zero and row-reduce: W is a
     basis of the scaled row space modulo all-ones, one row shorter than
     A.  Any such complement gives the same verdicts, since adding a
-    constant to a word only translates its symbols.  One walk of
-    rowspace(W) collects the weights of its nonzero words and the number
-    of times each nonzero symbol occurs in each of them.
+    constant to a word only translates its symbols, and scaling it only
+    renames them, so W's projective classes give the weights of its
+    nonzero words and the set of counts of each nonzero symbol in them.
 
     Returns (scaling, W, weights, counts)."""
     f, n = A.field, A.ncols
+    full = next(word for word in iter_projective(A) if all(word))
     scaling = tuple(f.inv(x) for x in full)
     scaled = [[f.mul(scaling[j], row[j]) for j in range(n)] for row in A.data]
     W = row_space_basis(MatrixGF(f, _pinned(f, scaled, pin), n))
@@ -202,11 +205,10 @@ def _antipodal_split(A: MatrixGF, full, pin: int):
         raise AssertionError("all-one row was not in the scaled row space")
     weights = set()
     counts = set()
-    for i, word in enumerate(iter_rowspace(W)):
-        if i:
-            symbols = Counter(word)
-            weights.add(n - symbols.pop(0, 0))
-            counts.update(symbols.values())
+    for word in iter_projective(W):
+        symbols = Counter(word)
+        weights.add(n - symbols.pop(0, 0))
+        counts.update(symbols.values())
     return scaling, W, weights, counts
 
 
@@ -218,7 +220,7 @@ def verify_theorem41(
     """Run the radius-2 normal-form checks.
 
     (1) find the first full-weight dual codeword in odometer order,
-    walking the dual only when its weight distribution shows one, (2)
+    walking the dual's projective classes only when its weights show one, (2)
     scale columns so all-ones lies in the dual, (3) split off the
     residual generator M, (4) check that M generates an equidistant code
     in which every symbol occurring in a nonzero codeword occurs exactly
@@ -240,23 +242,20 @@ def verify_theorem41(
     q, n = f.q, code.n
     analysis = analysis or CodeAnalysis(code, budget)
 
-    full = None
     dual_size = q**code.redundancy
     # Walk the dual only for a full-weight word that the weight pair
     # shows.  When neither side is within budget there is no weight
     # pair, and the budget error names the dual walk.
     if (
-        min(q**code.k, dual_size) > budget.max_codewords
-        or analysis.weight_pair[1][n]
+        min(q**code.k, dual_size) <= budget.max_codewords
+        and not analysis.weight_pair[1][n]
     ):
-        budget.require("max_codewords", dual_size)
-        full = next(word for word in iter_rowspace(code.H) if all(word))
-    if full is None:
         report = Rho2Report(False, None, None, False, False, None, None)
         _crosscheck_rho2(report, analysis)
         return report
+    budget.require("max_codewords", dual_size)
 
-    scaling, M, weights, counts = _antipodal_split(code.H, full, 0)
+    scaling, M, weights, counts = _antipodal_split(code.H, 0)
     dtilde = min(weights)
     equidistant_ok = len(weights) == 1
     symbol_frequency_ok = equidistant_ok and counts == {n - dtilde}
@@ -341,8 +340,7 @@ def two_weight_structure(
     if w1 != n:
         return TwoWeightStructure(w1, w2, False, None, None, None, False, False)
 
-    full = next(word for word in iter_rowspace(code.G) if all(word))
-    scaling, W, weights, counts = _antipodal_split(code.G, full, n - 1)
+    scaling, W, weights, counts = _antipodal_split(code.G, n - 1)
     generator = MatrixGF(f, [[1] * n] + [list(row) for row in W.data], n)
     M = MatrixGF(f, [row[: n - 1] for row in W.data], n - 1)
     return TwoWeightStructure(
@@ -353,8 +351,7 @@ def two_weight_structure(
 # -- exhaustive confirmation at small parameters ---------------------------
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     columns: tuple[tuple[int, ...], ...]
     n: int
     k: int

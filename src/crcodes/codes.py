@@ -4,7 +4,7 @@ projective transformations used throughout the package.
 A LinearCode is its parity-check matrix H in reduced row echelon form,
 so two equal codes (same codeword set over the same field) always hold
 identical matrices and compare equal.  The canonical generator is built
-from H on first use.
+from H on first use; the dual's weights are walked on H itself.
 """
 
 from __future__ import annotations
@@ -229,37 +229,42 @@ def odometer(start, inc, add):
         yield cur
 
 
-def iter_rowspace(M: MatrixGF):
-    """Yield every vector in the row space of M, q^rows of them, in
-    odometer order over the message digits (digit 0 fastest)."""
+def iter_projective(M: MatrixGF):
+    """Yield one word of each class {c*w : c != 0} of nonzero words in the
+    row space of M, of full row rank: the one whose top nonzero message
+    digit is 1.  These are the words of the odometer walk over all
+    messages (digit 0 fastest) that have that form, in the same order."""
     f = M.field
-    q = f.q
     fadd, mul = f.add, f.mul
     # digit j moving from a to a + 1 adds (a + 1 - a) * row_j
-    deltas = [f.sub((a + 1) % q, a) for a in range(q)]
+    deltas = [f.sub((a + 1) % f.q, a) for a in range(f.q)]
     inc = [[tuple([mul(d, x) for x in row]) for d in deltas] for row in M.data]
     # a tuple built from a list reuses a freed word of its length;
     # tuple(map(...)) resizes a guessed one instead, so the freed words
     # would pile up on the interpreter's tuple free list
-    yield from odometer(
-        (0,) * M.ncols, inc, lambda u, v: tuple([*map(fadd, u, v)])
-    )
+    for i, row in enumerate(M.data):
+        yield from odometer(row, inc[:i], lambda u, v: tuple([*map(fadd, u, v)]))
+
+
+def _rowspace_weights(M: MatrixGF, budget: Budgets) -> list[int]:
+    """Counts [A_0, ..., A_n] of the row space of M, of full row rank:
+    q - 1 words per class of iter_projective, and the zero word.  Raises
+    BudgetExceeded when its q^rows words are over max_codewords."""
+    q, n = M.field.q, M.ncols
+    budget.require("max_codewords", q**M.nrows)
+    counts = [1] + [0] * n
+    for word in iter_projective(M):
+        counts[n - word.count(0)] += q - 1
+    return counts
 
 
 def weight_distribution(
     code: LinearCode, budget: Budgets = DEFAULT_BUDGETS
 ) -> list[int]:
-    """Counts [A_0, ..., A_n] by full codeword enumeration (q^k words).
-
-    Raises BudgetExceeded when q^k is over budget; weight_pair reaches
-    the distribution through the smaller of the code and its dual.
-    """
-    total = code.field.q**code.k
-    budget.require("max_codewords", total)
-    counts = [0] * (code.n + 1)
-    for word in iter_rowspace(code.G):
-        counts[sum(1 for x in word if x)] += 1
-    return counts
+    """Counts [A_0, ..., A_n] of the code, from one word per projective
+    class of its q^k words; weight_pair reaches the distribution through
+    the smaller of the code and its dual."""
+    return _rowspace_weights(code.G, budget)
 
 
 def weight_pair(
@@ -270,13 +275,10 @@ def weight_pair(
     a tie, and reaches the other side by macwilliams_transform; raises
     BudgetExceeded only when both sides are over max_codewords."""
     q = code.field.q
-    direct = q**code.k
-    via_dual = q**code.redundancy
-    budget.require("max_codewords", min(direct, via_dual))
-    if direct <= via_dual:
+    if code.k <= code.redundancy:
         counts = weight_distribution(code, budget)
         return counts, macwilliams_transform(counts, q)
-    dual_counts = weight_distribution(code.dual(), budget)
+    dual_counts = _rowspace_weights(code.H, budget)
     return macwilliams_transform(dual_counts, q), dual_counts
 
 
@@ -339,7 +341,7 @@ def min_distance(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
 
     Strategy: d=1 iff H has a zero column, d=2 iff two columns are
     projectively equal, then search dependent column subsets of sizes
-    3..5, and finally fall back to full enumeration.
+    3..5, and finally fall back to the weight distribution.
     """
     if code.k < 1:
         raise ValueError("minimum distance needs k >= 1")

@@ -61,9 +61,10 @@ def decode_vector(q: int, code: int, length: int) -> tuple[int, ...]:
 _UNSEEN = 0xFF  # leader_weight of a syndrome the BFS has not reached
 
 # Tables of at least this many syndromes run the word-parallel BFS.  Timed
-# against the per-syndrome BFS on three seeded random codes per size over
-# GF(2, 3, 4, 5, 8, 9, 16) with 2^6 to 2^12 syndromes, it lost on some code
-# at every size up to 2^9 and won on every code from 2^10 on.
+# only on three seeded random codes per size over GF(2, 3, 4, 5, 8, 9, 16)
+# with 2^6 to 2^12 syndromes, it won on every code from 2^10 on; catalog
+# codes with many distinct steps cross over lower (iii-q9-m2, 729
+# syndromes: 0.015 s, against 0.114 s on the per-syndrome path).
 _WORD_BFS_MIN_SIZE = 1 << 10
 
 # The word-parallel BFS holds a set of syndromes as chunks of about this

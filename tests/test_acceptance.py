@@ -28,7 +28,7 @@ from crcodes import (
     external_lines_code,
     hamming_code,
     hyperoval,
-    iter_rowspace,
+    iter_projective,
     latin_square_code,
     min_distance,
     point_set_code,
@@ -169,10 +169,10 @@ def test_criterion_3_radius2_normal_form(catalog48):
         # occurs exactly n - dtilde times, dtilde the dual distance
         dual_w = weight_distribution(code.dual())
         dtilde = next(w for w in range(1, code.n + 1) if dual_w[w])
-        for i, word in enumerate(iter_rowspace(report.M)):
-            if i:
-                counts = set(Counter(word).values())
-                assert counts == {code.n - dtilde}, desc.slug
+        # (a nonzero multiple only renames the nonzero symbols)
+        for word in iter_projective(report.M):
+            counts = set(Counter(word).values())
+            assert counts == {code.n - dtilde}, desc.slug
         # corruption must flip at least one flag
         zeroed = [list(r) for r in code.H.data]
         for r in zeroed:
@@ -288,10 +288,10 @@ def test_criterion_8_complementary_weight_relation():
     def check_pair(code, expect_total):
         comp_H = complementary_parity_columns(code)
         comp = LinearCode.from_parity(comp_H)
-        pairs = zip(iter_rowspace(code.H), iter_rowspace(comp_H))
-        for i, (x, xbar) in enumerate(pairs):
-            if i == 0:
-                continue
+        # both walks visit the same messages, one per projective class,
+        # and a nonzero multiple of a message keeps both weights
+        pairs = zip(iter_projective(code.H), iter_projective(comp_H), strict=True)
+        for x, xbar in pairs:
             w = sum(1 for v in x if v)
             wbar = sum(1 for v in xbar if v)
             assert w + wbar == expect_total

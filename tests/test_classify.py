@@ -25,7 +25,7 @@ from crcodes.classify import (
     verify_theorem31,
     verify_theorem41,
 )
-from crcodes.codes import LinearCode, iter_rowspace, pg_points
+from crcodes.codes import LinearCode, canonical_column, iter_projective, pg_points
 from crcodes.constructions import (
     construction_I,
     construction_II,
@@ -175,12 +175,12 @@ def test_verify_theorem41_walks_no_dual_word_without_a_full_weight_one(
 
     def counting(M):
         nonlocal dual_words
-        for word in iter_rowspace(M):
+        for word in iter_projective(M):
             dual_words += M == code.H
             yield word
 
-    monkeypatch.setattr(codes_module, "iter_rowspace", counting)
-    monkeypatch.setattr(classify_module, "iter_rowspace", counting)
+    monkeypatch.setattr(codes_module, "iter_projective", counting)
+    monkeypatch.setattr(classify_module, "iter_projective", counting)
     rep = verify_theorem41(code)
     assert not rep.dual_antipodal
     assert not rep.all_flags
@@ -192,10 +192,10 @@ def test_verify_theorem41_walks_the_residual_generator_once(monkeypatch):
 
     def counting(M):
         walked.append(M)
-        yield from iter_rowspace(M)
+        yield from iter_projective(M)
 
-    monkeypatch.setattr(codes_module, "iter_rowspace", counting)
-    monkeypatch.setattr(classify_module, "iter_rowspace", counting)
+    monkeypatch.setattr(codes_module, "iter_projective", counting)
+    monkeypatch.setattr(classify_module, "iter_projective", counting)
     rep = verify_theorem41(difference_matrix_code(3, 2))
     assert rep.all_flags
     assert sum(M == rep.M for M in walked) == 1
@@ -219,13 +219,16 @@ def test_two_weight_structure_full_length():
     assert G.data[0] == (1,) * 6
     assert all(row[-1] == 0 for row in G.data[1:])
     assert tw.M.ncols == 5
-    # the normal form still generates the scaled code
+    # the normal form still generates the scaled code: the same nonzero
+    # words up to a nonzero multiple, one class per projective word
     f = G.field
-    scaled_words = {
-        tuple(f.mul(tw.column_scaling[j], w[j]) for j in range(6))
-        for w in iter_rowspace(external_lines_code(hyperoval(4)).G)
+    scaled_classes = {
+        canonical_column(f, [f.mul(tw.column_scaling[j], w[j]) for j in range(6)])
+        for w in iter_projective(external_lines_code(hyperoval(4)).G)
     }
-    assert set(iter_rowspace(G)) == scaled_words
+    classes = [canonical_column(f, w) for w in iter_projective(G)]
+    assert len(classes) == len(scaled_classes) == (4**3 - 1) // 3
+    assert set(classes) == scaled_classes
 
 
 def test_two_weight_structure_latin_square():

@@ -500,11 +500,13 @@ class WalkTooLong(Exception):
 @pytest.mark.parametrize("family,params", [("i", {"m": 5}), ("ii", {"q": 8})])
 def test_analysis_walks_only_the_smaller_side(monkeypatch, family, params):
     # i-m5 is [32,26] and ii-q8 is [10,7]_8: the primal walk would take
-    # 2^26 and 8^7 words where the dual needs 2^6 and 8^3, so any walk
-    # longer than the smaller side stops the test at once
+    # 2^26 - 1 and (8^7 - 1)/7 projective classes where the dual has 63
+    # and 73, so any walk longer than the smaller side's class count
+    # stops the test at once
     desc, code = build_family(family, **params)
-    limit = code.field.q ** min(code.k, code.redundancy)
-    real = codes_module.iter_rowspace
+    q = code.field.q
+    limit = (q ** min(code.k, code.redundancy) - 1) // (q - 1)
+    real = codes_module.iter_projective
 
     def capped(M):
         for i, word in enumerate(real(M)):
@@ -512,8 +514,8 @@ def test_analysis_walks_only_the_smaller_side(monkeypatch, family, params):
                 raise WalkTooLong(f"more than {limit} words of a {M.nrows}-row space")
             yield word
 
-    monkeypatch.setattr(codes_module, "iter_rowspace", capped)
-    monkeypatch.setattr(classify_module, "iter_rowspace", capped)
+    monkeypatch.setattr(codes_module, "iter_projective", capped)
+    monkeypatch.setattr(classify_module, "iter_projective", capped)
     report = analysis_report(code, with_beta=True)
     assert (report["n"], report["k"], report["d"], report["rho"]) == (
         desc.n, desc.k, desc.d, desc.rho,

@@ -1,6 +1,7 @@
 """Code objects, word enumeration, weight machinery, projective complements."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -19,13 +20,14 @@ from crcodes.codes import (
     external_distance,
     is_antipodal,
     is_equidistant,
-    iter_rowspace,
+    iter_projective,
     macwilliams_transform,
     min_distance,
     nonzero_weights,
     num_pg_points,
     pg_points,
     weight_distribution,
+    weight_pair,
 )
 from crcodes.constructions import hamming_code, hamming_parity
 from crcodes.field import GF
@@ -182,7 +184,7 @@ def test_punctured_and_extended_are_inverse_at_the_parity_coordinate():
     assert (ext.n, ext.k) == (8, 4)
     # every extended word sums to zero
     f = code.field
-    for word in iter_rowspace(ext.G):
+    for word in _span_oracle(ext.G):
         acc = 0
         for x in word:
             acc = f.add(acc, x)
@@ -252,27 +254,71 @@ def test_extended_needs_no_generator(monkeypatch):
         assert hamming_code(2, m).extended() == want
 
 
-def test_iter_rowspace_matches_direct_span():
+def _ordered_span(M):
+    """(top nonzero message digit, word) for every message, digit 0
+    fastest, computed the slow direct way.  product runs its last digit
+    fastest, so each digit tuple is reversed to put digit 0 fastest."""
+    f = M.field
+    out = []
+    for digits in product(range(f.q), repeat=M.nrows):
+        acc = [0] * M.ncols
+        for a, row in zip(reversed(digits), M.data):
+            acc = [f.add(x, f.mul(a, y)) for x, y in zip(acc, row)]
+        out.append((next((a for a in digits if a), 0), tuple(acc)))
+    return out
+
+
+def _code_with_repeats(rng, q, n, redundancy):
+    """A random code whose parity check has zero and repeated columns."""
+    cols = [tuple(rng.randrange(q) for _ in range(redundancy))]
+    while len(cols) < n:
+        pick = rng.randrange(4)
+        if pick == 0:
+            cols.append((0,) * redundancy)
+        elif pick == 1:
+            cols.append(rng.choice(cols))
+        else:
+            cols.append(tuple(rng.randrange(q) for _ in range(redundancy)))
+    rng.shuffle(cols)
+    return LinearCode.from_parity(MatrixGF.from_columns(GF(q), cols, redundancy))
+
+
+def test_iter_projective_matches_direct_span():
     rng = random.Random(17)
-    for q in (2, 3, 4, 5, 9):
-        f = GF(q)
-        M = MatrixGF(
-            f, [[rng.randrange(q) for _ in range(5)] for _ in range(2)], 5
+    fixed = [
+        LinearCode.from_generator(
+            MatrixGF(GF(q), [[rng.randrange(q) for _ in range(5)] for _ in range(2)], 5)
         )
-        words = list(iter_rowspace(M))
-        assert words[0] == (0,) * 5
-        assert len(words) == q**2
-        assert set(words) == _span_oracle(M)
-        # the order is pinned: Theorem 4.1 scales by the first full-weight
-        # word it meets.  product runs its last digit fastest, so each
-        # digit tuple is reversed to put digit 0 fastest.
-        ordered = []
-        for digits in product(range(q), repeat=M.nrows):
-            acc = [0] * M.ncols
-            for a, row in zip(reversed(digits), M.data):
-                acc = [f.add(x, f.mul(a, y)) for x, y in zip(acc, row)]
-            ordered.append(tuple(acc))
-        assert words == ordered
+        for q in (2, 3, 4, 5, 9)
+    ]
+    drawn = [
+        _code_with_repeats(rng, q, rng.randrange(3, 7), rng.randrange(1, 4))
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for _ in range(6)
+    ]
+    drawn = [c for c in drawn if c.field.q ** max(c.k, c.redundancy) <= 729]
+    branches = set()
+    for code in fixed + drawn:
+        f = code.field
+        q = f.q
+        for M in (code.G, code.H):
+            ordered = _ordered_span(M)
+            words = list(iter_projective(M))
+            # the representatives are the words whose top nonzero digit
+            # is 1, in the order of the walk over every message
+            assert words == [w for top, w in ordered if top == 1]
+            # each nonzero word is a nonzero multiple of exactly one
+            multiples = Counter(
+                tuple(f.mul(c, x) for x in w) for w in words for c in range(1, q)
+            )
+            assert set(multiples) == _span_oracle(M) - {(0,) * M.ncols}
+            assert set(multiples.values()) <= {1}
+            # Theorem 4.1 scales by the first full-weight word it meets
+            first_full = next((w for w in words if all(w)), None)
+            assert first_full == next((w for _, w in ordered if all(w)), None)
+        assert weight_pair(code) == (_weights_oracle(code), _weights_oracle(code.dual()))
+        branches.add(code.k <= code.redundancy)
+    assert branches == {True, False}
 
 
 def test_weight_distribution_known_values():

@@ -35,6 +35,7 @@ def test_construction_and_accessors():
     assert m.column(2) == (2, 1)
     assert m.columns() == [(0, 2), (1, 0), (2, 1)]
     assert MatrixGF.from_columns(f, m.data).columns() == [(0, 1, 2), (2, 0, 1)]
+    assert repr(m) == "MatrixGF(GF(3), 2x3)"
     with pytest.raises(ValueError, match="^ragged rows$"):
         MatrixGF(f, [[0, 1], [1]])
     with pytest.raises(ValueError, match=r"^entry 3 out of range for GF\(3\)$"):

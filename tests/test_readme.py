@@ -1,4 +1,5 @@
-"""README's library example and CLI transcript, run as written.
+"""README's library example and CLI transcript, run as written, and the
+call names in its prose.
 
 Both run in a separate process from a temporary directory, and every
 line they print must match the README, so the documentation cannot
@@ -6,6 +7,7 @@ drift from the program.
 """
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -59,3 +61,24 @@ def test_cli_transcript_matches(tmp_path):
     assert commands == ["construct", "analyze", "classify", "catalog"]
     for argv, expected in transcript:
         assert _python(["-m", "crcodes", *argv], tmp_path) == expected, argv
+
+
+def test_prose_call_names_resolve():
+    # a backticked call in the prose, `name(` or `Class.attr(`, names an
+    # attribute path of the package, so renaming one leaves no stale text
+    names = set()
+    in_fence = False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_fence = not in_fence
+        elif not in_fence:
+            names.update(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\(", line))
+    assert {"iter_projective", "LinearCode.extended", "MatrixGF"} <= names
+    missing = []
+    for name in sorted(names):
+        obj = crcodes
+        for attr in name.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []
