@@ -264,6 +264,7 @@ def weight_distribution(
     """Counts [A_0, ..., A_n] of the code, from one word per projective
     class of its q^k words; weight_pair reaches the distribution through
     the smaller of the code and its dual."""
+    budget.require("max_codewords", code.field.q**code.k)  # refuse before building G
     return _rowspace_weights(code.G, budget)
 
 
@@ -274,12 +275,11 @@ def weight_pair(
     code (q^k words) and its dual (q^(n-k) words) is smaller, the code on
     a tie, and reaches the other side by macwilliams_transform; raises
     BudgetExceeded only when both sides are over max_codewords."""
-    q = code.field.q
     if code.k <= code.redundancy:
         counts = weight_distribution(code, budget)
-        return counts, macwilliams_transform(counts, q)
+        return counts, macwilliams_transform(counts, code.field.q)
     dual_counts = _rowspace_weights(code.H, budget)
-    return macwilliams_transform(dual_counts, q), dual_counts
+    return macwilliams_transform(dual_counts, code.field.q), dual_counts
 
 
 def _krawtchouk(q: int, n: int, j: int, i: int) -> int:
