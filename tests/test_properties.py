@@ -3,7 +3,7 @@ matrix text format round trip."""
 
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from crcodes.codes import LinearCode, macwilliams_transform, weight_pair  # noqa: E402
