@@ -103,8 +103,9 @@ def parse_matrix(text: str) -> MatrixGF:
     if nrows is None or ncols is None:
         raise MatrixFormatError(lineno, "expected rows=<int> cols=<int>")
 
-    data = []
-    for _ in range(nrows):
+    # a row of no entries is written as a blank line, which is never read
+    data = [] if ncols else [[]] * nrows
+    while len(data) < nrows:
         try:
             lineno, line = next(lines)
         except StopIteration:

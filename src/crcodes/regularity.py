@@ -12,16 +12,9 @@ vector, and syndrome addition is digitwise mod p; the codec and the
 digitwise adder are the ones field.py uses for field elements.
 
 SyndromeTable finds each syndrome's leader weight and (c, b) profile in
-one BFS and keeps five bytes per syndrome.  The BFS has two paths with
-the same output.  Tables of fewer than _WORD_BFS_MIN_SIZE = 2^10
-syndromes visit one syndrome at a time and add a step (the syndrome of
-beta*e_j) as XOR when p = 2, and for odd p through a pair of split-half
-translation tables per distinct step, each of q^ceil(m/2) entries.
-Larger tables move whole levels at once as bit sets, a step being a few
-masked shifts per digit for every p, and hold about two more bytes per
-syndrome while they run.  The split-half tables are built only when
-something adds steps one at a time: the small path, the brute force and
-the low-weight counts.
+one BFS, on one of two paths with the same output: one syndrome at a
+time for small tables, whole levels at a time as bit sets (_word_bfs)
+for large ones.
 
 The exhaustive passes over all q^n ambient vectors walk syndromes only,
 with the odometer of codes.py stepping by one table addition per
@@ -37,7 +30,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from operator import xor
@@ -67,9 +60,10 @@ _UNSEEN = 0xFF  # leader_weight of a syndrome the BFS has not reached
 # syndromes: 0.015 s, against 0.114 s on the per-syndrome path).
 _WORD_BFS_MIN_SIZE = 1 << 10
 
-# The word-parallel BFS holds a set of syndromes as chunks of about this
-# many bits: the largest power of p that fits, so that digit masks are
-# one chunk long and the digits above a chunk only permute the chunks.
+# The word-parallel BFS holds a set of syndromes as chunk ints of about
+# this many bits, so that the masks and every temporary are one chunk
+# long however large the table.  A chunk is the largest power of p that
+# fits (at least p), so the digits above a chunk only permute the chunks.
 _CHUNK_BITS = 1 << 16
 
 
@@ -84,21 +78,20 @@ class SyndromeTable:
     (beta != 0) that take s one level down and one level up: the (c, b)
     profile of coset s.
 
-    Two BFS paths fill the same arrays.  Below _WORD_BFS_MIN_SIZE
-    syndromes the BFS visits one syndrome at a time, searching
-    leader_weight for each level, and adds one step at a time.  From
-    there on, _word_bfs moves whole levels at once as bit sets and keeps
-    the counts bit-sliced until it unpacks them.  Either way a syndrome
-    costs one byte of leader weight and two profile counts (two bytes
-    each while n(q-1) < 2^16): five bytes in all, and the word path
-    holds about two more bytes per syndrome while it runs.
+    Below _WORD_BFS_MIN_SIZE syndromes the BFS visits one syndrome at a
+    time, searching leader_weight for each level, and adds steps through
+    translator; larger tables run _word_bfs.  Either way a syndrome costs
+    one byte of leader weight and two profile counts (two bytes each
+    while n(q-1) < 2^16): five bytes in all, and the word path holds
+    about two more bytes per syndrome while it runs.
 
     add(s, d) is s + d for a step d, and translator(steps) gives all
     s + d at once.  In characteristic 2 that is s ^ d.  Otherwise every
     distinct step d has a pair of split-half translation tables of
     q^ceil(m/2) entries, so that s + d is lo[s % Q] + hi[s // Q] with
-    Q = q^ceil(m/2); they are built the first time add or translator is
-    read, which the word path never does.
+    Q = q^ceil(m/2).  They are built the first time add or translator is
+    read: by the per-syndrome path, the brute force and the low-weight
+    counts, never by the word path.
     """
 
     __slots__ = ("code", "size", "step", "_halves", "leader_weight", "c", "b", "rho")
@@ -217,8 +210,9 @@ def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
     member goes one nonzero base-p digit a of d at a time.  Inside a
     chunk, the members whose digit h (of weight w = p^h) is below p - a
     move up by a*w and the rest wrap down by (p - a)*w: two masked
-    shifts.  The digits from `low` on name the chunk, so they only
-    reorder the list.  One code path serves every p.
+    shifts, read from the table shifts[h][a].  The digits from `low` on
+    name the chunk, so they only reorder the list.  One code path serves
+    every p.
 
     Each level L is translated once by every step d.  With `seen` the
     levels up to L and `before` the level below L:
@@ -231,43 +225,40 @@ def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
     A last pass over the top level finishes b on the level below it.
     The level numbers (at most m <= digits) and the counts are
     bit-sliced, planes[i][j] holding bit j of the values in chunk i, and
-    are unpacked into the output arrays at the end, chunk by chunk, each
-    chunk's planes dropped once written.  Masks are built by doubling:
-    dividing a q^m-bit int would take quadratic time.
+    _unpacked writes them into the output arrays at the end.
     """
-    low = min(digits, max(1, _digits_within(p, _CHUNK_BITS)))
+    low = digits
+    while low > 1 and p**low > _CHUNK_BITS:
+        low -= 1
     C = p**low
     chunks = p ** (digits - low)
     size = C * chunks
     full = (1 << C) - 1
-    masks: dict = {}
-
-    def under(h: int, t: int) -> int:
-        # the positions in a chunk whose digit h is below t
-        key = h, t
-        if key not in masks:
-            w = p**h
+    # shifts[h][a]: the two masked shifts that add a to digit h
+    shifts = []
+    for h in range(low):
+        w = p**h
+        below = [0]  # below[t]: the positions in a chunk whose digit h is below t
+        for t in range(1, p):
             mask = (1 << t * w) - 1
             span = p * w
+            # by doubling: dividing a C-bit int would take quadratic time
             while span < C:
                 mask |= mask << span
                 span <<= 1
-            masks[key] = mask & full
-        return masks[key]
+            below.append(mask & full)
+        shifts.append(
+            [None] + [(below[p - a], a * w, (p - a) * w, below[a]) for a in range(1, p)]
+        )
 
     def plan(d: int):
         # the digit shifts and the chunk order that add d to a set
-        shifts = []
-        for h in range(low):
-            d, a = divmod(d, p)
-            if a:
-                w = p**h
-                shifts.append((under(h, p - a), a * w, (p - a) * w, under(h, a)))
-        # what is left of d names chunks: chunk i moves to chunk i + d
+        digits_of_d = _base_digits(d, p, low)
+        # the digits above the chunk name chunks: chunk i moves to i + d // C
         src = [0] * chunks
         for i in range(chunks):
-            src[_add_digitwise(i, d, p)] = i
-        return shifts, src
+            src[_add_digitwise(i, d // C, p)] = i
+        return [shifts[h][a] for h, a in enumerate(digits_of_d) if a], src
 
     moves = [(k, *plan(d)) for d, k in mult.items()]
     count_bits = sum(mult.values()).bit_length()
@@ -281,13 +272,13 @@ def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
     rho = 0
     while True:
         nxt = [0] * chunks
-        for k, shifts, src in moves:
+        for k, digit_shifts, src in moves:
             # one chunk of L + d at a time, into chunk j
             for j, i in enumerate(src):
                 x = level[i]
                 if not x:
                     continue
-                for keep, up, down, wrap in shifts:
+                for keep, up, down, wrap in digit_shifts:
                     x = ((x & keep) << up) | ((x >> down) & wrap)
                 new = x & ~seen[j]
                 if new:
@@ -310,8 +301,8 @@ def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
     if reached < size:
         # cannot happen for a full-rank parity check
         raise AssertionError("syndrome graph is not connected")
-    # free the level sets and masks before the output arrays are allocated
-    del level, before, seen, moves, masks
+    # free the level sets and the shift table before the output arrays
+    del level, before, seen, moves, shifts
     lw = _unpacked(lw_planes, C, bytearray(size), 1)
     c = _unpacked(c_planes, C, counts * size, counts.itemsize)
     b = _unpacked(b_planes, C, counts * size, counts.itemsize)
@@ -323,21 +314,31 @@ def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
 
 def _unpacked(planes: list, C: int, out, width: int):
     """out, zeroed and of `width` bytes per value, with the bit-sliced
-    values of planes written into it chunk by chunk as little-endian
-    integers, each chunk's planes dropped once written."""
+    values of planes (planes[i][j] holding bit j of the C values of chunk
+    i) written into it as little-endian integers, each chunk's planes
+    dropped once written.
+
+    format() expands a plane to one ASCII "0" or "1" per value, top value
+    first.  Read as a big-endian int, less "0" in every byte, that holds
+    the bit of value s in byte s, and a shift moves it to the plane's
+    bit in its output byte.  The planes of one output byte are OR-ed and
+    written with one strided slice, so no temporary is longer than a
+    chunk's values."""
+    zeros = int.from_bytes(b"0" * C, "big")
     with memoryview(out).cast("B") as out_bytes:
         for i in range(len(planes)):
-            _unpack(planes[i], C, width, out_bytes, i * C * width)
+            acc = [0] * width
+            for j, plane in enumerate(planes[i]):
+                if plane:
+                    chars = int.from_bytes(format(plane, f"0{C}b").encode(), "big")
+                    acc[j >> 3] |= (chars - zeros) << (j & 7)
             planes[i] = None
+            at = i * C * width
+            for byte, x in enumerate(acc):
+                if x:
+                    cut = slice(at + byte, at + C * width, width)
+                    out_bytes[cut] = x.to_bytes(C, "little")
     return out
-
-
-def _digits_within(p: int, bits: int) -> int:
-    """The largest h with p^h <= bits."""
-    h = 0
-    while p ** (h + 1) <= bits:
-        h += 1
-    return h
 
 
 def _add_bitsliced(planes: list[int], members: int, k: int) -> None:
@@ -356,36 +357,6 @@ def _add_bitsliced(planes: list[int], members: int, k: int) -> None:
                 i += 1
         k >>= 1
         j += 1
-
-
-@cache
-def _bit_table(bit: int, shift: int) -> bytes:
-    """The bytes.translate table taking a byte to its bit `bit`, moved to
-    bit `shift`."""
-    return bytes((x >> bit & 1) << shift for x in range(256))
-
-
-def _unpack(planes: list[int], C: int, width: int, out, at: int) -> None:
-    """Write the C values whose bit j is bit i of planes[j] (value i) to
-    the zeroed bytes out[at : at + C*width], `width` little-endian bytes
-    each.  Value 8y + x takes bit x of byte y of each plane, so for each
-    x, every plane's bytes are translated at once and written with one
-    strided slice; no temporary is longer than a chunk's bytes."""
-    nbytes = (C + 7) // 8
-    data = [
-        (j, plane.to_bytes(nbytes, "little")) for j, plane in enumerate(planes) if plane
-    ]
-    for x in range(min(8, C)):
-        values = (C - x + 7) // 8  # the y with 8y + x < C
-        for byte in range(width):
-            acc = 0
-            for j, plane in data:
-                if j >> 3 == byte:
-                    bits = plane.translate(_bit_table(x, j & 7))
-                    acc |= int.from_bytes(bits, "little")
-            if acc:
-                cut = slice(at + x * width + byte, at + C * width, 8 * width)
-                out[cut] = acc.to_bytes(nbytes, "little")[:values]
 
 
 def covering_radius(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:

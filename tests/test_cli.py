@@ -162,6 +162,17 @@ def test_analyze_error_exits(capsys, tmp_path, hamming32_path):
     assert "max_syndromes" in stderr
 
 
+def test_matrix_without_columns_exits_2(capsys, tmp_path):
+    # the file parses, but a code needs at least one coordinate
+    for rows in (0, 2):
+        path = str(tmp_path / f"empty{rows}.txt")
+        write_matrix(MatrixGF(GF(2), [[]] * rows, 0), path)
+        for argv in (("analyze", path), ("classify", path, "--theorem", "41")):
+            assert run(capsys, *argv) == (
+                2, "", "error: a code needs at least one coordinate\n"
+            )
+
+
 def test_non_ascii_matrix_file_is_a_parse_error(capsys, tmp_path, hamming32_path):
     # a UTF-8 comment ("ρ" is 0xcf 0x81) exits 3 like any other bad line
     path = tmp_path / "utf8.txt"

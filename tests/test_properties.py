@@ -1,5 +1,5 @@
-"""Property tests: the MacWilliams involution on weight pairs, and the
-matrix text format round trip."""
+"""Property tests: the MacWilliams involution on weight pairs, the
+matrix text format round trip, and the field axioms."""
 
 import pytest
 
@@ -18,10 +18,10 @@ FIXED = settings(derandomize=True, database=None, deadline=None)
 
 
 @st.composite
-def matrices(draw, max_rows=4, max_cols=6):
+def matrices(draw, max_rows=4, max_cols=6, min_cols=1):
     q = draw(st.sampled_from(FIELD_ORDERS))
     nrows = draw(st.integers(1, max_rows))
-    ncols = draw(st.integers(1, max_cols))
+    ncols = draw(st.integers(min_cols, max_cols))
     entry = st.integers(0, q - 1)
     rows = draw(
         st.lists(
@@ -51,8 +51,44 @@ comments = st.none() | st.text(
 
 
 @settings(FIXED, max_examples=100)
-@given(matrices(), comments)
+@given(matrices(min_cols=0), comments)
 def test_format_and_parse_are_inverse(M, comment):
     back = parse_matrix(format_matrix(M, comment))
     assert back == M
     assert back.field == M.field
+
+
+PRIME_POWERS_TO_64 = (
+    2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
+    27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64,
+)
+
+
+@st.composite
+def field_elements(draw):
+    """A field GF(q), q <= 64, and three of its elements."""
+    q = draw(st.sampled_from(PRIME_POWERS_TO_64))
+    return GF(q), *(draw(st.integers(0, q - 1)) for _ in range(3))
+
+
+@settings(FIXED, max_examples=300)
+@given(field_elements(), st.integers(0, 130))
+def test_field_axioms(elements, e):
+    f, a, b, c = elements
+    add, mul = f.add, f.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == mul(a, 1) == a
+    assert add(a, f.neg(a)) == 0
+    assert add(f.sub(a, b), b) == a
+    if b:
+        assert mul(f.inv(b), b) == 1
+        assert mul(f.div(a, b), b) == a
+    power = 1
+    for _ in range(e):
+        power = mul(power, a)
+    assert f.pow(a, e) == power
+    if a:
+        assert f.pow(f.inv(a), e) == f.pow(a, -e)

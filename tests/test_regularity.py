@@ -305,6 +305,17 @@ def test_word_bfs_on_one_syndrome(monkeypatch):
         assert table == (bytearray([0]), array("H", [0]), array("H", [0]), 0)
 
 
+def test_four_byte_counts_on_each_path(monkeypatch):
+    # the all-ones row of length 256 over GF(257): n(q-1) = 2^16 steps
+    # all lead from 0 into level 1, so b[0] = 65536 needs a third byte
+    code = LinearCode.from_parity(MatrixGF(GF(257), [[1] * 256], 256))
+    c = array("I", [0] + [256] * 256)
+    b = array("I", [65536] + [0] * 256)
+    for table in _table_on_each_path(code, monkeypatch):
+        assert table == (bytearray([0] + [1] * 256), c, b, 1)
+        assert table[1].typecode == table[2].typecode == "I"
+
+
 def test_word_bfs_across_chunks(monkeypatch):
     # a random binary [20,3] code has 2^17 syndromes: two chunks of 2^16
     rng = random.Random(17)
