@@ -250,9 +250,7 @@ def verify_theorem41(
         min(q**code.k, dual_size) <= budget.max_codewords
         and not analysis.weight_pair[1][n]
     ):
-        report = Rho2Report(False, None, None, False, False, None, None)
-        _crosscheck_rho2(report, analysis)
-        return report
+        return Rho2Report(False, None, None, False, False, None, None)
     budget.require("max_codewords", dual_size)
 
     scaling, M, weights, counts = _antipodal_split(code.H, 0)
@@ -279,8 +277,6 @@ def verify_theorem41(
 
 
 def _crosscheck_rho2(report: Rho2Report, analysis: CodeAnalysis):
-    if not report.dual_antipodal:
-        return
     code, rep = analysis.code, analysis.report
     if rep.rho != 2:
         return

@@ -82,8 +82,9 @@ def difference_matrix(q: int, m: int) -> MatrixGF:
     lexicographic order, each with an extra final coordinate 1."""
     if m < 1:
         raise ParameterRange(f"difference matrix needs m >= 1, got {m}")
+    f = GF(q)  # refuses an order above the ceiling before q^m columns
     cols = [vec + (1,) for vec in product(range(q), repeat=m)]
-    return MatrixGF.from_columns(GF(q), cols)
+    return MatrixGF.from_columns(f, cols)
 
 
 def difference_matrix_code(q: int, m: int) -> LinearCode:
@@ -225,11 +226,9 @@ def denniston_arc(q: int, h: int) -> ProjectivePointSet:
     f = GF(q)
     if f.p != 2 or q < 4:
         raise ParameterRange(f"needs q = 2^r >= 4, got {q}")
-    try:
-        hp, hs = factor_prime_power(h)
-    except NotPrime:
-        raise ParameterRange(f"degree must be a power of 2, got {h}") from None
-    if hp != 2 or not 0 < hs < f.r:
+    if h < 1 or h & (h - 1):
+        raise ParameterRange(f"degree must be a power of 2, got {h}")
+    if not 0 < h.bit_length() - 1 < f.r:
         raise ParameterRange(f"degree must be 2^s with 0 < s < {f.r}, got {h}")
     c = _irreducible_form_coeff(f)
     pts = []

@@ -5,20 +5,24 @@ coefficient of x^i is the i-th base-p digit of e, least significant digit
 first.  0 and 1 therefore always encode the additive and multiplicative
 identities; for r = 1 the encoding is the residue itself.
 
-Every field, prime or extension, builds the same tables once (O(q)
-memory): digit vectors, negatives, and log/antilog tables with the
-antilog table stored twice over, so that multiplication, inversion and
-powers are one lookup each.  Addition is (a + b) mod p when r = 1, XOR
-in characteristic 2 and digitwise mod p otherwise.  The base-p codec
+A field, prime or extension, is its modulus and two tables built once
+(O(q) memory): the log table and the antilog table, stored twice over,
+so that multiplication, inversion, powers and negation are one lookup
+each.  Negation is multiplication by -1, whose log is 0 when p = 2 and
+(q - 1)/2 otherwise.  Addition is (a + b) mod p when r = 1, XOR in
+characteristic 2 and digitwise mod p otherwise.  The base-p codec
 (`_base_digits`, `_from_base`) and the digitwise adder (`_add_digitwise`)
-here are the only copies; regularity.py encodes and adds syndromes with
-them too.
+here are the only copies; element digits are read with the codec, and
+regularity.py encodes and adds syndromes with them too.
 
-Fields are immutable after construction.  ``GF(q)`` caches one instance
-per (p, r, modulus) so equal fields are identical objects.
+Fields are immutable after construction.  ``GF(q, modulus)`` is the way
+to get a field of order q: it keeps one instance per order and reduced
+modulus, so equal fields are identical objects.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 ORDER_CEILING = 1 << 14
 
@@ -63,23 +67,9 @@ _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, ascending."""
+    """The distinct prime factors of n, ascending, by trial division;
+    none for n <= 1."""
     out = []
     f = 2
     while f * f <= n:
@@ -157,6 +147,7 @@ def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
+@cache  # GF resolves the default modulus on every call
 def _search_default_modulus(p: int, r: int) -> tuple[int, ...]:
     # smallest encoding wins; encoding of a monic degree-r polynomial is
     # sum(c_i * p^i) including the leading 1
@@ -176,6 +167,13 @@ def default_modulus(p: int, r: int) -> tuple[int, ...]:
     return got
 
 
+def _resolve_modulus(p: int, r: int, modulus) -> tuple[int, ...]:
+    """The given modulus reduced mod p, or the default for (p, r)."""
+    if modulus is None:
+        return default_modulus(p, r)
+    return tuple(int(c) % p for c in modulus)
+
+
 class Field:
     """GF(p^r) with a fixed modulus polynomial.
 
@@ -190,19 +188,17 @@ class Field:
     Division by zero raises ZeroDivisionError.
     """
 
-    __slots__ = ("p", "r", "q", "modulus", "_dig", "_neg", "_exp", "_log", "_hash")
+    __slots__ = ("p", "r", "q", "modulus", "_exp", "_log", "_log_minus1", "_hash")
 
     def __init__(self, p: int, r: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if r < 1:
             raise ValueError(f"extension degree must be >= 1, got {r}")
         q = p**r
         if q > ORDER_CEILING:
             raise OrderTooLarge(f"q = {q} exceeds the ceiling {ORDER_CEILING}")
-        if modulus is None:
-            modulus = default_modulus(p, r)
-        modulus = tuple(int(c) % p for c in modulus)
+        if _prime_factors(p) != [p]:
+            raise NotPrime(f"{p} is not prime")
+        modulus = _resolve_modulus(p, r, modulus)
         if len(modulus) != r + 1 or modulus[-1] != 1:
             raise ReducibleModulus(
                 f"modulus must be monic of degree {r}, got {list(modulus)}"
@@ -215,16 +211,16 @@ class Field:
         self.r = r
         self.q = q
         self.modulus = modulus
-        self._dig = [_base_digits(e, p, r) for e in range(q)]
-        self._neg = [_from_base([-d % p for d in dig], p) for dig in self._dig]
         self._build_log_tables()
+        # -1 is the one element of order 2, or 1 itself when p = 2
+        self._log_minus1 = 0 if p == 2 else (q - 1) // 2
         self._hash = hash((p, r, modulus))
 
     # -- encoding helpers ------------------------------------------------
 
     def digits(self, a: int) -> tuple[int, ...]:
         """Base-p digits of a, least significant first (the coefficients)."""
-        return self._dig[a]
+        return _base_digits(a, self.p, self.r)
 
     def from_digits(self, digits) -> int:
         p = self.p
@@ -235,7 +231,7 @@ class Field:
     def _raw_mul(self, a: int, b: int) -> int:
         # polynomial product of the digit vectors, reduced mod (p, modulus)
         p, r = self.p, self.r
-        da, db = self._dig[a], self._dig[b]
+        da, db = _base_digits(a, p, r), _base_digits(b, p, r)
         prod = [0] * (2 * r - 1)
         for i, ca in enumerate(da):
             if ca:
@@ -295,10 +291,10 @@ class Field:
         return _add_digitwise(a, b, self.p)
 
     def neg(self, a: int) -> int:
-        return self._neg[a]
+        return self._exp[self._log[a] + self._log_minus1] if a else 0
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg[b])
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
@@ -387,29 +383,24 @@ _GF_CACHE: dict[tuple, Field] = {}
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, r) with q = p^r, or raise NotPrime."""
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise NotPrime(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            r = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m != 1:
-                raise NotPrime(f"{q} is not a prime power")
-            return p, r
-        p += 1
-    return q, 1
+    p, r = primes[0], 1
+    while p**r != q:
+        r += 1
+    return p, r
 
 
 def GF(q: int, modulus=None) -> Field:
-    """Cached field of order q (q = p^r with the default or given modulus)."""
+    """The field of order q = p^r with the given or the default modulus,
+    built once per order and reduced modulus.  The order is checked
+    against the ceiling before it is factored."""
+    if q > ORDER_CEILING:
+        raise OrderTooLarge(f"q = {q} exceeds the ceiling {ORDER_CEILING}")
     p, r = factor_prime_power(q)
-    key = (p, r, tuple(modulus) if modulus is not None else None)
+    key = (q, _resolve_modulus(p, r, modulus))
     field = _GF_CACHE.get(key)
     if field is None:
-        field = Field(p, r, modulus)
-        _GF_CACHE[key] = field
+        field = _GF_CACHE[key] = Field(p, r, key[1])
     return field

@@ -15,7 +15,7 @@ Entries must be integers in 0..q-1.
 
 from __future__ import annotations
 
-from .field import GF, Field, factor_prime_power
+from .field import GF
 from .matrix import MatrixGF
 
 
@@ -82,8 +82,7 @@ def parse_matrix(text: str) -> MatrixGF:
     if q is None:
         raise MatrixFormatError(lineno, "header must set q=<int>")
     try:
-        p, r = factor_prime_power(q)
-        field = Field(p, r, poly) if poly is not None else GF(q)
+        field = GF(q, poly)
     except ValueError as exc:
         raise MatrixFormatError(lineno, str(exc)) from None
 

@@ -163,8 +163,8 @@ def rref(M: MatrixGF) -> tuple[MatrixGF, int, list[int]]:
         prow = rows[pr]
         for i in range(nrows):
             if i != pr and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [f.sub(x, f.mul(c, px)) for x, px in zip(rows[i], prow)]
+                c = f.neg(rows[i][col])
+                rows[i] = [f.add(x, f.mul(c, px)) for x, px in zip(rows[i], prow)]
         pivots.append(col)
         pr += 1
     return MatrixGF._of(f, tuple(map(tuple, rows)), ncols), pr, pivots

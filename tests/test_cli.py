@@ -586,6 +586,17 @@ def test_catalog_rejects_tiny_bound(capsys, tmp_path):
     assert "error:" in stderr
 
 
+def _package_env():
+    """The environment for a child process that imports the copy of
+    crcodes this suite imported."""
+    package_root = str(Path(crcodes.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, inherited])),
+    }
+
+
 def test_console_script_runs_in_a_subprocess(tmp_path):
     # the script pyproject.toml declares, run as a separate process: through
     # `python -m crcodes` always, and as the installed script where one is
@@ -601,12 +612,7 @@ def test_console_script_runs_in_a_subprocess(tmp_path):
     script = shutil.which("crcodes")
     if script:
         commands.append([script])
-    package_root = str(Path(crcodes.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, inherited])),
-    }
+    env = _package_env()
     for i, command in enumerate(commands):
         out = tmp_path / f"m{i}.txt"
         proc = subprocess.run(
@@ -624,3 +630,35 @@ def test_console_script_runs_in_a_subprocess(tmp_path):
         )
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+
+def test_orders_above_the_ceiling_are_refused_at_once(tmp_path):
+    # 2^61 - 1 is prime: trial division to its square root, or listing q
+    # columns, would run for minutes or exhaust memory, so each run is a
+    # child process that the timeout fails instead of hanging the suite
+    big = 2**61 - 1
+    ceiling = f"q = {big} exceeds the ceiling 16384"
+    matrix = tmp_path / "big.txt"
+    matrix.write_text(f"q={big}\nrows=1 cols=1\n1\n")
+    out = str(tmp_path / "x.txt")
+    runs = [(["analyze", str(matrix)], 3, "error: line 1: " + ceiling)] + [
+        (["construct", family, *params, "--out", out], 2, "error: " + message)
+        for family, params, message in (
+            ("ii", ["--q", str(big)], ceiling),
+            ("d1antipodal", ["--q", str(big)], ceiling),
+            ("lifted", ["--q", str(big), "--r", "2"], ceiling),
+            ("iii", ["--q", str(big), "--m", "1"], ceiling),
+            ("iv", ["--q", str(big), "--n", "4"], ceiling),
+            # not a prime power, but above the ceiling
+            ("ii", ["--q", "20000"], "q = 20000 exceeds the ceiling 16384"),
+            # an arc degree is tested as a power of 2, not factored
+            ("vi", ["--q", "8", "--h", str(big)],
+             f"degree must be a power of 2, got {big}"),
+        )
+    ]
+    for argv, want, message in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "crcodes", *argv],
+            capture_output=True, text=True, env=_package_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (want, message + "\n"), argv

@@ -1,9 +1,11 @@
 """Field arithmetic: axioms on full tables, pinned moduli, error paths."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from crcodes import field as field_module
 from crcodes.field import (
     GF,
     Field,
@@ -14,6 +16,7 @@ from crcodes.field import (
     default_modulus,
     factor_prime_power,
 )
+from crcodes.matio import parse_matrix
 
 SMALL_ORDERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
 
@@ -39,6 +42,17 @@ def test_constructor_rejections():
         Field(2, 2, (1, 1, 1, 0))  # not monic of degree 2
     with pytest.raises(ValueError):
         Field(3, 0)
+
+
+def test_order_is_checked_before_it_is_factored(monkeypatch):
+    # trial division of an order far above the ceiling would not end
+    def refuse(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(field_module, "_prime_factors", refuse)
+    for make in (lambda: GF(2**61 - 1), lambda: Field(2**61 - 1), lambda: GF(20000)):
+        with pytest.raises(OrderTooLarge):
+            make()
 
 
 def test_pinned_default_moduli():
@@ -161,10 +175,50 @@ def test_embed_table_rejects_bad_pairs():
 
 def test_field_identity_and_cache():
     assert GF(9) is GF(9)
+    # one object per order and reduced modulus, however the modulus is given
+    assert GF(9, (2, 2, 1)) is GF(9)
+    assert GF(9, [5, 5, 1]) is GF(9)
+    assert parse_matrix("q=9 poly=2,2,1\nrows=1 cols=1\n1\n").field is GF(9)
+    assert GF(9, (1, 0, 1)) is not GF(9)
+    assert GF(9, (1, 0, 1)) == Field(3, 2, (1, 0, 1))
     assert GF(9) == Field(3, 2)
     assert GF(9) != GF(3)
     assert repr(GF(3)) == "GF(3)"
     assert "poly" in repr(GF(4))
+
+
+# The largest fields of each kind under the ceiling: characteristic 2, odd
+# extensions of small and of large characteristic, and a prime field.
+LARGE_ORDERS = (2**14, 3**8, 5**6, 127**2, 16381)
+
+
+@pytest.mark.parametrize("q", LARGE_ORDERS)
+def test_large_fields_negate_and_encode_every_element(q):
+    f = GF(q)
+    p, r = f.p, f.r
+    for a in range(q):
+        assert f.add(a, f.neg(a)) == 0
+        d = f.digits(a)
+        assert list(d) == _poly(a, p, r)
+        assert f.from_digits(d) == a
+    rng = random.Random(q)
+    for _ in range(2000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.sub(a, b) == f.add(a, f.neg(b))
+        assert f.sub(a, 0) == a and f.sub(a, a) == 0
+
+
+def test_largest_binary_field_retains_only_its_log_tables():
+    # the log and antilog tables hold about 1.3 MB; per-element digit or
+    # negation tables would add as much again or more
+    tracemalloc.start()
+    try:
+        f = Field(2, 14)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.q == 2**14
+    assert retained < 2 * 2**20
 
 
 # -- reference oracle: schoolbook arithmetic, independent of the tables ------
