@@ -8,11 +8,10 @@ arguments so the CLI can raise or lower them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     max_syndromes: int = 1 << 24
     max_codewords: int = 1 << 26
     max_vectors: int = 1 << 20

@@ -13,7 +13,6 @@ multiset of parity columns after scaling.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from typing import NamedTuple
@@ -56,25 +55,33 @@ class NotTwoWeight(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Rho1Form:
-    """Parity columns are ell copies of every projective point of
-    PG(m-1,q) plus u zero columns, so n = ell*(q^m-1)/(q-1) + u."""
-
+class _Rho1Fields(NamedTuple):
     m: int
     ell: int
     u: int
 
-    def __post_init__(self):
-        if self.m < 1 or self.ell < 1 or self.u < 0:
-            raise ValueError(f"inconsistent form {self}")
+
+class Rho1Form(_Rho1Fields):
+    """Parity columns are ell copies of every projective point of
+    PG(m-1,q) plus u zero columns, so n = ell*(q^m-1)/(q-1) + u."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, ell: int, u: int):
+        form = super().__new__(cls, m, ell, u)
+        if m < 1 or ell < 1 or u < 0:
+            raise ValueError(f"inconsistent form {form}")
+        return form
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
     def length(self, q: int) -> int:
         return self.ell * num_pg_points(q, self.m) + self.u
 
 
-@dataclass(frozen=True)
-class NotOfForm:
+class NotOfForm(NamedTuple):
     reason: str
 
 
@@ -152,8 +159,7 @@ def verify_theorem31(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> boo
     )
 
 
-@dataclass(frozen=True)
-class Rho2Report:
+class Rho2Report(NamedTuple):
     """Outcome of the radius-2 normal-form verification.
 
     When all flags hold (dual_antipodal, equidistant_ok,
@@ -298,8 +304,7 @@ def _crosscheck_rho2(report: Rho2Report, analysis: CodeAnalysis):
     )
 
 
-@dataclass(frozen=True)
-class TwoWeightStructure:
+class TwoWeightStructure(NamedTuple):
     """Generator normal form for a two-weight code whose larger weight
     equals the length: an all-one row on top and below it rows ending in
     zero whose truncations generate an equidistant code in which every
@@ -361,8 +366,7 @@ class CorpusEntry(NamedTuple):
         return LinearCode.from_parity(MatrixGF.from_columns(f, self.columns))
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     q: int
     m: int
     n_max: int

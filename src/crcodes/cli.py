@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from .classify import (
@@ -49,17 +48,29 @@ def _budgets(args) -> Budgets:
     return Budgets(args.max_syndromes, args.max_codewords, args.max_vectors)
 
 
+def _cap(text: str) -> int:
+    """A budget flag's value: an integer of at least 0.  A cap of 0
+    refuses every walk; a negative one is a parameter error."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return cap
+
+
 def _add_budget_flags(p: argparse.ArgumentParser):
     p.add_argument(
-        "--max-syndromes", type=int, default=DEFAULT_BUDGETS.max_syndromes,
+        "--max-syndromes", type=_cap, default=DEFAULT_BUDGETS.max_syndromes,
         help="cap on syndrome-table size (default 2^24)",
     )
     p.add_argument(
-        "--max-codewords", type=int, default=DEFAULT_BUDGETS.max_codewords,
+        "--max-codewords", type=_cap, default=DEFAULT_BUDGETS.max_codewords,
         help="cap on codeword enumerations (default 2^26)",
     )
     p.add_argument(
-        "--max-vectors", type=int, default=DEFAULT_BUDGETS.max_vectors,
+        "--max-vectors", type=_cap, default=DEFAULT_BUDGETS.max_vectors,
         help="cap on ambient-space walks (default 2^20)",
     )
 
@@ -68,11 +79,12 @@ def _add_budget_flags(p: argparse.ArgumentParser):
 
 
 def _plain(value):
-    """A report value as JSON data: a dataclass becomes a dict of its
-    fields in declaration order, a matrix the list of its rows and a
-    tuple a list, each part converted the same way."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    """A report value as JSON data: a record (a NamedTuple, which is
+    also a tuple, so it is tested first) becomes a dict of its fields in
+    declaration order, a matrix the list of its rows and a tuple a list,
+    each part converted the same way."""
+    if hasattr(value, "_fields"):
+        return {name: _plain(x) for name, x in zip(value._fields, value)}
     if isinstance(value, MatrixGF):
         value = value.data
     if isinstance(value, tuple):

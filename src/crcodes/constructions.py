@@ -13,9 +13,9 @@ is bit-reproducible.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from itertools import product
 from math import isqrt
+from typing import NamedTuple
 
 from .codes import LinearCode, canonical_column, num_pg_points, pg_points
 from .field import GF, Field, NotPrime, factor_prime_power
@@ -154,24 +154,33 @@ def _dot(f: Field, a, b) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class ProjectivePointSet:
-    """Pairwise-distinct canonical points of PG(dim, q)."""
-
+class _PointSetFields(NamedTuple):
     field: Field
     dim: int
     points: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+
+class ProjectivePointSet(_PointSetFields):
+    """Pairwise-distinct canonical points of PG(dim, q); its length is
+    the number of points."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: Field, dim: int, points):
         seen = set()
-        for pt in self.points:
-            if len(pt) != self.dim + 1:
+        for pt in points:
+            if len(pt) != dim + 1:
                 raise ValueError(f"point {pt} has wrong length")
-            if canonical_column(self.field, pt) != tuple(pt):
+            if canonical_column(field, pt) != tuple(pt):
                 raise ValueError(f"point {pt} is not in canonical form")
             if pt in seen:
                 raise ValueError(f"duplicate point {pt}")
             seen.add(pt)
+        return super().__new__(cls, field, dim, points)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
     def __len__(self):
         return len(self.points)
@@ -303,8 +312,7 @@ def extendable_hamming_code(q: int) -> LinearCode:
 # -- the catalog -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(NamedTuple):
     """One catalog instance: family id, parameters, and the expected
     code parameters and intersection array."""
 
@@ -426,8 +434,7 @@ def _arc_degrees(bound: int) -> list[tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One catalog family.  names: its parameters in slug order; build
     and expect take them in that order, and expect returns the member's
     (q, n, k, d, b, c), with q the field order and (b; c) the

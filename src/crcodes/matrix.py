@@ -14,7 +14,6 @@ which nothing outside this module calls.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 
 from .field import Field
@@ -209,6 +208,8 @@ def solve_rational(A, b) -> list[Fraction] | None:
     integers are unbounded, so eliminations never overflow.  The number
     of unknowns is capped at 64; extra equations are fine.
     """
+    from fractions import Fraction  # on first use, not with the package
+
     rows = [[index(x) for x in row] for row in A]
     rhs = [index(x) for x in b]
     if len(rows) != len(rhs):

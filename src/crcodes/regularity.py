@@ -28,12 +28,11 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from operator import xor
+from typing import NamedTuple
 import sys
 
 from .budgets import DEFAULT_BUDGETS, Budgets
@@ -389,8 +388,7 @@ class CodeAnalysis:
         return complete_regularity(self.code, self.budget, self)
 
 
-@dataclass(frozen=True)
-class IntersectionArray:
+class IntersectionArray(NamedTuple):
     """The numbers (b_0..b_{rho-1}; c_1..c_rho) plus the derived a_l."""
 
     b: tuple[int, ...]
@@ -422,8 +420,7 @@ class IntersectionArray:
         return f"({bs};{cs})"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Two cosets at the same distance from the code whose neighbor
     profiles (c, b) differ; the smallest such pair at the lowest level."""
 
@@ -434,8 +431,7 @@ class Witness:
     profile_b: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     is_completely_regular: bool
     rho: int
     array: IntersectionArray | None

@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -191,6 +190,28 @@ def test_brute_force_budget_exits_4(capsys, hamming32_path):
     assert code == 4
     assert stdout == ""
     assert stderr == "error: max_vectors: needs 81 but the budget allows 7\n"
+
+
+@pytest.mark.parametrize(
+    "flag, needed",
+    [("--max-syndromes", 9), ("--max-codewords", 9), ("--max-vectors", 81)],
+)
+def test_budget_flags_refuse_negative_caps(capsys, hamming32_path, flag, needed):
+    # a negative cap is a parameter error at parse time (exit 2), not a
+    # budget the walk then exceeds; a cap of 0 refuses the walk (exit 4)
+    for value in ("-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", hamming32_path, "--brute-force", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"argument {flag}: expected an integer >= 0, got '{value}'\n"
+        )
+    name = flag[2:].replace("-", "_")
+    assert run(capsys, "analyze", hamming32_path, "--brute-force", flag, "0") == (
+        4, "", f"error: {name}: needs {needed} but the budget allows 0\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -456,7 +477,7 @@ def test_catalog_reports_a_mismatch(capsys, monkeypatch, tmp_path):
     real = cli_module.family_catalog
 
     def with_wrong_rho(bound):
-        return [(replace(desc, rho=desc.rho + 1), code) for desc, code in real(bound)]
+        return [(desc._replace(rho=desc.rho + 1), code) for desc, code in real(bound)]
 
     monkeypatch.setattr(cli_module, "family_catalog", with_wrong_rho)
     out = tmp_path / "cat"
