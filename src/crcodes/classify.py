@@ -288,16 +288,16 @@ def _crosscheck_rho2(report: Rho2Report, analysis: CodeAnalysis):
         return
     if rep.is_completely_regular == report.all_flags:
         return
-    if rep.is_completely_regular and not report.all_flags:
-        if (
-            report.equidistant_ok
-            and report.symbol_frequency_ok
-            and report.punctured_rho1_form is None
-        ):
-            raise NoZeroColumnReachable(
-                f"[{code.n},{code.k}] is completely regular but no puncture "
-                "coordinate produced the radius-1 column form"
-            )
+    if (
+        rep.is_completely_regular
+        and report.equidistant_ok
+        and report.symbol_frequency_ok
+        and report.punctured_rho1_form is None
+    ):
+        raise NoZeroColumnReachable(
+            f"[{code.n},{code.k}] is completely regular but no puncture "
+            "coordinate produced the radius-1 column form"
+        )
     raise AssertionError(
         f"[{code.n},{code.k}]: structural flags {report.all_flags} disagree "
         f"with measured regularity {rep.is_completely_regular} at radius 2"

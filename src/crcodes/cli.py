@@ -15,7 +15,8 @@ Families and their parameters:
   d1antipodal  --q        the length-4 [4, 2, 3] member, q >= 4
 
 Exit codes: 0 success, 2 parameter or input-domain errors, 3 matrix
-parse errors, 4 budget exhaustion, 5 failed verification assertions.
+parse errors and files that cannot be read or written, 4 budget
+exhaustion, 5 failed verification assertions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import sys
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from .classify import (
     NoZeroColumnReachable,
-    NotOfForm,
     Rho1Form,
     Rho2Report,
     TrivialCode,
@@ -38,8 +38,7 @@ from .classify import (
     verify_theorem41,
 )
 from .codes import LinearCode, nonzero_weights
-from .constructions import FAMILIES, build_family, family_catalog
-from .matio import MatrixFormatError, format_matrix, read_matrix
+from .matio import MatrixFormatError, format_matrix, read_matrix, write_matrix
 from .matrix import MatrixGF
 from .regularity import CodeAnalysis, beta_solve, complete_regularity_bruteforce
 
@@ -92,14 +91,6 @@ def _plain(value):
     return value
 
 
-def _rho1_json(code: LinearCode) -> dict | None:
-    try:
-        form = classify_rho1(code)
-    except TrivialCode:
-        return None
-    return _plain(form) if isinstance(form, Rho1Form) else None
-
-
 def _rho2_json(rep: Rho2Report) -> dict:
     return {**_plain(rep), "all_flags": rep.all_flags}
 
@@ -129,28 +120,27 @@ def analysis_report(
         "weights": weights,
         "dual_weights": dual_weights,
         "is_completely_regular": rep.is_completely_regular,
-        "intersection_array": (
-            _plain(rep.array) if rep.is_completely_regular else None
-        ),
+        "intersection_array": _plain(rep.array),
         "uniformly_packed": rep.rho == s,
     }
     if with_beta:
         beta = beta_solve(code, budget, analysis)
         report["beta"] = None if beta is None else [str(x) for x in beta]
     if brute_force:
+        # the array is None exactly when the code is not completely regular
         ref = complete_regularity_bruteforce(code, budget, analysis)
-        ref_level = ref.witness.level if ref.witness else None
-        rep_level = rep.witness.level if rep.witness else None
-        if (
-            ref.is_completely_regular != rep.is_completely_regular
-            or ref.array != rep.array
-            or ref_level != rep_level
+        if (ref.array, ref.witness and ref.witness.level) != (
+            rep.array, rep.witness and rep.witness.level
         ):
             raise AssertionError(
                 "syndrome-level and vector-level regularity scans disagree"
             )
         report["brute_force_agrees"] = True
-    rho1 = _rho1_json(code)
+    try:
+        form = classify_rho1(code)
+    except TrivialCode:
+        form = None
+    rho1 = _plain(form) if isinstance(form, Rho1Form) else None
     try:
         rho2 = _rho2_json(verify_theorem41(code, budget, analysis))
     except TrivialCode:
@@ -168,9 +158,7 @@ def _print_report(report: dict):
     print(f"rho={report['rho']} s={report['s']} completely regular: {cr}")
     arr = report["intersection_array"]
     if arr is not None:
-        b = ",".join(str(x) for x in arr["b"])
-        c = ",".join(str(x) for x in arr["c"])
-        a = ",".join(str(x) for x in arr["a"])
+        b, c, a = (",".join(str(x) for x in arr[key]) for key in "bca")
         print(f"intersection array ({b};{c}) with a=({a})")
     print(f"uniformly packed: {'yes' if report['uniformly_packed'] else 'no'}")
     if "beta" in report:
@@ -198,14 +186,11 @@ def _print_report(report: dict):
             f"at column {rho2['puncture_column']}"
         )
     else:
-        flags = ", ".join(
-            name
-            for name in ("dual_antipodal", "equidistant_ok", "symbol_frequency_ok")
-            if not rho2[name]
-        )
+        names = ("dual_antipodal", "equidistant_ok", "symbol_frequency_ok")
+        failed = [name for name in names if not rho2[name]]
         if rho2["punctured_rho1_form"] is None:
-            flags = flags + ", no punctured form" if flags else "no punctured form"
-        print(f"radius-2 normal form: fails ({flags})")
+            failed.append("no punctured form")
+        print(f"radius-2 normal form: fails ({', '.join(failed)})")
 
 
 def _dump_json(payload) -> str:
@@ -223,11 +208,12 @@ def _write_json_atomic(path: str, payload):
 
 
 def cmd_construct(args) -> int:
+    from .constructions import build_family
+
     desc, code = build_family(
         args.family, q=args.q, m=args.m, n=args.n, h=args.h, r=args.r
     )
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(code.H, comment=f"{desc.slug} parity check"))
+    write_matrix(code.H, args.out, comment=f"{desc.slug} parity check")
     q = code.field.q
     print(
         f"{desc.slug}: [{desc.n},{desc.k},{desc.d}]_{q} "
@@ -249,63 +235,64 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    """Each theorem gives a payload and its text lines; one place writes
+    either."""
     budget = _budgets(args)
     code = LinearCode.from_parity(read_matrix(args.path))
+    status = 0
     if args.theorem == "31":
         form = classify_rho1(code)
         holds = verify_theorem31(code, budget)
         recognized = isinstance(form, Rho1Form)
         payload = {
-            "theorem": "31",
             "holds": holds,
             "form": _plain(form) if recognized else None,
-            "reason": form.reason if isinstance(form, NotOfForm) else None,
+            "reason": None if recognized else form.reason,
         }
-        if args.json:
-            sys.stdout.write(_dump_json(payload))
-        else:
-            if recognized:
-                print(f"column form: m={form.m} ell={form.ell} u={form.u}")
-            else:
-                print(f"column form: none ({form.reason})")
-            print(f"radius-1 equivalence holds: {'yes' if holds else 'no'}")
-        return 0 if holds else 5
-    if args.theorem == "41":
+        lines = [
+            f"column form: m={form.m} ell={form.ell} u={form.u}"
+            if recognized
+            else f"column form: none ({form.reason})",
+            f"radius-1 equivalence holds: {'yes' if holds else 'no'}",
+        ]
+        status = 0 if holds else 5
+    elif args.theorem == "41":
         rep = verify_theorem41(code, budget)
-        payload = {"theorem": "41", **_rho2_json(rep)}
-        if args.json:
-            sys.stdout.write(_dump_json(payload))
-        else:
-            print(f"dual antipodal: {rep.dual_antipodal}")
-            print(f"equidistant residual: {rep.equidistant_ok}")
-            print(f"symbol frequency: {rep.symbol_frequency_ok}")
-            form = rep.punctured_rho1_form
-            if form is not None:
-                print(
-                    f"punctured form: m={form.m} ell={form.ell} u={form.u} "
-                    f"at column {rep.puncture_column}"
-                )
-            else:
-                print("punctured form: none")
-            print(f"all flags: {rep.all_flags}")
-        return 0
-    st = two_weight_structure(code, budget)
-    payload = {"theorem": "52", **_plain(st)}
-    if args.json:
-        sys.stdout.write(_dump_json(payload))
+        payload = _rho2_json(rep)
+        form = rep.punctured_rho1_form
+        lines = [
+            f"dual antipodal: {rep.dual_antipodal}",
+            f"equidistant residual: {rep.equidistant_ok}",
+            f"symbol frequency: {rep.symbol_frequency_ok}",
+            "punctured form: none"
+            if form is None
+            else f"punctured form: m={form.m} ell={form.ell} u={form.u} "
+            f"at column {rep.puncture_column}",
+            f"all flags: {rep.all_flags}",
+        ]
     else:
-        print(f"weights: w1={st.w1} w2={st.w2}")
+        st = two_weight_structure(code, budget)
+        payload = _plain(st)
+        lines = [f"weights: w1={st.w1} w2={st.w2}"]
         if not st.w1_is_length:
-            print("w1 differs from the length; structure theorem not applicable")
+            lines.append("w1 differs from the length; structure theorem not applicable")
         else:
-            print(f"equidistant residual: {st.equidistant_ok}")
-            print(f"symbol frequency: {st.symbol_frequency_ok}")
-            print("generator normal form:")
-            sys.stdout.write(format_matrix(st.generator))
-    return 0
+            lines += [
+                f"equidistant residual: {st.equidistant_ok}",
+                f"symbol frequency: {st.symbol_frequency_ok}",
+                "generator normal form:",
+                *format_matrix(st.generator).splitlines(),
+            ]
+    if args.json:
+        sys.stdout.write(_dump_json({"theorem": args.theorem, **payload}))
+    else:
+        print(*lines, sep="\n")
+    return status
 
 
 def cmd_catalog(args) -> int:
+    from .constructions import family_catalog
+
     budget = _budgets(args)
     entries = family_catalog(args.qn_bound)
     os.makedirs(args.out, exist_ok=True)
@@ -313,26 +300,21 @@ def cmd_catalog(args) -> int:
     mismatches = []
     for desc, code in entries:
         report = analysis_report(code, budget)
-        expected_array = _plain(desc.array)
-        match = (
-            report["n"] == desc.n
-            and report["k"] == desc.k
-            and report["d"] == desc.d
-            and report["rho"] == desc.rho
-            and report["is_completely_regular"]
-            and report["intersection_array"] == expected_array
+        expected = {
+            "n": desc.n,
+            "k": desc.k,
+            "d": desc.d,
+            "rho": desc.rho,
+            "intersection_array": _plain(desc.array),
+        }
+        match = report["is_completely_regular"] and all(
+            report[key] == value for key, value in expected.items()
         )
         entry = {
             "slug": desc.slug,
             "family": desc.family,
             "params": desc.params_dict(),
-            "expected": {
-                "n": desc.n,
-                "k": desc.k,
-                "d": desc.d,
-                "rho": desc.rho,
-                "intersection_array": expected_array,
-            },
+            "expected": expected,
             "computed": report,
             "match": match,
         }
@@ -364,8 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a family member")
-    p.add_argument("family", choices=FAMILIES)
+    # the family table of the module docstring, which python -OO strips
+    families = (__doc__ or "").partition("\n\n")[2].partition("\n\nExit")[0]
+    p = sub.add_parser(
+        "construct", help="build a family member", description=families,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p.add_argument("family", help="a family id from the table above")
     p.add_argument("--q", type=int, help="field order")
     p.add_argument("--m", type=int, help="redundancy-style parameter")
     p.add_argument("--n", type=int, help="length parameter")

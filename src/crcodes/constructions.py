@@ -502,7 +502,8 @@ def build_family(family: str, **params) -> tuple[FamilyDescriptor, LinearCode]:
     and on missing, extra or out-of-range parameters."""
     entry = FAMILIES.get(family)
     if entry is None:
-        raise ParameterRange(f"unknown family {family!r}")
+        known = ", ".join(FAMILIES)
+        raise ParameterRange(f"unknown family {family!r}; choose from {known}")
     values = []
     for name in entry.names:
         if params.get(name) is None:

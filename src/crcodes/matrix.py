@@ -8,8 +8,9 @@ The public constructor is the trust boundary: ``MatrixGF(...)`` and
 ``MatrixGF.from_columns`` convert and check whatever they are given.
 Rows that field arithmetic in this module makes from already checked
 matrices (in ``rref``, ``row_space_basis``, ``kernel_basis`` and
-``hstack``) skip those checks through the private ``MatrixGF._of``,
-which nothing outside this module calls.
+``hstack``) skip those checks through the private ``MatrixGF._of``.
+One caller outside this module uses it too: ``classify._reduced_parity``
+builds the census's parity checks from columns of an rref it holds.
 """
 
 from __future__ import annotations
@@ -25,14 +26,23 @@ class MatrixGF:
     ``cols`` must be passed explicitly when constructing a matrix with
     zero rows, since it cannot be inferred from the data.  The
     constructor converts every entry with ``int`` and rejects ragged
-    rows and entries outside 0..q-1; ``_of`` builds a matrix from rows
-    this module has already checked or computed, and checks nothing.
+    rows, entries that ``int`` would change (``1.9``, ``Fraction(5, 2)``)
+    and entries outside 0..q-1; ``_of`` builds a matrix from rows this
+    module or the census (``classify._reduced_parity``) has already
+    checked or computed, and checks nothing.
     """
 
     __slots__ = ("field", "nrows", "ncols", "data")
 
     def __init__(self, field: Field, data, ncols: int | None = None):
-        rows = tuple(tuple(map(int, row)) for row in data)
+        given = tuple(map(tuple, data))
+        rows = tuple(tuple(map(int, row)) for row in given)
+        if rows != given:
+            # a decimal string converts exactly or int() raises
+            for row in given:
+                for x in row:
+                    if not isinstance(x, str) and int(x) != x:
+                        raise ValueError(f"entry {x} is not an integer")
         if rows:
             ncols = len(rows[0])
             for row in rows:

@@ -13,6 +13,7 @@ import crcodes
 from crcodes import classify as classify_module
 from crcodes import cli as cli_module
 from crcodes import codes as codes_module
+from crcodes import constructions as constructions_module
 from crcodes.classify import NoZeroColumnReachable
 from crcodes.cli import analysis_report, main
 from crcodes.codes import LinearCode
@@ -90,7 +91,17 @@ def test_docstring_lists_the_family_table():
         (family, tuple("--" + name for name in entry.names))
         for family, entry in FAMILIES.items()
     ]
-    assert cli_module.FAMILIES is FAMILIES
+
+
+def test_construct_help_lists_the_families(capsys):
+    # the table comes from the docstring, so `construct --help` names
+    # every family without importing constructions
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = [line.split()[0] for line in lines if line.startswith("  ")]
+    assert [f for f in listed if f in FAMILIES] == list(FAMILIES)
 
 
 def test_construct_rejects_bad_parameters(capsys, tmp_path):
@@ -102,8 +113,11 @@ def test_construct_rejects_bad_parameters(capsys, tmp_path):
         capsys, "construct", "ii", "--q", "6", "--out", out
     )
     assert code == 2
-    with pytest.raises(SystemExit):
-        main(["construct", "viii", "--out", out])
+    # build_family, not argparse, rejects an unknown id, and names the known ones
+    assert run(capsys, "construct", "viii", "--out", out) == (
+        2, "", f"error: unknown family 'viii'; choose from {', '.join(FAMILIES)}\n"
+    )
+    assert not os.path.exists(out)
 
 
 def test_analyze_human_output(capsys, hamming32_path):
@@ -218,7 +232,7 @@ def test_budget_flags_refuse_negative_caps(capsys, hamming32_path, flag, needed)
     "error", [NoZeroColumnReachable("no puncture works"), AssertionError("broken")]
 )
 def test_verifier_failures_exit_5(capsys, monkeypatch, diffmat32_path, error):
-    # today's mapping, which ROADMAP item 5 plans to narrow to typed errors
+    # today's mapping, which ROADMAP item 6 plans to narrow to typed errors
     def failing(*args, **kwargs):
         raise error
 
@@ -474,12 +488,12 @@ def test_catalog_small_bound(capsys, tmp_path):
 
 def test_catalog_reports_a_mismatch(capsys, monkeypatch, tmp_path):
     # a descriptor expecting the wrong covering radius for i-m2
-    real = cli_module.family_catalog
+    real = constructions_module.family_catalog
 
     def with_wrong_rho(bound):
         return [(desc._replace(rho=desc.rho + 1), code) for desc, code in real(bound)]
 
-    monkeypatch.setattr(cli_module, "family_catalog", with_wrong_rho)
+    monkeypatch.setattr(constructions_module, "family_catalog", with_wrong_rho)
     out = tmp_path / "cat"
     code, stdout, stderr = run(
         capsys, "catalog", "--qn-bound", "8", "--out", str(out)
@@ -605,6 +619,21 @@ def test_catalog_rejects_tiny_bound(capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in stderr
+
+
+def test_output_path_that_cannot_be_written_exits_3(capsys, tmp_path):
+    # exit 3 covers files that cannot be written as well as read: a
+    # directory where construct writes its matrix, a file where catalog
+    # makes its directory
+    taken = tmp_path / "taken.txt"
+    taken.write_text("")
+    for argv in (
+        ("construct", "ii", "--q", "4", "--out", str(tmp_path)),
+        ("catalog", "--qn-bound", "8", "--out", str(taken)),
+    ):
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("error:")
 
 
 def _package_env():

@@ -60,6 +60,14 @@ def test_constructor_checks_what_it_is_given():
     m = MatrixGF(f, [[True, "2"], (0, 1)])
     assert m.data == ((1, 2), (0, 1))
     assert all(type(x) is int for row in m.data for x in row)
+    # an entry that int() would change is refused, never truncated
+    with pytest.raises(ValueError, match=r"^entry 1\.9 is not an integer$"):
+        MatrixGF(GF(2), [[1.9, 0.2, True]])
+    with pytest.raises(ValueError, match="^entry 5/2 is not an integer$"):
+        MatrixGF(f, [["1", 2], [0, Fraction(5, 2)]])
+    with pytest.raises(ValueError, match=r"^entry 2\.5 is not an integer$"):
+        MatrixGF.from_columns(f, [(1, 2.5)])
+    assert MatrixGF(f, [[2.0, Fraction(4, 2)]]).data == ((2, 2),)
 
 
 def test_empty_shapes_transpose():

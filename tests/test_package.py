@@ -92,10 +92,11 @@ def test_reading_a_matrix_file_loads_what_it_uses(added, tmp_path):
 
 
 def test_cli_start_up_loads_no_heavy_stdlib_module(added):
-    # dataclasses pulls in inspect; fractions is needed only by solve_rational
+    # dataclasses pulls in inspect; fractions is needed only by
+    # solve_rational, and constructions only by construct and catalog
     loaded = added("import crcodes.cli")
     assert "crcodes.regularity" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions"}
+    assert not loaded & {"dataclasses", "inspect", "fractions", "crcodes.constructions"}
 
 
 def test_all_is_the_exported_names():
