@@ -36,6 +36,9 @@ from .regularity import (
     CodeAnalysis,
     IntersectionArray,
     RegularityReport,
+    SyndromeTable,
+    _column_steps,
+    _table_report,
     complete_regularity,
 )
 
@@ -98,9 +101,14 @@ def _columns_rho1_form(field, columns) -> Rho1Form | NotOfForm:
     u, groups = _column_points(field, columns)
     if not groups:
         return NotOfForm("no nonzero columns")
-    m = len(next(iter(groups)))
-    # Every group is a canonical column of length m, so it is a point of
-    # PG(m-1, q), and covering every point means equality.
+    return _points_rho1_form(field, len(next(iter(groups))), u, groups)
+
+
+def _points_rho1_form(field, m: int, u: int, groups) -> Rho1Form | NotOfForm:
+    """The column form of u zero columns and, for each point of
+    PG(m-1, q) in `groups`, that many copies of it."""
+    # Every group is a point of PG(m-1, q), so covering every point
+    # means equality.
     for point in iter_pg_points(field, m):
         if point not in groups:
             return NotOfForm(
@@ -114,11 +122,15 @@ def _columns_rho1_form(field, columns) -> Rho1Form | NotOfForm:
     return Rho1Form(m, mults[0], u)
 
 
+def _require_nontrivial(n: int, k: int) -> None:
+    if not 2 <= k <= n - 2:
+        raise TrivialCode(f"[{n},{k}] is outside 2 <= k <= n-2")
+
+
 def classify_rho1(code: LinearCode) -> Rho1Form | NotOfForm:
     """Decide whether some parity check of the code consists of a full
     projective point set repeated ell times plus u zero columns."""
-    if not code.is_nontrivial():
-        raise TrivialCode(f"[{code.n},{code.k}] is outside 2 <= k <= n-2")
+    _require_nontrivial(code.n, code.k)
     return _columns_rho1_form(code.field, code.H.columns())
 
 
@@ -144,13 +156,19 @@ def _rho1_disagreement(q: int, form, rep: RegularityReport) -> str | None:
     return None
 
 
-def verify_theorem31(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> bool:
+def verify_theorem31(
+    code: LinearCode,
+    budget: Budgets = DEFAULT_BUDGETS,
+    form: Rho1Form | NotOfForm | None = None,
+) -> bool:
     """Check the radius-1 characterization on one code: the column form
     is recognized iff the code is completely regular with covering
     radius 1; on positives the measured array must equal the predicted
     one, and at radius 1 the form must also coincide with the dual being
-    equidistant."""
-    form = classify_rho1(code)
+    equidistant.  `form` is the code's classify_rho1 result, computed
+    here when not given."""
+    if form is None:
+        form = classify_rho1(code)
     rep = complete_regularity(code, budget)
     if _rho1_disagreement(code.field.q, form, rep) is not None:
         return False
@@ -383,15 +401,6 @@ class CorpusReport(NamedTuple):
         return tuple(e for e in self.entries if not e.is_completely_regular)
 
 
-def _reduced_parity(field, zeros: int, columns, mults) -> MatrixGF:
-    """The parity check of `zeros` zero columns followed by each of
-    `columns` repeated by its multiplicity in `mults`, on trusted rows."""
-    cols = [(0,) * len(columns[0])] * zeros + [
-        col for col, k in zip(columns, mults) for _ in range(k)
-    ]
-    return MatrixGF._of(field, tuple(zip(*cols)), len(cols))
-
-
 def _with_zero_columns(q: int, n: int, u: int, rep, form):
     """The report and column form of a length-n code with u zero columns
     whose nonzero columns are those of the code measured as (rep, form).
@@ -423,16 +432,20 @@ def enumerate_rho1(
     one a pivot, so the multiset's reduced parity check is u zero
     columns followed by the reduced columns of its nonzero support, each
     repeated by its multiplicity.  Each nonzero support is row-reduced
-    once, and no code again.  A code's key is the multiset of canonical
-    points of its nonzero reduced columns; it fixes the coset graph
-    Cay(GF(q)^m, {beta*h_j}) up to loops.  Deriving the rest from u is
-    exact: a zero column gives the step beta*0 = 0, which the syndrome
-    table drops, so the levels, b_i, c_i and rho do not depend on u, and
-    each a_i = (q-1)n - b_i - c_i grows by (q-1)u.  The column form
-    counts zeros apart from points, so u changes a Rho1Form's u and no
-    NotOfForm reason.  Only the first code with a key is measured; each
-    (key, u) takes its array at its own length and its Rho1Form with its
-    own u, and is checked against the column form on its first multiset.
+    once.  A code's key is the multiset of canonical points of its
+    nonzero reduced columns; it fixes the coset graph Cay(GF(q)^m,
+    {beta*h_j}) up to loops, as a column h and its point P give the same
+    steps {beta*h} = {beta*P}.  So each key is measured from its points,
+    and no code is built: one syndrome table from each point's step row
+    (built once per census) repeated by its multiplicity, and the column
+    form read from the points.  Deriving the rest from u is exact: a
+    zero column gives the step beta*0 = 0, which the syndrome table
+    drops, so the levels, b_i, c_i and rho do not depend on u, and each
+    a_i = (q-1)n - b_i - c_i grows by (q-1)u.  The column form counts
+    zeros apart from points, so u changes a Rho1Form's u and no
+    NotOfForm reason.  Each (key, u) takes its array at its own length
+    and its Rho1Form with its own u, and is checked against the column
+    form on its first multiset.
     """
     f = GF(q)
     points = pg_points(f, m)
@@ -445,7 +458,7 @@ def enumerate_rho1(
     # are generated again where they are used.
     keys = []
     interned = {}
-    reduced = {}  # nonzero support -> (reduced columns, their points)
+    reduced = {}  # nonzero support -> the points of its reduced columns
     for length in range(n_max + 1):
         row = []
         for part in combinations_with_replacement(points, length):
@@ -454,45 +467,45 @@ def enumerate_rho1(
                 reduced[support] = None  # rank < m
                 if len(support) >= m:
                     R, rk, _ = rref(MatrixGF.from_columns(f, support))
-                    columns = R.columns()
                     if rk == m:
-                        canon = [canonical_column(f, c) for c in columns]
-                        reduced[support] = columns, canon
+                        reduced[support] = [canonical_column(f, c) for c in R.columns()]
             key = None
             if reduced[support] is not None:
-                key = frozenset(zip(reduced[support][1], map(part.count, support)))
+                key = frozenset(zip(reduced[support], map(part.count, support)))
                 key = interned.setdefault(key, key)
             row.append(key)
         keys.append(row)
 
-    measured = {}  # key -> (report, form) of its first code
-    derived = {}  # (key, u) -> (rho, is_completely_regular, form, array)
-    entries = []
-    for n in range(m + 2, n_max + 1):
-        # combinations_with_replacement order: more zero columns first
-        for u in range(n, -1, -1):
-            zeros = ((0,) * m,) * u
-            parts = combinations_with_replacement(points, n - u)
-            for part, key in zip(parts, keys[n - u]):
-                if key is None:
-                    continue
-                fields = derived.get((key, u))
-                if fields is None:
-                    if key not in measured:
-                        support = tuple(dict.fromkeys(part))
-                        H = _reduced_parity(
-                            f, u, reduced[support][0], map(part.count, support)
+    rows = dict(zip(points, _column_steps(f, points)))
+
+    def entries():
+        # yielded into the report's tuple, so no list of them is held too
+        measured = {}  # key -> (report, form) of its coset graph without loops
+        derived = {}  # (key, u) -> (rho, is_completely_regular, form, array)
+        for n in range(m + 2, n_max + 1):
+            # combinations_with_replacement order: more zero columns first
+            for u in range(n, -1, -1):
+                zeros = ((0,) * m,) * u
+                parts = combinations_with_replacement(points, n - u)
+                for part, key in zip(parts, keys[n - u]):
+                    if key is None:
+                        continue
+                    fields = derived.get((key, u))
+                    if fields is None:
+                        if key not in measured:
+                            step = [rows[point] for point, k in key for _ in range(k)]
+                            table = SyndromeTable.from_steps(f, m, step, budget)
+                            rep = _table_report(table)
+                            # k = n - m, so at m < 2 the first key refuses
+                            _require_nontrivial(n, n - m)
+                            measured[key] = rep, _points_rho1_form(f, m, 0, dict(key))
+                        rep, form = _with_zero_columns(q, n, u, *measured[key])
+                        reason = _rho1_disagreement(q, form, rep)
+                        if reason is not None:
+                            raise AssertionError(f"{reason} on {zeros + part}")
+                        fields = derived[key, u] = (
+                            rep.rho, rep.is_completely_regular, form, rep.array
                         )
-                        code = LinearCode(H)
-                        measured[key] = (
-                            complete_regularity(code, budget), classify_rho1(code)
-                        )
-                    rep, form = _with_zero_columns(q, n, u, *measured[key])
-                    reason = _rho1_disagreement(q, form, rep)
-                    if reason is not None:
-                        raise AssertionError(f"{reason} on {zeros + part}")
-                    fields = derived[key, u] = (
-                        rep.rho, rep.is_completely_regular, form, rep.array
-                    )
-                entries.append(CorpusEntry(zeros + part, n, n - m, *fields))
-    return CorpusReport(q, m, n_max, tuple(entries))
+                    yield CorpusEntry(zeros + part, n, n - m, *fields)
+
+    return CorpusReport(q, m, n_max, tuple(entries()))

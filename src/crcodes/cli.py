@@ -242,7 +242,7 @@ def cmd_classify(args) -> int:
     status = 0
     if args.theorem == "31":
         form = classify_rho1(code)
-        holds = verify_theorem31(code, budget)
+        holds = verify_theorem31(code, budget, form)
         recognized = isinstance(form, Rho1Form)
         payload = {
             "holds": holds,
@@ -294,8 +294,8 @@ def cmd_catalog(args) -> int:
     from .constructions import family_catalog
 
     budget = _budgets(args)
-    entries = family_catalog(args.qn_bound)
     os.makedirs(args.out, exist_ok=True)
+    entries = family_catalog(args.qn_bound)
     slugs = []
     mismatches = []
     for desc, code in entries:

@@ -8,9 +8,8 @@ The public constructor is the trust boundary: ``MatrixGF(...)`` and
 ``MatrixGF.from_columns`` convert and check whatever they are given.
 Rows that field arithmetic in this module makes from already checked
 matrices (in ``rref``, ``row_space_basis``, ``kernel_basis`` and
-``hstack``) skip those checks through the private ``MatrixGF._of``.
-One caller outside this module uses it too: ``classify._reduced_parity``
-builds the census's parity checks from columns of an rref it holds.
+``hstack``) skip those checks through the private ``MatrixGF._of``,
+which nothing outside this module calls.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ class MatrixGF:
     constructor converts every entry with ``int`` and rejects ragged
     rows, entries that ``int`` would change (``1.9``, ``Fraction(5, 2)``)
     and entries outside 0..q-1; ``_of`` builds a matrix from rows this
-    module or the census (``classify._reduced_parity``) has already
-    checked or computed, and checks nothing.
+    module has already checked or computed, and checks nothing.
     """
 
     __slots__ = ("field", "nrows", "ncols", "data")

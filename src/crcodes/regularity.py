@@ -50,6 +50,18 @@ def decode_vector(q: int, code: int, length: int) -> tuple[int, ...]:
     return _base_digits(code, q, length)
 
 
+def _column_steps(field, columns):
+    """Yield the step row [0] + [the syndrome of beta*col for beta != 0]
+    of each parity column col, built once per distinct column."""
+    q, mul = field.q, field.mul
+    rows = {}
+    for col in columns:
+        if col not in rows:
+            steps = [_from_base([mul(b, x) for x in col], q) for b in range(1, q)]
+            rows[col] = [0] + steps
+        yield rows[col]
+
+
 _UNSEEN = 0xFF  # leader_weight of a syndrome the BFS has not reached
 
 # Tables of at least this many syndromes run the word-parallel BFS.  Timed
@@ -77,6 +89,12 @@ class SyndromeTable:
     (beta != 0) that take s one level down and one level up: the (c, b)
     profile of coset s.
 
+    SyndromeTable(code) reads the field, m = n - k and the step rows off
+    the code's parity check; from_steps(field, m, step) is given them.
+    Only the multiset of steps shapes the syndrome graph Cay(GF(q)^m,
+    {beta*h_j}), so step rows of any parity check with the same steps
+    give the same leader weights and profiles.  Both run one build.
+
     Below _WORD_BFS_MIN_SIZE syndromes the BFS visits one syndrome at a
     time, searching leader_weight for each level, and adds steps through
     translator; larger tables run _word_bfs.  Either way a syndrome costs
@@ -93,26 +111,36 @@ class SyndromeTable:
     counts, never by the word path.
     """
 
-    __slots__ = ("code", "size", "step", "_halves", "leader_weight", "c", "b", "rho")
+    __slots__ = (
+        "field", "m", "size", "step", "_halves", "leader_weight", "c", "b", "rho"
+    )
 
     def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
         f = code.field
-        q, n = f.q, code.n
-        m = code.redundancy
+        self._build(f, code.redundancy, _column_steps(f, code.H.columns()), budget)
+
+    @classmethod
+    def from_steps(
+        cls, field, m: int, step, budget: Budgets = DEFAULT_BUDGETS
+    ) -> "SyndromeTable":
+        """The table whose step rows are `step`, syndromes of length m."""
+        table = cls.__new__(cls)
+        table._build(field, m, step, budget)
+        return table
+
+    def _build(self, f, m: int, step, budget: Budgets) -> None:
+        """The one build: the step rows are read only once the table's
+        q^m syndromes are within budget."""
+        q = f.q
         size = q**m
         budget.require("max_syndromes", size)
-        self.code = code
+        self.field = f
+        self.m = m
         self.size = size
+        self.step = step = list(step)
         self._halves = None
-        mul = f.mul
-        columns = code.H.columns()
-        by_column = {  # one step row per distinct column
-            col: [0] + [_from_base([mul(b, x) for x in col], q) for b in range(1, q)]
-            for col in set(columns)
-        }
-        self.step = [by_column[col] for col in columns]
-        mult = Counter(d for row in self.step for d in row[1:] if d)
-        counts = array("H" if n * (q - 1) < 1 << 16 else "I", [0])
+        mult = Counter(d for row in step for d in row[1:] if d)
+        counts = array("H" if len(step) * (q - 1) < 1 << 16 else "I", [0])
         if size < _WORD_BFS_MIN_SIZE:
             found = self._syndrome_bfs(mult, counts)
         else:
@@ -157,8 +185,8 @@ class SyndromeTable:
     def _split_halves(self):
         """(Q, {d: (lo, hi)}) for every distinct step d, built on first use."""
         if self._halves is None:
-            p = self.code.field.p
-            Q = self.code.field.q ** ((self.code.redundancy + 1) // 2)
+            p = self.field.p
+            Q = self.field.q ** ((self.m + 1) // 2)
             hi_size = self.size // Q
             halves = {}
             for row in self.step:
@@ -175,7 +203,7 @@ class SyndromeTable:
     @property
     def add(self):
         """The function (s, d) -> s + d for a syndrome s and a step d."""
-        if self.code.field.p == 2:
+        if self.field.p == 2:
             return xor
         Q, halves = self._split_halves()
 
@@ -187,7 +215,7 @@ class SyndromeTable:
 
     def translator(self, steps):
         """A function taking a syndrome s to the list [s + d for d in steps]."""
-        if self.code.field.p == 2:
+        if self.field.p == 2:
             return lambda s: [s ^ d for d in steps]
         Q, halves = self._split_halves()
         pairs = [halves[d] for d in steps]
@@ -479,15 +507,20 @@ def complete_regularity(
     level is exactly the defining condition.  Callers holding a
     CodeAnalysis read its cached `report` rather than scanning again.
     """
-    st = analysis.table if analysis else SyndromeTable(code, budget)
+    return _table_report(analysis.table if analysis else SyndromeTable(code, budget))
+
+
+def _table_report(st: SyndromeTable) -> RegularityReport:
+    """The report of a built table: one scan of its profiles in
+    increasing syndrome order, at length n = len(st.step)."""
     cosets = zip(range(st.size), st.leader_weight, zip(st.c, st.b))
-    return _scan_cosets(code.field.q, code.n, st.rho, cosets)
+    return _scan_cosets(st.field.q, len(st.step), st.rho, cosets)
 
 
 def _ambient_steps(st: SyndromeTable) -> list[list[int]]:
     """The odometer increments that walk the ambient space by syndrome:
     entry [j][a] turns coordinate j from a into (a + 1) % q."""
-    f = st.code.field
+    f = st.field
     q = f.q
     deltas = [f.sub((a + 1) % q, a) for a in range(q)]
     return [[row[d] for d in deltas] for row in st.step]

@@ -27,3 +27,8 @@ def census_2_3_8():
 @pytest.fixture(scope="session")
 def census_3_2_5():
     return enumerate_rho1(3, 2, 5)
+
+
+@pytest.fixture(scope="session")
+def census_3_3_5():
+    return enumerate_rho1(3, 3, 5)

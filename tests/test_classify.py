@@ -1,6 +1,7 @@
 """Structure recognizers: column forms, the radius-2 normal form,
 two-weight generator shape, exhaustive small-parameter confirmation."""
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -38,7 +39,7 @@ from crcodes.constructions import (
 )
 from crcodes.field import GF
 from crcodes.matrix import MatrixGF, rank, rref
-from crcodes.regularity import complete_regularity
+from crcodes.regularity import SyndromeTable, complete_regularity
 
 
 def test_rho1_form_invariants():
@@ -308,6 +309,27 @@ def _census_keys(f, m, n_max):
     return supports, keys
 
 
+def _recorded_builds(monkeypatch) -> list:
+    """The step rows of every syndrome table built from now on, through
+    the one build that SyndromeTable(code) and SyndromeTable.from_steps
+    share."""
+    built = []
+    original = regularity_module.SyndromeTable._build
+
+    def recorded(self, field, m, step, budget):
+        built.append(step)
+        original(self, field, m, step, budget)
+
+    monkeypatch.setattr(regularity_module.SyndromeTable, "_build", recorded)
+    return built
+
+
+def _step_multiset(step) -> Counter:
+    """The steps {beta*h : beta != 0} of each nonzero parity column h, as
+    a multiset over the columns; scaling h only reorders its steps."""
+    return Counter(tuple(sorted(row)) for row in step if any(row))
+
+
 def test_census_reduces_each_support_once_and_measures_each_loopless_key_once(
     monkeypatch,
 ):
@@ -315,23 +337,18 @@ def test_census_reduces_each_support_once_and_measures_each_loopless_key_once(
     # table per coset graph up to the loops that zero columns add
     supports, keys = _census_keys(GF(2), 2, 6)
     assert (len(supports), len(keys)) == (4, 35)
-    calls = Counter()
+    rref_calls = []
     original_rref = matrix_module.rref
-    original_table = regularity_module.SyndromeTable.__init__
 
     def counted_rref(M):
-        calls["rref"] += 1
+        rref_calls.append(M)
         return original_rref(M)
-
-    def counted_table(self, *args):
-        calls["table"] += 1
-        original_table(self, *args)
 
     monkeypatch.setattr(matrix_module, "rref", counted_rref)
     monkeypatch.setattr(classify_module, "rref", counted_rref)
-    monkeypatch.setattr(regularity_module.SyndromeTable, "__init__", counted_table)
+    built = _recorded_builds(monkeypatch)
     enumerate_rho1(2, 2, 6)
-    assert calls == {"rref": len(supports), "table": len(keys)}
+    assert (len(rref_calls), len(built)) == (len(supports), len(keys))
 
 
 @pytest.mark.parametrize("q, m, n_max", [(2, 2, 6), (3, 2, 4), (4, 2, 4)])
@@ -340,7 +357,7 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
     # is its nonzero support's rref with each column repeated
     f = GF(q)
     zero = (0,) * m
-    first = {}  # loopless key -> first rank-m multiset with it
+    first = {}  # loopless key -> the code of its first rank-m multiset
     for n in range(m + 2, n_max + 1):
         for multiset in combinations_with_replacement([zero] + pg_points(f, m), n):
             u = multiset.count(zero)
@@ -354,33 +371,25 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
             if rk < m:
                 continue
             code = LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
-            H = classify_module._reduced_parity(f, u, S.columns(), counts.values())
-            assert LinearCode(H) == code
             _, groups = codes_module._column_points(f, code.H.columns())
-            first.setdefault(frozenset(groups.items()), multiset)
-    # the census measures the first code of each loopless key, built so
-    measured = []
-    original = classify_module.complete_regularity
-
-    def recorded(code, budget):
-        measured.append(code)
-        return original(code, budget)
-
-    monkeypatch.setattr(classify_module, "complete_regularity", recorded)
+            first.setdefault(frozenset(groups.items()), code)
+    # each key's table, in order of first appearance, is built from the
+    # steps of its first code's reduced parity check, without the loops
+    # of its zero columns
+    want = [_step_multiset(SyndromeTable(code).step) for code in first.values()]
+    built = _recorded_builds(monkeypatch)
     enumerate_rho1(q, m, n_max)
-    assert measured == [
-        LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
-        for multiset in first.values()
-    ]
+    assert all(any(row) for step in built for row in step)
+    assert [_step_multiset(step) for step in built] == want
 
 
 def test_census_reuse_matches_fresh_measurement(
-    census_2_2_8, census_2_3_8, census_3_2_5
+    census_2_2_8, census_2_3_8, census_3_2_5, census_3_3_5
 ):
     # every entry, measured or reused, equals a fresh measurement of its
     # own code
     censuses = (
-        census_2_2_8, census_2_3_8, census_3_2_5,
+        census_2_2_8, census_2_3_8, census_3_2_5, census_3_3_5,
         enumerate_rho1(4, 2, 5), enumerate_rho1(5, 2, 4),
     )
     for census in censuses:
@@ -405,6 +414,40 @@ def test_census_reuse_matches_fresh_measurement(
     assert keys[0] != keys[1]
     assert even.is_completely_regular and str(even.array) == "(6;2)"
     assert not skewed.is_completely_regular and skewed.array is None
+
+
+# (entries, positives, sha256 of repr(enumerate_rho1(q, m, n_max))),
+# recorded at commit ef51256, where the census built and measured the
+# first code of each key
+CENSUS_DIGESTS = {
+    (2, 2, 8): (365, 8, "8f93a4ff8dd47133711a0238479e3145eb834bae81e4906446e83aae74c4d1f0"),
+    (2, 3, 8): (9788, 2, "ef827cb3bb570fd6c05dc1d4089fe422bfba3de2647136b5b9285c2cc0300736"),
+    (3, 2, 5): (158, 2, "b9356caefbd0483f40ef77a3fd3773c27c835d80f098ba38fb4a4be7f64a3766"),
+    (4, 2, 5): (331, 1, "6106e2102f9bb2883fb552f1d26ccc8ba7fba302f9c677ae0ef2988ee3fef11c"),
+    (5, 2, 4): (185, 0, "5b901d93630964c75f6d18241901fd97a830b24ab584845f1d13263bdffaed02"),
+    (7, 2, 3): (0, 0, "2d5afa52ad115fa269f43949806efd5f05f9e43667ab8d1299cc4c13aa055c1f"),
+    (8, 2, 3): (0, 0, "d379cc59af895d48edbf42d67e7bc9cbde8b9f0fac77ab9b4a5ecb0bb1df5138"),
+    (9, 2, 3): (0, 0, "da2767499933faffb537b53106584faea2287f2e67aa8c43521deff81cac8c0a"),
+    (3, 3, 5): (7137, 0, "aaf5479bdf4511fe861c9b9ca3821958bdd05502ba41400c16fec872831fb72b"),
+}
+
+
+@pytest.mark.parametrize("triple", CENSUS_DIGESTS, ids="{0[0]}-{0[1]}-{0[2]}".format)
+def test_census_output_is_byte_identical_to_its_record(triple, request):
+    try:  # the conftest census, where there is one
+        census = request.getfixturevalue("census_{}_{}_{}".format(*triple))
+    except pytest.FixtureLookupError:
+        census = enumerate_rho1(*triple)
+    entries, positives, digest = CENSUS_DIGESTS[triple]
+    assert (len(census.entries), len(census.positives)) == (entries, positives)
+    assert hashlib.sha256(repr(census).encode()).hexdigest() == digest
+
+
+def test_census_of_rank_one_refuses_its_first_code():
+    # at m = 1 every code has k = n - 1 > n - 2, and the first one the
+    # census measures is [3,2]
+    with pytest.raises(TrivialCode, match=r"^\[3,2\] is outside 2 <= k <= n-2$"):
+        enumerate_rho1(2, 1, 5)
 
 
 def _rank_rule(field, columns):
@@ -476,18 +519,11 @@ def test_enumerate_rho1_budget():
 
 
 def test_enumerate_rho1_syndrome_budget_refuses_the_first_code(monkeypatch):
-    measured = []
-    original = classify_module.complete_regularity
-
-    def counted(code, budget):
-        measured.append(code)
-        return original(code, budget)
-
-    monkeypatch.setattr(classify_module, "complete_regularity", counted)
+    built = _recorded_builds(monkeypatch)
     with pytest.raises(BudgetExceeded) as refused:
         enumerate_rho1(2, 2, 6, Budgets(max_syndromes=3))
-    assert refused.value.budget == "max_syndromes" and len(measured) == 1
-    # max_vectors refuses before any code is measured
+    assert refused.value.budget == "max_syndromes" and len(built) == 1
+    # max_vectors refuses before any table is built
     with pytest.raises(BudgetExceeded) as refused:
         enumerate_rho1(2, 2, 6, Budgets(max_vectors=100))
-    assert refused.value.budget == "max_vectors" and len(measured) == 1
+    assert refused.value.budget == "max_vectors" and len(built) == 1

@@ -243,13 +243,25 @@ def test_verifier_failures_exit_5(capsys, monkeypatch, diffmat32_path, error):
     assert stderr == f"error: {error}\n"
 
 
-def test_classify_31(capsys, hamming32_path, tmp_path):
+def test_classify_31(capsys, monkeypatch, hamming32_path, tmp_path):
+    # each file is classified once: verify_theorem31 is handed the form
+    # the command holds
+    classified = []
+    real = classify_module.classify_rho1
+
+    def counted(code):
+        classified.append(code)
+        return real(code)
+
+    monkeypatch.setattr(classify_module, "classify_rho1", counted)
+    monkeypatch.setattr(cli_module, "classify_rho1", counted)
     code, stdout, _ = run(
         capsys, "classify", hamming32_path, "--theorem", "31"
     )
     assert code == 0
     assert "column form: m=2 ell=1 u=0" in stdout
     assert "radius-1 equivalence holds: yes" in stdout
+    assert len(classified) == 1
     # a code that is neither of the form nor completely regular still
     # satisfies the biconditional, but reports no form; exit stays 0
     probe = tmp_path / "probe.txt"
@@ -257,6 +269,7 @@ def test_classify_31(capsys, hamming32_path, tmp_path):
     code, stdout, _ = run(capsys, "classify", str(probe), "--theorem", "31")
     assert code == 0
     assert "column form: none" in stdout
+    assert len(classified) == 2
 
 
 def test_classify_31_json(capsys, hamming32_path):
@@ -614,26 +627,30 @@ def test_one_syndrome_table_per_analysis(monkeypatch):
 
 
 def test_catalog_rejects_tiny_bound(capsys, tmp_path):
-    code, _, stderr = run(
-        capsys, "catalog", "--qn-bound", "3", "--out", str(tmp_path / "x")
-    )
+    out = tmp_path / "x"
+    code, _, stderr = run(capsys, "catalog", "--qn-bound", "3", "--out", str(out))
     assert code == 2
     assert "error:" in stderr
+    # the output directory is made before the bound is checked, and stays empty
+    assert list(out.iterdir()) == []
 
 
-def test_output_path_that_cannot_be_written_exits_3(capsys, tmp_path):
+def test_output_path_that_cannot_be_written_exits_3(capsys, monkeypatch, tmp_path):
     # exit 3 covers files that cannot be written as well as read: a
     # directory where construct writes its matrix, a file where catalog
-    # makes its directory
+    # makes its directory, which it does before building any member
+    catalogs = []
+    monkeypatch.setattr(constructions_module, "family_catalog", catalogs.append)
     taken = tmp_path / "taken.txt"
     taken.write_text("")
     for argv in (
         ("construct", "ii", "--q", "4", "--out", str(tmp_path)),
-        ("catalog", "--qn-bound", "8", "--out", str(taken)),
+        ("catalog", "--qn-bound", "400", "--out", str(taken)),
     ):
         code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout) == (3, "")
         assert stderr.startswith("error:")
+    assert catalogs == []
 
 
 def _package_env():

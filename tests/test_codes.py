@@ -321,6 +321,23 @@ def test_iter_projective_matches_direct_span():
     assert branches == {True, False}
 
 
+def test_weight_pair_walks_the_code_on_a_tie(monkeypatch):
+    # k = n - k: both sides have q^k words, and the code's own G is walked
+    code = LinearCode.from_generator(MatrixGF(GF(3), [[1, 0, 1, 1], [0, 1, 2, 0]]))
+    assert code.k == code.redundancy and code.G != code.H
+    want = (weight_distribution(code), weight_distribution(code.dual()))
+    walked = []
+    real = codes._rowspace_weights
+
+    def recorded(M, budget):
+        walked.append(M)
+        return real(M, budget)
+
+    monkeypatch.setattr(codes, "_rowspace_weights", recorded)
+    assert weight_pair(code) == want
+    assert walked == [code.G]
+
+
 def test_weight_distribution_known_values():
     assert weight_distribution(hamming_code(2, 3)) == [1, 0, 0, 7, 7, 0, 0, 1]
     ext = hamming_code(2, 3).extended()

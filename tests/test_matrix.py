@@ -106,6 +106,7 @@ def test_trusted_matrices_pass_the_public_checks(monkeypatch):
                 enumerate_rho1(3, 2, 5),
                 enumerate_rho1(2, 2, 6),
                 enumerate_rho1(2, 3, 6),
+                enumerate_rho1(3, 3, 5),
             )
         )
 

@@ -521,10 +521,14 @@ def test_covering_radius_known_codes():
         assert covering_radius(rep) == expect
 
 
-def test_syndrome_budget():
+def test_syndrome_budget(monkeypatch):
+    # refused before any step row is encoded: over GF(2^14) the rows
+    # alone take n(q-1) encodings
+    encoded = []
+    monkeypatch.setattr(regularity, "_from_base", lambda *args: encoded.append(args))
     with pytest.raises(BudgetExceeded) as err:
         SyndromeTable(hamming_code(2, 3), Budgets(max_syndromes=7))
-    assert err.value.budget == "max_syndromes"
+    assert err.value.budget == "max_syndromes" and encoded == []
 
 
 def test_complete_regularity_hamming():
