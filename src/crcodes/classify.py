@@ -38,7 +38,8 @@ from .regularity import (
     RegularityReport,
     SyndromeTable,
     _column_steps,
-    _table_report,
+    _recount,
+    _scan_cosets,
     complete_regularity,
 )
 
@@ -436,11 +437,16 @@ def enumerate_rho1(
     nonzero reduced columns; it fixes the coset graph Cay(GF(q)^m,
     {beta*h_j}) up to loops, as a column h and its point P give the same
     steps {beta*h} = {beta*P}.  So each key is measured from its points,
-    and no code is built: one syndrome table from each point's step row
-    (built once per census) repeated by its multiplicity, and the column
-    form read from the points.  Deriving the rest from u is exact: a
-    zero column gives the step beta*0 = 0, which the syndrome table
-    drops, so the levels, b_i, c_i and rho do not depend on u, and each
+    and no code is built.  The graph's distances depend only on its set
+    of steps, so one syndrome table is built per set of points, each
+    point's steps taken once, and only its leader weights and rho are
+    read.  For each point P the (c, b) profile of every syndrome under
+    the steps beta*P alone is recounted from those leader weights, and a
+    key's profiles are these summed with its multiplicities: the counts
+    are linear in them.  A key's column form is read from its points,
+    the cover of PG(m-1, q) once per point set.  Deriving the rest from
+    u is exact: a zero column gives the step beta*0 = 0, which adds only
+    loops, so the levels, b_i, c_i and rho do not depend on u, and each
     a_i = (q-1)n - b_i - c_i grows by (q-1)u.  The column form counts
     zeros apart from points, so u changes a Rho1Form's u and no
     NotOfForm reason.  Each (key, u) takes its array at its own length
@@ -452,23 +458,27 @@ def enumerate_rho1(
     total = sum(comb(len(points) + n, n) for n in range(m + 2, n_max + 1))
     budget.require("max_vectors", total)
 
-    # keys[L]: the key of each nonzero part of length L in
-    # combinations_with_replacement order, None below rank m.  Equal keys
-    # are interned, so a part costs one reference; the parts themselves
-    # are generated again where they are used.
+    # keys[L]: the key of each nonzero part of length L, over point
+    # indices in combinations_with_replacement order, None below rank m.
+    # Equal keys are interned, so a part costs one reference; the parts
+    # themselves are generated again where they are used.
+    index = {point: i for i, point in enumerate(points)}
     keys = []
     interned = {}
-    reduced = {}  # nonzero support -> the points of its reduced columns
+    reduced = {}  # nonzero support -> the point indices of its reduced columns
     for length in range(n_max + 1):
         row = []
-        for part in combinations_with_replacement(points, length):
+        for part in combinations_with_replacement(range(len(points)), length):
             support = tuple(dict.fromkeys(part))
             if support not in reduced:
                 reduced[support] = None  # rank < m
                 if len(support) >= m:
-                    R, rk, _ = rref(MatrixGF.from_columns(f, support))
+                    S = MatrixGF.from_columns(f, [points[i] for i in support])
+                    R, rk, _ = rref(S)
                     if rk == m:
-                        reduced[support] = [canonical_column(f, c) for c in R.columns()]
+                        reduced[support] = [
+                            index[canonical_column(f, c)] for c in R.columns()
+                        ]
             key = None
             if reduced[support] is not None:
                 key = frozenset(zip(reduced[support], map(part.count, support)))
@@ -476,34 +486,62 @@ def enumerate_rho1(
             row.append(key)
         keys.append(row)
 
-    rows = dict(zip(points, _column_steps(f, points)))
+    rows = list(_column_steps(f, points))
+    # a profile count is at most (q-1)n_max, so a profile (c, b) is held
+    # as the one integer c*W + b, and a key's profiles are sums of these
+    W = (q - 1) * n_max + 1
+    tables = {}  # point set -> (leader weights, rho, profiles, cover)
+
+    def table_of(point_set):
+        # one table on the point set's steps, each taken once: its leader
+        # weights, rho and column cover, and for each point P the profile
+        # of every syndrome under the steps beta*P alone
+        table = SyndromeTable.from_steps(f, m, [rows[i] for i in point_set], budget)
+        profiles = {}
+        for i in point_set:
+            recount = map(_recount(table, rows[i][1:]), range(table.size))
+            profiles[i] = [c * W + b for c, b in recount]
+        cover = _points_rho1_form(f, m, 0, {points[i]: 1 for i in point_set})
+        return table.leader_weight, table.rho, profiles, cover
+
+    def measure(key, n: int):
+        # the report and column form of the key's coset graph without
+        # loops, first met at length n
+        point_set = frozenset(i for i, _ in key)
+        if point_set not in tables:
+            tables[point_set] = table_of(point_set)
+        # k = n - m, so at m < 2 the first key refuses
+        _require_nontrivial(n, n - m)
+        lw, rho, profiles, form = tables[point_set]
+        weighted = [profiles[i] for i, k in key for _ in range(k)]
+        summed = [divmod(sum(at), W) for at in zip(*weighted)]
+        if isinstance(form, Rho1Form):  # the points cover PG(m-1, q)
+            form = _points_rho1_form(f, m, 0, {points[i]: k for i, k in key})
+        cosets = zip(range(len(lw)), lw, summed)
+        return _scan_cosets(q, len(weighted), rho, cosets), form
 
     def entries():
         # yielded into the report's tuple, so no list of them is held too
-        measured = {}  # key -> (report, form) of its coset graph without loops
-        derived = {}  # (key, u) -> (rho, is_completely_regular, form, array)
+        measured = {}  # key -> measure(key, n)
         for n in range(m + 2, n_max + 1):
             # combinations_with_replacement order: more zero columns first
             for u in range(n, -1, -1):
+                # a key's length is n - u, so (key, u) recurs only here
+                derived = {}  # key -> (rho, is_completely_regular, form, array)
                 zeros = ((0,) * m,) * u
                 parts = combinations_with_replacement(points, n - u)
                 for part, key in zip(parts, keys[n - u]):
                     if key is None:
                         continue
-                    fields = derived.get((key, u))
+                    fields = derived.get(key)
                     if fields is None:
                         if key not in measured:
-                            step = [rows[point] for point, k in key for _ in range(k)]
-                            table = SyndromeTable.from_steps(f, m, step, budget)
-                            rep = _table_report(table)
-                            # k = n - m, so at m < 2 the first key refuses
-                            _require_nontrivial(n, n - m)
-                            measured[key] = rep, _points_rho1_form(f, m, 0, dict(key))
+                            measured[key] = measure(key, n)
                         rep, form = _with_zero_columns(q, n, u, *measured[key])
                         reason = _rho1_disagreement(q, form, rep)
                         if reason is not None:
                             raise AssertionError(f"{reason} on {zeros + part}")
-                        fields = derived[key, u] = (
+                        fields = derived[key] = (
                             rep.rho, rep.is_completely_regular, form, rep.array
                         )
                     yield CorpusEntry(zeros + part, n, n - m, *fields)

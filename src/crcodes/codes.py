@@ -137,10 +137,6 @@ class LinearCode:
     def redundancy(self) -> int:
         return self.n - self.k
 
-    def is_nontrivial(self) -> bool:
-        """2 <= k <= n-2: neither near-empty nor near-everything."""
-        return 2 <= self.k <= self.n - 2
-
     def dual(self) -> "LinearCode":
         return LinearCode(self.G, self.H)
 

@@ -91,9 +91,12 @@ class SyndromeTable:
 
     SyndromeTable(code) reads the field, m = n - k and the step rows off
     the code's parity check; from_steps(field, m, step) is given them.
-    Only the multiset of steps shapes the syndrome graph Cay(GF(q)^m,
-    {beta*h_j}), so step rows of any parity check with the same steps
-    give the same leader weights and profiles.  Both run one build.
+    Both run one build.  The leader weights and rho depend only on the
+    set of steps of the syndrome graph Cay(GF(q)^m, {beta*h_j}), and the
+    profiles only on their multiset: the BFS adds each distinct step
+    once per row that holds it, so the counts are linear in the
+    multiplicities.  Step rows of any parity check with the same steps
+    give the same table.
 
     Below _WORD_BFS_MIN_SIZE syndromes the BFS visits one syndrome at a
     time, searching leader_weight for each level, and adds steps through
@@ -507,14 +510,24 @@ def complete_regularity(
     level is exactly the defining condition.  Callers holding a
     CodeAnalysis read its cached `report` rather than scanning again.
     """
-    return _table_report(analysis.table if analysis else SyndromeTable(code, budget))
-
-
-def _table_report(st: SyndromeTable) -> RegularityReport:
-    """The report of a built table: one scan of its profiles in
-    increasing syndrome order, at length n = len(st.step)."""
+    st = analysis.table if analysis else SyndromeTable(code, budget)
     cosets = zip(range(st.size), st.leader_weight, zip(st.c, st.b))
-    return _scan_cosets(st.field.q, len(st.step), st.rho, cosets)
+    return _scan_cosets(code.field.q, code.n, st.rho, cosets)
+
+
+def _recount(st: SyndromeTable, steps):
+    """The function taking a syndrome s to its (c, b) profile under
+    `steps`, recounted from the table's leader weights: how many s + d
+    lie one level below s, and how many one level above."""
+    lw = st.leader_weight
+    neighbors = st.translator(steps)
+
+    def profile(s: int) -> tuple[int, int]:
+        level = lw[s]
+        levels = [lw[t] for t in neighbors(s)]
+        return levels.count(level - 1), levels.count(level + 1)
+
+    return profile
 
 
 def _ambient_steps(st: SyndromeTable) -> list[list[int]]:
@@ -538,7 +551,8 @@ def complete_regularity_bruteforce(
     The walk visits the syndromes of the q^n vectors in odometer order
     (coordinate 0 fastest) and takes each one's distance as the leader
     weight of its syndrome.  The profile is recounted from those leader
-    weights over the n(q-1) neighbor syndromes s + step[j][beta]; the
+    weights over the n(q-1) neighbor syndromes s + step[j][beta] by
+    _recount, the one recount, which the radius-1 census shares; the
     (c, b) counts the table's BFS keeps are never read, so this checks
     them.
 
@@ -558,7 +572,7 @@ def complete_regularity_bruteforce(
     budget.require("max_vectors", total)
     st = analysis.table if analysis else SyndromeTable(code, budget)
     lw = st.leader_weight
-    neighbors = st.translator([d for row in st.step for d in row[1:]])
+    profile = _recount(st, [d for row in st.step for d in row[1:]])
     seen = bytearray(st.size)
 
     def first_visits():
@@ -566,9 +580,7 @@ def complete_regularity_bruteforce(
         for s in odometer(0, _ambient_steps(st), st.add):
             if not seen[s]:
                 seen[s] = 1
-                level = lw[s]
-                levels = [lw[t] for t in neighbors(s)]
-                yield s, level, (levels.count(level - 1), levels.count(level + 1))
+                yield s, lw[s], profile(s)
                 unseen -= 1
                 if not unseen:
                     return

@@ -334,9 +334,11 @@ def test_census_reduces_each_support_once_and_measures_each_loopless_key_once(
     monkeypatch,
 ):
     # one rref per set of distinct nonzero columns and one syndrome
-    # table per coset graph up to the loops that zero columns add
+    # table per set of points of a coset graph up to the loops that zero
+    # columns add, whatever the points' multiplicities
     supports, keys = _census_keys(GF(2), 2, 6)
-    assert (len(supports), len(keys)) == (4, 35)
+    point_sets = {frozenset(point for point, _ in key) for key in keys}
+    assert (len(supports), len(keys), len(point_sets)) == (4, 35, 2)
     rref_calls = []
     original_rref = matrix_module.rref
 
@@ -348,7 +350,7 @@ def test_census_reduces_each_support_once_and_measures_each_loopless_key_once(
     monkeypatch.setattr(classify_module, "rref", counted_rref)
     built = _recorded_builds(monkeypatch)
     enumerate_rho1(2, 2, 6)
-    assert (len(rref_calls), len(built)) == (len(supports), len(keys))
+    assert (len(rref_calls), len(built)) == (len(supports), len(point_sets))
 
 
 @pytest.mark.parametrize("q, m, n_max", [(2, 2, 6), (3, 2, 4), (4, 2, 4)])
@@ -357,7 +359,7 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
     # is its nonzero support's rref with each column repeated
     f = GF(q)
     zero = (0,) * m
-    first = {}  # loopless key -> the code of its first rank-m multiset
+    first = {}  # loopless key -> the nonzero columns of its first code's H
     for n in range(m + 2, n_max + 1):
         for multiset in combinations_with_replacement([zero] + pg_points(f, m), n):
             u = multiset.count(zero)
@@ -372,15 +374,35 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
                 continue
             code = LinearCode.from_parity(MatrixGF.from_columns(f, multiset))
             _, groups = codes_module._column_points(f, code.H.columns())
-            first.setdefault(frozenset(groups.items()), code)
-    # each key's table, in order of first appearance, is built from the
-    # steps of its first code's reduced parity check, without the loops
-    # of its zero columns
-    want = [_step_multiset(SyndromeTable(code).step) for code in first.values()]
+            columns = [col for col in code.H.columns() if any(col)]
+            first.setdefault(frozenset(groups.items()), columns)
+    # each table, in order of first appearance, is built on the steps of
+    # a reduced point set, each point's steps once
+    point_sets = dict.fromkeys(frozenset(point for point, _ in key) for key in first)
+    want = [
+        _step_multiset(regularity_module._column_steps(f, points))
+        for points in point_sets
+    ]
     built = _recorded_builds(monkeypatch)
+    scans = []
+    original_scan = classify_module._scan_cosets
+
+    def recorded_scan(q, n, rho, cosets):
+        cosets = list(cosets)
+        scans.append((n, rho, cosets))
+        return original_scan(q, n, rho, cosets)
+
+    monkeypatch.setattr(classify_module, "_scan_cosets", recorded_scan)
     enumerate_rho1(q, m, n_max)
-    assert all(any(row) for step in built for row in step)
     assert [_step_multiset(step) for step in built] == want
+    # each key's summed profiles, levels and rho are the BFS counts of a
+    # table on its first code's steps, each repeated by its multiplicity
+    assert len(scans) == len(first)
+    for columns, scan in zip(first.values(), scans):
+        steps = list(regularity_module._column_steps(f, columns))
+        st = SyndromeTable.from_steps(f, m, steps)
+        profiles = list(zip(range(st.size), st.leader_weight, zip(st.c, st.b)))
+        assert scan == (len(columns), st.rho, profiles), columns
 
 
 def test_census_reuse_matches_fresh_measurement(
@@ -390,7 +412,8 @@ def test_census_reuse_matches_fresh_measurement(
     # own code
     censuses = (
         census_2_2_8, census_2_3_8, census_3_2_5, census_3_3_5,
-        enumerate_rho1(4, 2, 5), enumerate_rho1(5, 2, 4),
+        enumerate_rho1(4, 2, 5), enumerate_rho1(5, 2, 4), enumerate_rho1(7, 2, 4),
+        enumerate_rho1(8, 2, 4), enumerate_rho1(9, 2, 4),
     )
     for census in censuses:
         for e in census.entries:
@@ -418,7 +441,9 @@ def test_census_reuse_matches_fresh_measurement(
 
 # (entries, positives, sha256 of repr(enumerate_rho1(q, m, n_max))),
 # recorded at commit ef51256, where the census built and measured the
-# first code of each key
+# first code of each key; the three at n_max = 4 and q = 7, 8, 9, the
+# first to measure codes there, at commit 81bef73, where it built one
+# table per key
 CENSUS_DIGESTS = {
     (2, 2, 8): (365, 8, "8f93a4ff8dd47133711a0238479e3145eb834bae81e4906446e83aae74c4d1f0"),
     (2, 3, 8): (9788, 2, "ef827cb3bb570fd6c05dc1d4089fe422bfba3de2647136b5b9285c2cc0300736"),
@@ -429,6 +454,9 @@ CENSUS_DIGESTS = {
     (8, 2, 3): (0, 0, "d379cc59af895d48edbf42d67e7bc9cbde8b9f0fac77ab9b4a5ecb0bb1df5138"),
     (9, 2, 3): (0, 0, "da2767499933faffb537b53106584faea2287f2e67aa8c43521deff81cac8c0a"),
     (3, 3, 5): (7137, 0, "aaf5479bdf4511fe861c9b9ca3821958bdd05502ba41400c16fec872831fb72b"),
+    (7, 2, 4): (462, 0, "9e8024677fac879ae592fe21293f144ec969dfee732fdfa416975c615bda9704"),
+    (8, 2, 4): (678, 0, "17aaf77f46b35fb114f96b29ffab75dfff0db9ac0547973ada795f5b7e5f07de"),
+    (9, 2, 4): (960, 0, "be73d4452dc594b621fdbcde4966563d79259fd99dfae298df16861155005c25"),
 }
 
 

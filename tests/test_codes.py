@@ -8,7 +8,7 @@ import pytest
 
 from crcodes import codes
 from crcodes.budgets import Budgets, BudgetExceeded
-from crcodes.classify import Rho1Form, classify_rho1, enumerate_rho1
+from crcodes.classify import Rho1Form, TrivialCode, classify_rho1, enumerate_rho1
 from crcodes.codes import (
     AlreadyFullPointSet,
     LinearCode,
@@ -173,9 +173,22 @@ def test_from_parity_reduces_rank():
 
 
 def test_is_nontrivial():
-    assert hamming_code(2, 3).is_nontrivial()
-    rep = LinearCode.from_generator(MatrixGF(GF(2), [[1, 1, 1]]))
-    assert not rep.is_nontrivial()
+    # the classification refuses k = 1 and k = n - 1 and measures
+    # k = 2 and k = n - 2
+    f = GF(2)
+    two_rows = MatrixGF(f, [[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]])
+    for k, code in (
+        (1, LinearCode.from_generator(MatrixGF(f, [[1] * 5]))),
+        (4, LinearCode.from_parity(MatrixGF(f, [[1] * 5]))),
+    ):
+        with pytest.raises(TrivialCode, match=rf"^\[5,{k}\] is outside 2 <= k <= n-2$"):
+            classify_rho1(code)
+    for k, code in (
+        (2, LinearCode.from_generator(two_rows)),
+        (3, LinearCode.from_parity(two_rows)),
+    ):
+        assert code.k == k
+        classify_rho1(code)
 
 
 def test_punctured_and_extended_are_inverse_at_the_parity_coordinate():

@@ -305,6 +305,27 @@ def test_word_bfs_on_one_syndrome(monkeypatch):
         assert table == (bytearray([0]), array("H", [0]), array("H", [0]), 0)
 
 
+def test_steps_that_do_not_span_are_refused_on_each_path(monkeypatch):
+    # from_steps takes any rows, so the syndrome graph can be
+    # disconnected: one binary step in GF(2)^2 takes the per-syndrome
+    # path, and steps in the hyperplane x_6 = 0 of GF(3)^7 the word path;
+    # with no step at all, GF(2)^1 is one syndrome short on either path
+    in_hyperplane = [tuple(int(i == j) for i in range(7)) for j in range(6)]
+    default = regularity._WORD_BFS_MIN_SIZE
+    assert 2**2 < default <= 3**7
+    cases = [
+        (GF(2), 2, [(1, 0)], default),
+        (GF(3), 7, in_hyperplane, default),
+        (GF(2), 1, [(0,)], math.inf),
+        (GF(2), 1, [(0,)], 1),
+    ]
+    for f, m, columns, cutoff in cases:
+        monkeypatch.setattr(regularity, "_WORD_BFS_MIN_SIZE", cutoff)
+        step = list(regularity._column_steps(f, columns))
+        with pytest.raises(AssertionError, match="^syndrome graph is not connected$"):
+            SyndromeTable.from_steps(f, m, step)
+
+
 def test_four_byte_counts_on_each_path(monkeypatch):
     # the all-ones row of length 256 over GF(257): n(q-1) = 2^16 steps
     # all lead from 0 into level 1, so b[0] = 65536 needs a third byte
