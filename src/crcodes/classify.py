@@ -107,7 +107,9 @@ def _columns_rho1_form(field, columns) -> Rho1Form | NotOfForm:
 
 def _points_rho1_form(field, m: int, u: int, groups) -> Rho1Form | NotOfForm:
     """The column form of u zero columns and, for each point of
-    PG(m-1, q) in `groups`, that many copies of it."""
+    PG(m-1, q) in `groups`, that many copies of it.  Points that miss a
+    point of PG(m-1, q) give a NotOfForm that does not depend on their
+    multiplicities, which the census reuses across them."""
     # Every group is a point of PG(m-1, q), so covering every point
     # means equality.
     for point in iter_pg_points(field, m):
@@ -487,22 +489,25 @@ def enumerate_rho1(
         keys.append(row)
 
     rows = list(_column_steps(f, points))
-    # a profile count is at most (q-1)n_max, so a profile (c, b) is held
-    # as the one integer c*W + b, and a key's profiles are sums of these
+    # c and b each count steps of one key, which has at most (q-1)n_max,
+    # so W is above any count: a profile (c, b) is held as the one
+    # integer c*W + b, a key's profiles are sums of these, and divmod by
+    # W gives back the summed c and b
     W = (q - 1) * n_max + 1
-    tables = {}  # point set -> (leader weights, rho, profiles, cover)
+    tables = {}  # point set -> (leader weights, rho, profiles, form)
 
     def table_of(point_set):
         # one table on the point set's steps, each taken once: its leader
-        # weights, rho and column cover, and for each point P the profile
-        # of every syndrome under the steps beta*P alone
+        # weights, rho and column form at multiplicity 1, and for each
+        # point P the profile of every syndrome under the steps beta*P
+        # alone
         table = SyndromeTable.from_steps(f, m, [rows[i] for i in point_set], budget)
         profiles = {}
         for i in point_set:
             recount = map(_recount(table, rows[i][1:]), range(table.size))
             profiles[i] = [c * W + b for c, b in recount]
-        cover = _points_rho1_form(f, m, 0, {points[i]: 1 for i in point_set})
-        return table.leader_weight, table.rho, profiles, cover
+        form = _points_rho1_form(f, m, 0, {points[i]: 1 for i in point_set})
+        return table.leader_weight, table.rho, profiles, form
 
     def measure(key, n: int):
         # the report and column form of the key's coset graph without
@@ -515,7 +520,11 @@ def enumerate_rho1(
         lw, rho, profiles, form = tables[point_set]
         weighted = [profiles[i] for i, k in key for _ in range(k)]
         summed = [divmod(sum(at), W) for at in zip(*weighted)]
-        if isinstance(form, Rho1Form):  # the points cover PG(m-1, q)
+        # _points_rho1_form reports a missing point of PG(m-1, q) before
+        # it reads a multiplicity, so that NotOfForm holds for every key
+        # on the point set; only a cover is checked again, for its
+        # multiplicities
+        if isinstance(form, Rho1Form):
             form = _points_rho1_form(f, m, 0, {points[i]: k for i, k in key})
         cosets = zip(range(len(lw)), lw, summed)
         return _scan_cosets(q, len(weighted), rho, cosets), form

@@ -394,6 +394,7 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
 
     monkeypatch.setattr(classify_module, "_scan_cosets", recorded_scan)
     enumerate_rho1(q, m, n_max)
+    assert all(any(row) for step in built for row in step)
     assert [_step_multiset(step) for step in built] == want
     # each key's summed profiles, levels and rho are the BFS counts of a
     # table on its first code's steps, each repeated by its multiplicity
