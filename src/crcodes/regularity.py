@@ -12,9 +12,7 @@ vector, and syndrome addition is digitwise mod p; the codec and the
 digitwise adder are the ones field.py uses for field elements.
 
 SyndromeTable finds each syndrome's leader weight and (c, b) profile in
-one BFS, on one of two paths with the same output: one syndrome at a
-time for small tables, whole levels at a time as bit sets (_word_bfs)
-for large ones.
+one BFS, _word_bfs, which moves whole levels at a time as bit sets.
 
 The exhaustive passes over all q^n ambient vectors walk syndromes only,
 with the odometer of codes.py stepping by one table addition per
@@ -41,15 +39,6 @@ from .field import _add_digitwise, _base_digits, _from_base
 from .matrix import solve_rational
 
 
-def encode_vector(q: int, vec) -> int:
-    """The base-q code of vec, coordinate 0 least significant."""
-    return _from_base(tuple(vec), q)
-
-
-def decode_vector(q: int, code: int, length: int) -> tuple[int, ...]:
-    return _base_digits(code, q, length)
-
-
 def _column_steps(field, columns):
     """Yield the step row [0] + [the syndrome of beta*col for beta != 0]
     of each parity column col, built once per distinct column."""
@@ -61,15 +50,6 @@ def _column_steps(field, columns):
             rows[col] = [0] + steps
         yield rows[col]
 
-
-_UNSEEN = 0xFF  # leader_weight of a syndrome the BFS has not reached
-
-# Tables of at least this many syndromes run the word-parallel BFS.  Timed
-# only on three seeded random codes per size over GF(2, 3, 4, 5, 8, 9, 16)
-# with 2^6 to 2^12 syndromes, it won on every code from 2^10 on; catalog
-# codes with many distinct steps cross over lower (iii-q9-m2, 729
-# syndromes: 0.015 s, against 0.114 s on the per-syndrome path).
-_WORD_BFS_MIN_SIZE = 1 << 10
 
 # The word-parallel BFS holds a set of syndromes as chunk ints of about
 # this many bits, so that the masks and every temporary are one chunk
@@ -98,20 +78,18 @@ class SyndromeTable:
     multiplicities.  Step rows of any parity check with the same steps
     give the same table.
 
-    Below _WORD_BFS_MIN_SIZE syndromes the BFS visits one syndrome at a
-    time, searching leader_weight for each level, and adds steps through
-    translator; larger tables run _word_bfs.  Either way a syndrome costs
-    one byte of leader weight and two profile counts (two bytes each
-    while n(q-1) < 2^16): five bytes in all, and the word path holds
-    about two more bytes per syndrome while it runs.
+    The BFS is _word_bfs.  A syndrome costs one byte of leader weight and
+    two profile counts (two bytes each while n(q-1) < 2^16): five bytes
+    in all, and the BFS holds about two more bytes per syndrome while it
+    runs.
 
     add(s, d) is s + d for a step d, and translator(steps) gives all
     s + d at once.  In characteristic 2 that is s ^ d.  Otherwise every
     distinct step d has a pair of split-half translation tables of
     q^ceil(m/2) entries, so that s + d is lo[s % Q] + hi[s // Q] with
     Q = q^ceil(m/2).  They are built the first time add or translator is
-    read: by the per-syndrome path, the brute force and the low-weight
-    counts, never by the word path.
+    read, which only the brute force, the low-weight counts and the
+    radius-1 census's recount do; the build never reads them.
     """
 
     __slots__ = (
@@ -144,46 +122,9 @@ class SyndromeTable:
         self._halves = None
         mult = Counter(d for row in step for d in row[1:] if d)
         counts = array("H" if len(step) * (q - 1) < 1 << 16 else "I", [0])
-        if size < _WORD_BFS_MIN_SIZE:
-            found = self._syndrome_bfs(mult, counts)
-        else:
-            found = _word_bfs(f.p, m * f.r, mult, counts)
-        self.leader_weight, self.c, self.b, self.rho = found
-
-    def _syndrome_bfs(self, mult: Counter, counts: array):
-        """The BFS one syndrome at a time: (leader_weight, c, b, rho)."""
-        size = self.size
-        weights = list(mult.values())
-        targets = self.translator(list(mult))
-        lw = bytearray([_UNSEEN]) * size
-        c = counts * size
-        b = counts * size
-        lw[0] = 0
-        level = 0
-        reached = 1
-        while reached < size:
-            up = level + 1
-            found = 0
-            s = lw.find(level)
-            while s >= 0:
-                out = 0
-                for t, k in zip(targets(s), weights):
-                    lv = lw[t]
-                    if lv == _UNSEEN:
-                        lw[t] = up
-                        found += 1
-                    elif lv != up:
-                        continue
-                    c[t] += k
-                    out += k
-                b[s] = out
-                s = lw.find(level, s + 1)
-            if not found:
-                # cannot happen for a full-rank parity check
-                raise AssertionError("syndrome graph is not connected")
-            reached += found
-            level = up
-        return lw, c, b, level
+        self.leader_weight, self.c, self.b, self.rho = _word_bfs(
+            f.p, m * f.r, mult, counts
+        )
 
     def _split_halves(self):
         """(Q, {d: (lo, hi)}) for every distinct step d, built on first use."""

@@ -1,16 +1,17 @@
 """Coset geometry: syndrome BFS, regularity decisions, packing coefficients."""
 
 import json
-import math
 import os
 import random
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,7 @@ from crcodes.codes import (
     weight_distribution,
 )
 from crcodes.constructions import family_catalog, hamming_code
-from crcodes.field import GF
+from crcodes.field import GF, _base_digits, _from_base
 from crcodes.matrix import MatrixGF
 from crcodes.regularity import (
     CodeAnalysis,
@@ -39,8 +40,6 @@ from crcodes.regularity import (
     coset_low_weight_counts,
     coset_weight_counts,
     covering_radius,
-    decode_vector,
-    encode_vector,
 )
 
 NON_CR_PROBE = MatrixGF(GF(2), [[1, 0, 1, 1], [0, 1, 0, 1]])
@@ -67,7 +66,7 @@ def _coset_leaders(code):
     q = code.field.q
     best = {}
     for vec in product(range(q), repeat=code.n):
-        s = encode_vector(q, code.H.mul_vector(vec))
+        s = _from_base(code.H.mul_vector(vec), q)
         if s not in best or _weight(vec) < _weight(best[s]):
             best[s] = vec
     return best
@@ -81,11 +80,11 @@ def _leader_weight_oracle(code):
 def test_encode_decode_round_trip():
     for q in (2, 3, 4, 9):
         for vec in product(range(q), repeat=3):
-            e = encode_vector(q, vec)
-            assert decode_vector(q, e, 3) == vec
+            e = _from_base(vec, q)
+            assert _base_digits(e, q, 3) == vec
     # coordinate 0 is the least significant digit
-    assert encode_vector(3, (1, 0, 0)) == 1
-    assert encode_vector(3, (0, 0, 1)) == 9
+    assert _from_base((1, 0, 0), 3) == 1
+    assert _from_base((0, 0, 1), 3) == 9
 
 
 @pytest.mark.parametrize("q,n,r", [(2, 5, 3), (3, 4, 2), (4, 4, 2)])
@@ -103,7 +102,7 @@ def test_syndrome_table_against_vector_scan(q, n, r):
     for j in range(code.n):
         for beta in range(1, q):
             col = [f.mul(beta, x) for x in code.H.column(j)]
-            assert st.step[j][beta] == encode_vector(q, col)
+            assert st.step[j][beta] == _from_base(col, q)
 
 
 def _profile_oracle(code):
@@ -121,7 +120,7 @@ def _profile_oracle(code):
             for beta in range(1, q):
                 nb = list(vec)
                 nb[j] = f.add(nb[j], beta)
-                lv = level[encode_vector(q, code.H.mul_vector(nb))]
+                lv = level[_from_base(code.H.mul_vector(nb), q)]
                 c += lv == level[s] - 1
                 b += lv == level[s] + 1
         profile[s] = (c, b)
@@ -181,13 +180,19 @@ def _oracle_codes(q):
     yield LinearCode.from_parity(MatrixGF.from_columns(f, cols + cols))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_profiles_against_coset_leader_oracle(q):
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("chunk_bits", [1 << 16, 8])
+def test_profiles_against_coset_leader_oracle(q, chunk_bits, monkeypatch):
+    # eight-bit chunks put most digits of a syndrome above the chunk, so
+    # steps move whole chunks as well as bits inside them
+    monkeypatch.setattr(regularity, "_CHUNK_BITS", chunk_bits)
     kinds = set()
+    sizes = []
     for code in _oracle_codes(q):
         level, profile = _profile_oracle(code)
         st = SyndromeTable(code)
         assert st.size == len(level)
+        assert st.c.typecode == st.b.typecode == "H"
         for s in range(st.size):
             assert st.leader_weight[s] == level[s]
             assert (st.c[s], st.b[s]) == profile[s]
@@ -197,54 +202,58 @@ def test_profiles_against_coset_leader_oracle(q):
             code, level, profile
         )
         kinds.add(expected.is_completely_regular)
+        sizes.append(st.size)
     assert kinds == {True, False}
-
-
-BFS_PATHS = {"word": 1, "syndrome": math.inf}
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
-@pytest.mark.parametrize("path", BFS_PATHS)
-def test_profiles_against_coset_leader_oracle_on_each_bfs_path(
-    q, path, monkeypatch
-):
-    monkeypatch.setattr(regularity, "_WORD_BFS_MIN_SIZE", BFS_PATHS[path])
-    test_profiles_against_coset_leader_oracle(q)
-
-
-def _table_on_each_path(code, monkeypatch):
-    """(leader_weight, c, b, rho) from the per-syndrome BFS and from the
-    word-parallel one."""
-    tables = []
-    for cutoff in (math.inf, 1):
-        monkeypatch.setattr(regularity, "_WORD_BFS_MIN_SIZE", cutoff)
-        st = SyndromeTable(code)
-        tables.append((st.leader_weight, st.c, st.b, st.rho))
-    return tables
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-@pytest.mark.parametrize("chunk_bits", [1 << 16, 8])
-def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatch):
-    # eight-bit chunks put most digits of a syndrome above the chunk, so
-    # steps move whole chunks as well as bits inside them
-    monkeypatch.setattr(regularity, "_CHUNK_BITS", chunk_bits)
-    sizes = []
-    for code in _oracle_codes(q):
-        syndrome, word = _table_on_each_path(code, monkeypatch)
-        assert word == syndrome
-        assert word[1].typecode == syndrome[1].typecode == "H"
-        sizes.append(q**code.redundancy)
     assert max(sizes) > 8
 
 
-def test_word_bfs_matches_syndrome_bfs_on_the_catalog(monkeypatch):
-    checked = 0
+def _plain_bfs(st):
+    """(leader_weight, [(c, b)] per syndrome) by a plain BFS one syndrome
+    at a time, adding steps through translator, with the profiles
+    recounted from its own leader weights."""
+    steps = [d for row in st.step for d in row[1:]]
+    neighbors = st.translator(sorted(set(steps) - {0}))
+    lw = bytearray(st.size)
+    seen = bytearray(st.size)
+    seen[0] = 1
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in neighbors(s):
+                if not seen[t]:
+                    seen[t] = 1
+                    lw[t] = lw[s] + 1
+                    nxt.append(t)
+        frontier = nxt
+    profile = regularity._recount(
+        SimpleNamespace(leader_weight=lw, translator=st.translator), steps
+    )
+    return lw, [profile(s) for s in range(st.size)]
+
+
+def test_word_bfs_matches_syndrome_bfs_on_the_catalog():
+    # every member is completely regular with its family's array, which
+    # fixes each level's size: k_i = k_{i-1} b_{i-1} / c_i; the members
+    # of at most 2^8 syndromes, every family among them, also match a
+    # plain BFS syndrome by syndrome
+    checked = plain = 0
     for desc, code in family_catalog(200):
-        syndrome, word = _table_on_each_path(code, monkeypatch)
-        assert word == syndrome, desc.slug
+        analysis = CodeAnalysis(code)
+        st = analysis.table
+        assert analysis.report == (True, desc.rho, desc.array, None), desc.slug
+        sizes = [1]
+        for b, c in zip(desc.array.b, desc.array.c):
+            sizes.append(sizes[-1] * b // c)
+        levels = Counter(st.leader_weight)
+        assert [levels[i] for i in range(st.rho + 1)] == sizes, desc.slug
+        if st.size <= 1 << 8:
+            lw, profiles = _plain_bfs(st)
+            assert lw == st.leader_weight, desc.slug
+            assert profiles == list(zip(st.c, st.b)), desc.slug
+            plain += 1
         checked += 1
-    assert checked == 161
+    assert checked == 161 and plain == 80
 
 
 def _with_zero_columns(code, u):
@@ -253,16 +262,16 @@ def _with_zero_columns(code, u):
     return LinearCode.from_parity(MatrixGF(code.field, rows, code.n + u))
 
 
-# the smallest m with q^m >= 2^10, where the word-parallel BFS takes over
-WORD_PATH_M = {2: 10, 3: 7, 4: 5, 5: 5, 7: 4, 8: 4, 9: 4}
+# the smallest m with q^m >= 2^10
+LARGE_M = {2: 10, 3: 7, 4: 5, 5: 5, 7: 4, 8: 4, 9: 4}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_zero_columns_add_only_loops(q, monkeypatch):
+def test_zero_columns_add_only_loops(q):
     # a zero column adds only loops to the coset graph: the table and
     # the levels stay, and each a_i grows by q - 1 per zero column
     rng = random.Random(1100 + q)
-    m = WORD_PATH_M[q]
+    m = LARGE_M[q]
     small = list(_oracle_codes(q))
     large = [_random_code(rng, q, m + 3, m)]
     if q < 5:
@@ -271,12 +280,8 @@ def test_zero_columns_add_only_loops(q, monkeypatch):
         large.append(LinearCode.from_generator(MatrixGF(GF(2), [[1] * 11])))
     assert max(q**c.redundancy for c in small) < 1 << 10
     assert min(q**c.redundancy for c in large) >= 1 << 10
-    # the small codes on both BFS paths, the large ones on the word path
-    runs = [(c, cutoff) for c in small for cutoff in (math.inf, 1)]
-    runs += [(c, regularity._WORD_BFS_MIN_SIZE) for c in large]
     shifted = 0
-    for code, cutoff in runs:
-        monkeypatch.setattr(regularity, "_WORD_BFS_MIN_SIZE", cutoff)
+    for code in small + large:
         u = rng.randint(1, 3)
         looped = _with_zero_columns(code, u)
         tables = [SyndromeTable(c) for c in (code, looped)]
@@ -297,58 +302,62 @@ def test_zero_columns_add_only_loops(q, monkeypatch):
     assert shifted >= 4
 
 
-def test_word_bfs_on_one_syndrome(monkeypatch):
+def _table(code):
+    st = SyndromeTable(code)
+    return st.leader_weight, st.c, st.b, st.rho
+
+
+def test_word_bfs_on_one_syndrome():
     # the whole space as a code: m = 0 and a table of size 1
     code = LinearCode.from_parity(MatrixGF(GF(3), [[0, 0, 0]], 3))
     assert code.redundancy == 0
-    for table in _table_on_each_path(code, monkeypatch):
-        assert table == (bytearray([0]), array("H", [0]), array("H", [0]), 0)
+    assert _table(code) == (bytearray([0]), array("H", [0]), array("H", [0]), 0)
 
 
-def test_steps_that_do_not_span_are_refused_on_each_path(monkeypatch):
+def test_steps_that_do_not_span_are_refused_on_each_path():
     # from_steps takes any rows, so the syndrome graph can be
-    # disconnected: one binary step in GF(2)^2 takes the per-syndrome
-    # path, and steps in the hyperplane x_6 = 0 of GF(3)^7 the word path;
-    # with no step at all, GF(2)^1 is one syndrome short on either path
+    # disconnected: one binary step in GF(2)^2, steps in the hyperplane
+    # x_6 = 0 of GF(3)^7, and no step at all in GF(2)^1, one syndrome short
     in_hyperplane = [tuple(int(i == j) for i in range(7)) for j in range(6)]
-    default = regularity._WORD_BFS_MIN_SIZE
-    assert 2**2 < default <= 3**7
     cases = [
-        (GF(2), 2, [(1, 0)], default),
-        (GF(3), 7, in_hyperplane, default),
-        (GF(2), 1, [(0,)], math.inf),
-        (GF(2), 1, [(0,)], 1),
+        (GF(2), 2, [(1, 0)]),
+        (GF(3), 7, in_hyperplane),
+        (GF(2), 1, [(0,)]),
     ]
-    for f, m, columns, cutoff in cases:
-        monkeypatch.setattr(regularity, "_WORD_BFS_MIN_SIZE", cutoff)
+    for f, m, columns in cases:
         step = list(regularity._column_steps(f, columns))
         with pytest.raises(AssertionError, match="^syndrome graph is not connected$"):
             SyndromeTable.from_steps(f, m, step)
 
 
-def test_four_byte_counts_on_each_path(monkeypatch):
+def test_four_byte_counts_on_each_path():
     # the all-ones row of length 256 over GF(257): n(q-1) = 2^16 steps
     # all lead from 0 into level 1, so b[0] = 65536 needs a third byte
     code = LinearCode.from_parity(MatrixGF(GF(257), [[1] * 256], 256))
     c = array("I", [0] + [256] * 256)
     b = array("I", [65536] + [0] * 256)
-    for table in _table_on_each_path(code, monkeypatch):
-        assert table == (bytearray([0] + [1] * 256), c, b, 1)
-        assert table[1].typecode == table[2].typecode == "I"
+    table = _table(code)
+    assert table == (bytearray([0] + [1] * 256), c, b, 1)
+    assert table[1].typecode == table[2].typecode == "I"
 
 
 def test_word_bfs_across_chunks(monkeypatch):
-    # a random binary [20,3] code has 2^17 syndromes: two chunks of 2^16
+    # a random binary [20,3] code has 2^17 syndromes: two chunks of 2^16,
+    # against one chunk of 2^17
     rng = random.Random(17)
     code = _random_code(rng, 2, 20, 17)
     assert code.redundancy == 17
-    syndrome, word = _table_on_each_path(code, monkeypatch)
-    assert word == syndrome
-    assert word[3] >= 3
+    two_chunks = _table(code)
+    monkeypatch.setattr(regularity, "_CHUNK_BITS", 1 << 17)
+    assert _table(code) == two_chunks
+    assert two_chunks[3] >= 3
 
 
 def test_split_half_tables_are_built_on_first_use():
-    # 3^7 syndromes take the word path, which never adds one step at a time
+    # the build never adds one step at a time, at 3^2 syndromes as at 3^7
+    small = SyndromeTable(_random_code(random.Random(32), 3, 4, 2))
+    assert small.size == 3**2
+    assert small._halves is None
     code = _random_code(random.Random(37), 3, 10, 7)
     analysis = CodeAnalysis(code)
     st = analysis.table
@@ -358,10 +367,10 @@ def test_split_half_tables_are_built_on_first_use():
     add = st.add
     assert st._halves is not None
     for s in (0, 1, 5, 2186):
-        digits = decode_vector(3, s, 7)
+        digits = _base_digits(s, 3, 7)
         for d in {d for row in st.step for d in row}:
-            total = [(x + y) % 3 for x, y in zip(digits, decode_vector(3, d, 7))]
-            assert add(s, d) == encode_vector(3, total)
+            total = [(x + y) % 3 for x, y in zip(digits, _base_digits(d, 3, 7))]
+            assert add(s, d) == _from_base(total, 3)
 
 
 def _walk_report_oracle(code, level, profile):
@@ -374,7 +383,7 @@ def _walk_report_oracle(code, level, profile):
     first = {}
     conflicts = {}
     for digits in product(range(q), repeat=n):
-        s = encode_vector(q, code.H.mul_vector(digits[::-1]))
+        s = _from_base(code.H.mul_vector(digits[::-1]), q)
         lv, prof = level[s], profile[s]
         if lv not in first:
             first[lv] = (s, prof)
@@ -452,7 +461,7 @@ def _full_coverage_count(code):
     q = code.field.q
     seen = set()
     for count, digits in enumerate(product(range(q), repeat=code.n), 1):
-        seen.add(encode_vector(q, code.H.mul_vector(digits[::-1])))
+        seen.add(_from_base(code.H.mul_vector(digits[::-1]), q))
         if len(seen) == q**code.redundancy:
             return count
 
@@ -477,9 +486,9 @@ def test_catalog_intersection_arrays_against_coset_graphs(catalog48):
                 steps.add(code.H.mul_vector(unit))
         graph = nx.Graph()
         for s in range(q**m):
-            vec = decode_vector(q, s, m)
+            vec = _base_digits(s, q, m)
             graph.add_edges_from(
-                (s, encode_vector(q, map(f.add, vec, step))) for step in steps
+                (s, _from_base(tuple(map(f.add, vec, step)), q)) for step in steps
             )
         arr = complete_regularity(code).array
         assert nx.intersection_array(graph) == (list(arr.b), list(arr.c)), desc.slug
@@ -617,7 +626,7 @@ def test_coset_weight_counts_shape_and_marginals():
             assert first == leader_weight[s]
         oracle = [[0] * (n + 1) for _ in range(q**code.redundancy)]
         for vec in product(range(q), repeat=n):
-            oracle[encode_vector(q, code.H.mul_vector(vec))][_weight(vec)] += 1
+            oracle[_from_base(code.H.mul_vector(vec), q)][_weight(vec)] += 1
         assert counts == oracle
 
 
