@@ -181,18 +181,12 @@ def _oracle_codes(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-@pytest.mark.parametrize("chunk_bits", [1 << 16, 8])
-def test_profiles_against_coset_leader_oracle(q, chunk_bits, monkeypatch):
-    # eight-bit chunks put most digits of a syndrome above the chunk, so
-    # steps move whole chunks as well as bits inside them
-    monkeypatch.setattr(regularity, "_CHUNK_BITS", chunk_bits)
+def test_profiles_against_coset_leader_oracle(q):
     kinds = set()
-    sizes = []
     for code in _oracle_codes(q):
         level, profile = _profile_oracle(code)
         st = SyndromeTable(code)
         assert st.size == len(level)
-        assert st.c.typecode == st.b.typecode == "H"
         for s in range(st.size):
             assert st.leader_weight[s] == level[s]
             assert (st.c[s], st.b[s]) == profile[s]
@@ -202,9 +196,7 @@ def test_profiles_against_coset_leader_oracle(q, chunk_bits, monkeypatch):
             code, level, profile
         )
         kinds.add(expected.is_completely_regular)
-        sizes.append(st.size)
     assert kinds == {True, False}
-    assert max(sizes) > 8
 
 
 def _plain_bfs(st):
@@ -230,6 +222,28 @@ def _plain_bfs(st):
         SimpleNamespace(leader_weight=lw, translator=st.translator), steps
     )
     return lw, [profile(s) for s in range(st.size)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("chunk_bits", [1 << 16, 8])
+def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatch):
+    # eight-bit chunks put most digits of a syndrome above the chunk, so
+    # steps move whole chunks as well as bits inside them; the reference
+    # is a plain BFS one syndrome at a time, and the vector-scan oracle
+    monkeypatch.setattr(regularity, "_CHUNK_BITS", chunk_bits)
+    sizes = []
+    for code in _oracle_codes(q):
+        st = SyndromeTable(code)
+        assert st.c.typecode == st.b.typecode == "H"
+        lw, profiles = _plain_bfs(st)
+        assert lw == st.leader_weight
+        assert profiles == list(zip(st.c, st.b))
+        level, profile = _profile_oracle(code)
+        assert st.size == len(level)
+        assert list(st.leader_weight) == [level[s] for s in range(st.size)]
+        assert profiles == [profile[s] for s in range(st.size)]
+        sizes.append(st.size)
+    assert max(sizes) > 8
 
 
 def test_word_bfs_matches_syndrome_bfs_on_the_catalog():
