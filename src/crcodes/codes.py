@@ -245,10 +245,21 @@ def iter_projective(M: MatrixGF):
 def _rowspace_weights(M: MatrixGF, budget: Budgets) -> list[int]:
     """Counts [A_0, ..., A_n] of the row space of M, of full row rank:
     q - 1 words per class of iter_projective, and the zero word.  Raises
-    BudgetExceeded when its q^rows words are over max_codewords."""
+    BudgetExceeded when its q^rows words are over max_codewords.
+
+    A binary class is one nonzero word, so for q = 2 every word is
+    walked instead, each as one int, in Gray-code order: step i adds
+    the row of the lowest set bit of i."""
     q, n = M.field.q, M.ncols
     budget.require("max_codewords", q**M.nrows)
     counts = [1] + [0] * n
+    if q == 2:
+        rows = [sum(x << j for j, x in enumerate(row)) for row in M.data]
+        word = 0
+        for i in range(1, 1 << len(rows)):
+            word ^= rows[(i & -i).bit_length() - 1]
+            counts[word.bit_count()] += 1
+        return counts
     for word in iter_projective(M):
         counts[n - word.count(0)] += q - 1
     return counts

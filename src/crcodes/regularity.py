@@ -11,27 +11,28 @@ whole syndrome code is the base-p encoding of the concatenated digit
 vector, and syndrome addition is digitwise mod p; the codec and the
 digitwise adder are the ones field.py uses for field elements.
 
-SyndromeTable finds each syndrome's leader weight and (c, b) profile in
-one BFS, _word_bfs, which moves whole levels at a time as bit sets.
+SyndromeTable finds each syndrome's leader weight in one BFS,
+_word_bfs, which moves whole levels at a time as bit sets.  The BFS
+counts every coset's (c, b) profile as bit planes too, and decides
+complete regularity on them level by level before it drops them, so
+the table keeps one byte per syndrome.
 
 The exhaustive passes over all q^n ambient vectors walk syndromes only,
 with the odometer of codes.py stepping by one table addition per
-vector.  complete_regularity and its brute-force check differ only in
-where each coset's profile comes from; both hand (syndrome, level,
-profile) triples to one scan that picks each level's reference profile
-and the first conflict.
+vector.  The brute-force check and the radius-1 census recount profiles
+from leader weights and hand (syndrome, level, profile) triples to
+_scan_cosets, which picks each level's reference profile and the first
+conflict in increasing syndrome order, as the BFS's scan does.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from operator import xor
 from typing import NamedTuple
-import sys
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .codes import LinearCode, odometer, weight_pair
@@ -59,15 +60,18 @@ _CHUNK_BITS = 1 << 16
 
 
 class SyndromeTable:
-    """Leader weights and coset profiles of a code, from one BFS over its
-    syndrome graph.
+    """Leader weights of a code's cosets, and whether every level of its
+    syndrome graph has one (c, b) profile, from one BFS.
 
     step[j][beta] is the syndrome of beta*e_j (step[j][0] is 0).
     leader_weight[s] is the weight of a coset leader for syndrome s (the
     distance of the coset from the code), and rho is the covering
-    radius.  c[s] and b[s] count, with multiplicity, the steps beta*e_j
-    (beta != 0) that take s one level down and one level up: the (c, b)
-    profile of coset s.
+    radius.  The (c, b) profile of coset s counts, with multiplicity,
+    the steps beta*e_j (beta != 0) that take s one level down and one
+    level up.  witness is the first pair of cosets at one level whose
+    profiles differ, taken as _scan_cosets takes it.  When there is
+    none, witness is None and level_profiles[l] is the one profile of
+    level l; otherwise level_profiles is None.
 
     SyndromeTable(code) reads the field, m = n - k and the step rows off
     the code's parity check; from_steps(field, m, step) is given them.
@@ -78,10 +82,9 @@ class SyndromeTable:
     multiplicities.  Step rows of any parity check with the same steps
     give the same table.
 
-    The BFS is _word_bfs.  A syndrome costs one byte of leader weight and
-    two profile counts (two bytes each while n(q-1) < 2^16): five bytes
-    in all, and the BFS holds about two more bytes per syndrome while it
-    runs.
+    The BFS is _word_bfs.  The table keeps one byte of leader weight per
+    syndrome; while the BFS runs it holds about two more, the profiles
+    and the levels bit-sliced and three level sets.
 
     add(s, d) is s + d for a step d, and translator(steps) gives all
     s + d at once.  In characteristic 2 that is s ^ d.  Otherwise every
@@ -93,7 +96,8 @@ class SyndromeTable:
     """
 
     __slots__ = (
-        "field", "m", "size", "step", "_halves", "leader_weight", "c", "b", "rho"
+        "field", "m", "size", "step", "_halves", "leader_weight", "rho",
+        "level_profiles", "witness",
     )
 
     def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
@@ -112,8 +116,7 @@ class SyndromeTable:
     def _build(self, f, m: int, step, budget: Budgets) -> None:
         """The one build: the step rows are read only once the table's
         q^m syndromes are within budget."""
-        q = f.q
-        size = q**m
+        size = f.q**m
         budget.require("max_syndromes", size)
         self.field = f
         self.m = m
@@ -121,10 +124,8 @@ class SyndromeTable:
         self.step = step = list(step)
         self._halves = None
         mult = Counter(d for row in step for d in row[1:] if d)
-        counts = array("H" if len(step) * (q - 1) < 1 << 16 else "I", [0])
-        self.leader_weight, self.c, self.b, self.rho = _word_bfs(
-            f.p, m * f.r, mult, counts
-        )
+        (self.leader_weight, self.rho, self.level_profiles,
+         self.witness) = _word_bfs(f.p, m * f.r, mult)
 
     def _split_halves(self):
         """(Q, {d: (lo, hi)}) for every distinct step d, built on first use."""
@@ -171,10 +172,11 @@ class SyndromeTable:
         return translate
 
 
-def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
-    """The syndrome BFS on whole levels: (leader_weight, c, b, rho) for
-    the syndromes 0..p^digits - 1 under the steps d of mult, each taken
-    mult[d] times, with c and b typed like counts.
+def _word_bfs(p: int, digits: int, mult: Counter):
+    """The syndrome BFS on whole levels: (leader_weight, rho,
+    level_profiles, witness), as SyndromeTable keeps them, for the
+    syndromes 0..p^digits - 1 under the steps d of mult, each taken
+    mult[d] times.
 
     A set of syndromes is a list of chunk ints: bit s % C of chunk s // C
     is set for each member s, with C = p^low.  Adding a step d to every
@@ -195,8 +197,11 @@ def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
 
     A last pass over the top level finishes b on the level below it.
     The level numbers (at most m <= digits) and the counts are
-    bit-sliced, planes[i][j] holding bit j of the values in chunk i, and
-    _unpacked writes them into the output arrays at the end.
+    bit-sliced, planes[i][j] holding bit j of the values in chunk i.
+
+    Once a level's counts are final, _level_witness scans them on the
+    planes, until a level has two profiles.  Then the count planes are
+    dropped and _unpacked writes the leader weights into one bytearray.
     """
     low = digits
     while low > 1 and p**low > _CHUNK_BITS:
@@ -241,6 +246,8 @@ def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
     before = [0] * chunks
     reached = 1
     rho = 0
+    profiles = []  # each scanned level's reference profile
+    witness = None
     while True:
         nxt = [0] * chunks
         for k, digit_shifts, src in moves:
@@ -258,6 +265,11 @@ def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
                 x &= before[j]
                 if x:
                     _add_bitsliced(b_planes[j], x, k)
+        if rho and witness is None:
+            # c and b are final on the level below L
+            witness = _level_witness(
+                before, rho - 1, C, c_planes, b_planes, profiles
+            )
         found = sum(x.bit_count() for x in nxt)
         if not found:
             break
@@ -271,44 +283,77 @@ def _word_bfs(p: int, digits: int, mult: Counter, counts: array):
         reached += found
     if reached < size:
         # cannot happen for a full-rank parity check
-        raise AssertionError("syndrome graph is not connected")
-    # free the level sets and the shift table before the output arrays
-    del level, before, seen, moves, shifts
-    lw = _unpacked(lw_planes, C, bytearray(size), 1)
-    c = _unpacked(c_planes, C, counts * size, counts.itemsize)
-    b = _unpacked(b_planes, C, counts * size, counts.itemsize)
-    if sys.byteorder == "big":
-        c.byteswap()
-        b.byteswap()
-    return lw, c, b, rho
+        raise RuntimeError("syndrome graph is not connected")
+    if witness is None:
+        witness = _level_witness(level, rho, C, c_planes, b_planes, profiles)
+    # free the level sets, the shift table and the count planes before
+    # the output array
+    del level, before, seen, moves, shifts, c_planes, b_planes
+    lw = _unpacked(lw_planes, C, bytearray(size))
+    return lw, rho, None if witness else profiles, witness
 
 
-def _unpacked(planes: list, C: int, out, width: int):
-    """out, zeroed and of `width` bytes per value, with the bit-sliced
-    values of planes (planes[i][j] holding bit j of the C values of chunk
-    i) written into it as little-endian integers, each chunk's planes
-    dropped once written.
+def _level_witness(
+    members: list, level: int, C: int, c_planes, b_planes, profiles: list
+):
+    """The witness of a level, read off the count planes, or None after
+    its reference profile is appended to profiles.
+
+    members is the level's set of syndromes, as chunk ints.  Its lowest
+    syndrome is the reference, and the (c, b) profiles of a chunk's
+    members differ from the reference's exactly where some plane's bit
+    differs from the reference's bit j: members & plane where that bit
+    is 0, and members & ~plane where it is 1.  The lowest set bit of
+    the OR of these, in the first chunk that has one, is the lowest
+    syndrome at the level that differs, the one _scan_cosets takes."""
+
+    def profile(i: int, bit: int) -> tuple[int, int]:
+        return tuple(
+            sum((plane >> bit & 1) << j for j, plane in enumerate(planes[i]))
+            for planes in (c_planes, b_planes)
+        )
+
+    first = next(i for i, x in enumerate(members) if x)
+    ref_bit = (members[first] & -members[first]).bit_length() - 1
+    ref = profile(first, ref_bit)
+    for i in range(first, len(members)):
+        x = members[i]
+        if not x:
+            continue
+        bad = 0
+        for planes, value in zip((c_planes[i], b_planes[i]), ref):
+            for j, plane in enumerate(planes):
+                bad |= x & ~plane if value >> j & 1 else x & plane
+        if bad:
+            bit = (bad & -bad).bit_length() - 1
+            return Witness(
+                level, first * C + ref_bit, i * C + bit, ref, profile(i, bit)
+            )
+    profiles.append(ref)
+    return None
+
+
+def _unpacked(planes: list, C: int, out: bytearray) -> bytearray:
+    """out, zeroed and of one byte per value, with the bit-sliced values
+    of planes (planes[i][j] holding bit j of the C values of chunk i, at
+    most 8 planes) written into it, each chunk's planes dropped once
+    written.
 
     format() expands a plane to one ASCII "0" or "1" per value, top value
     first.  Read as a big-endian int, less "0" in every byte, that holds
     the bit of value s in byte s, and a shift moves it to the plane's
-    bit in its output byte.  The planes of one output byte are OR-ed and
-    written with one strided slice, so no temporary is longer than a
-    chunk's values."""
+    bit in its output byte.  The planes of a chunk are OR-ed and written
+    with one slice, so no temporary is longer than a chunk's values."""
     zeros = int.from_bytes(b"0" * C, "big")
-    with memoryview(out).cast("B") as out_bytes:
-        for i in range(len(planes)):
-            acc = [0] * width
-            for j, plane in enumerate(planes[i]):
-                if plane:
-                    chars = int.from_bytes(format(plane, f"0{C}b").encode(), "big")
-                    acc[j >> 3] |= (chars - zeros) << (j & 7)
-            planes[i] = None
-            at = i * C * width
-            for byte, x in enumerate(acc):
-                if x:
-                    cut = slice(at + byte, at + C * width, width)
-                    out_bytes[cut] = x.to_bytes(C, "little")
+    for i, chunk in enumerate(planes):
+        acc = 0
+        for j, plane in enumerate(chunk):
+            if plane:
+                chars = int.from_bytes(format(plane, f"0{C}b").encode(), "big")
+                acc |= (chars - zeros) << j
+        planes[i] = None
+        if acc:
+            out[i * C:(i + 1) * C] = acc.to_bytes(C, "little")
     return out
 
 
@@ -426,14 +471,18 @@ def _scan_cosets(q, n, rho, cosets) -> RegularityReport:
     for level, bad in enumerate(conflicts):
         if bad is not None:
             (ref_s, ref_profile), (bad_s, bad_profile) = first[level], bad
-            return RegularityReport(
-                False,
-                rho,
-                None,
-                Witness(level, ref_s, bad_s, ref_profile, bad_profile),
-            )
-    b = [first[l][1][1] for l in range(rho)]
-    c = [first[l][1][0] for l in range(1, rho + 1)]
+            witness = Witness(level, ref_s, bad_s, ref_profile, bad_profile)
+            return _report(q, n, rho, None, witness)
+    return _report(q, n, rho, [profile for _, profile in first], None)
+
+
+def _report(q, n, rho, profiles, witness) -> RegularityReport:
+    """The report of a scan: the witness if there is one, and otherwise
+    the array read off each level's profile."""
+    if witness is not None:
+        return RegularityReport(False, rho, None, witness)
+    b = [b for _, b in profiles[:-1]]
+    c = [c for c, _ in profiles[1:]]
     return RegularityReport(
         True, rho, IntersectionArray.from_levels(q, n, b, c), None
     )
@@ -446,14 +495,14 @@ def complete_regularity(
 ) -> RegularityReport:
     """Decide complete regularity from each coset's (c, b) profile.
 
-    The syndrome table counts the profiles during its BFS, so this is one
-    pass over them in increasing syndrome order; constancy across each
-    level is exactly the defining condition.  Callers holding a
-    CodeAnalysis read its cached `report` rather than scanning again.
+    The syndrome table's BFS counts the profiles and, level by level,
+    compares each with its level's lowest syndrome's, which is exactly
+    the defining condition; this reads the outcome off the table.
+    Callers holding a CodeAnalysis read its cached `report` rather than
+    deciding again.
     """
     st = analysis.table if analysis else SyndromeTable(code, budget)
-    cosets = zip(range(st.size), st.leader_weight, zip(st.c, st.b))
-    return _scan_cosets(code.field.q, code.n, st.rho, cosets)
+    return _report(code.field.q, code.n, st.rho, st.level_profiles, st.witness)
 
 
 def _recount(st: SyndromeTable, steps):
@@ -494,8 +543,8 @@ def complete_regularity_bruteforce(
     weight of its syndrome.  The profile is recounted from those leader
     weights over the n(q-1) neighbor syndromes s + step[j][beta] by
     _recount, the one recount, which the radius-1 census shares; the
-    (c, b) counts the table's BFS keeps are never read, so this checks
-    them.
+    table's own verdict, which its BFS reached on its (c, b) counts, is
+    never read, so this checks it.
 
     The neighbor syndromes of v depend only on the syndrome s of v, so
     the profile is counted once per syndrome, at the first vector that

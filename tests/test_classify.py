@@ -396,13 +396,16 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
     enumerate_rho1(q, m, n_max)
     assert all(any(row) for step in built for row in step)
     assert [_step_multiset(step) for step in built] == want
-    # each key's summed profiles, levels and rho are the BFS counts of a
-    # table on its first code's steps, each repeated by its multiplicity
+    # each key's summed profiles, levels and rho are those of a table on
+    # its first code's steps, each repeated by its multiplicity, with
+    # every profile recounted from the table's leader weights
     assert len(scans) == len(first)
     for columns, scan in zip(first.values(), scans):
         steps = list(regularity_module._column_steps(f, columns))
         st = SyndromeTable.from_steps(f, m, steps)
-        profiles = list(zip(range(st.size), st.leader_weight, zip(st.c, st.b)))
+        recount = regularity_module._recount(st, [d for row in steps for d in row[1:]])
+        syndromes = range(st.size)
+        profiles = list(zip(syndromes, st.leader_weight, map(recount, syndromes)))
         assert scan == (len(columns), st.rho, profiles), columns
 
 

@@ -29,7 +29,7 @@ from crcodes.codes import (
     weight_distribution,
     weight_pair,
 )
-from crcodes.constructions import hamming_code, hamming_parity
+from crcodes.constructions import family_catalog, hamming_code, hamming_parity
 from crcodes.field import GF
 from crcodes.matrix import MatrixGF
 from crcodes.regularity import complete_regularity
@@ -349,6 +349,37 @@ def test_weight_pair_walks_the_code_on_a_tie(monkeypatch):
     monkeypatch.setattr(codes, "_rowspace_weights", recorded)
     assert weight_pair(code) == want
     assert walked == [code.G]
+
+
+def _projective_weights(M):
+    """[A_0, ..., A_n] of the row space of M from iter_projective: q - 1
+    words per class, and the zero word."""
+    q, n = M.field.q, M.ncols
+    counts = [1] + [0] * n
+    for word in iter_projective(M):
+        counts[n - word.count(0)] += q - 1
+    return counts
+
+
+def test_binary_weights_match_the_projective_walk():
+    # a binary row space is walked as ints in Gray-code order, not by
+    # iter_projective: both sides of every binary catalog-800 member with
+    # at most 2^11 words, seeded random codes with zero and repeated
+    # columns, and the whole space, whose parity check has no rows
+    rng = random.Random(41)
+    catalog = [code for _, code in family_catalog(800) if code.field.q == 2]
+    drawn = [
+        _code_with_repeats(rng, 2, rng.randrange(3, 15), rng.randrange(1, 10))
+        for _ in range(24)
+    ]
+    whole = LinearCode.from_parity(MatrixGF(GF(2), [[0, 0, 0]], 3))
+    sides = [M for code in catalog + drawn + [whole] for M in (code.G, code.H)]
+    walked = [M for M in sides if M.nrows <= 11]
+    for M in walked:
+        assert codes._rowspace_weights(M, Budgets()) == _projective_weights(M)
+    assert len(catalog) == 7 and len(walked) > 50
+    assert {M.nrows for M in walked} >= {0, 1, 11}
+    assert any(not any(col) for code in drawn for col in code.H.columns())
 
 
 def test_weight_distribution_known_values():

@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from array import array
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -189,14 +189,30 @@ def test_profiles_against_coset_leader_oracle(q):
         assert st.size == len(level)
         for s in range(st.size):
             assert st.leader_weight[s] == level[s]
-            assert (st.c[s], st.b[s]) == profile[s]
+        recounted = _recounted(st)
+        assert recounted == [profile[s] for s in range(st.size)]
         expected = _report_oracle(code, level, profile)
         assert complete_regularity(code) == expected
+        assert _scan_report(code, st.leader_weight, recounted) == expected
         assert complete_regularity_bruteforce(code) == _walk_report_oracle(
             code, level, profile
         )
         kinds.add(expected.is_completely_regular)
     assert kinds == {True, False}
+
+
+def _recounted(st):
+    """Every syndrome's (c, b) profile, recounted from the table's
+    leader weights one syndrome at a time."""
+    profile = regularity._recount(st, [d for row in st.step for d in row[1:]])
+    return [profile(s) for s in range(st.size)]
+
+
+def _scan_report(code, lw, profiles):
+    """The report _scan_cosets gives on these leader weights and
+    profiles, visited in increasing syndrome order."""
+    cosets = zip(range(len(lw)), lw, profiles)
+    return regularity._scan_cosets(code.field.q, code.n, max(lw), cosets)
 
 
 def _plain_bfs(st):
@@ -228,16 +244,16 @@ def _plain_bfs(st):
 @pytest.mark.parametrize("chunk_bits", [1 << 16, 8])
 def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatch):
     # eight-bit chunks put most digits of a syndrome above the chunk, so
-    # steps move whole chunks as well as bits inside them; the reference
-    # is a plain BFS one syndrome at a time, and the vector-scan oracle
+    # steps move whole chunks as well as bits inside them, and the scan
+    # looks for a witness across chunks; the reference is a plain BFS
+    # one syndrome at a time, and the vector-scan oracle
     monkeypatch.setattr(regularity, "_CHUNK_BITS", chunk_bits)
     sizes = []
     for code in _oracle_codes(q):
         st = SyndromeTable(code)
-        assert st.c.typecode == st.b.typecode == "H"
         lw, profiles = _plain_bfs(st)
         assert lw == st.leader_weight
-        assert profiles == list(zip(st.c, st.b))
+        assert complete_regularity(code) == _scan_report(code, lw, profiles)
         level, profile = _profile_oracle(code)
         assert st.size == len(level)
         assert list(st.leader_weight) == [level[s] for s in range(st.size)]
@@ -249,8 +265,9 @@ def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatc
 def test_word_bfs_matches_syndrome_bfs_on_the_catalog():
     # every member is completely regular with its family's array, which
     # fixes each level's size: k_i = k_{i-1} b_{i-1} / c_i; the members
-    # of at most 2^8 syndromes, every family among them, also match a
-    # plain BFS syndrome by syndrome
+    # and duals of at most 2^8 syndromes, every family among them, also
+    # match a plain BFS syndrome by syndrome, and their reports match
+    # the scan of its profiles
     checked = plain = 0
     for desc, code in family_catalog(200):
         analysis = CodeAnalysis(code)
@@ -261,13 +278,16 @@ def test_word_bfs_matches_syndrome_bfs_on_the_catalog():
             sizes.append(sizes[-1] * b // c)
         levels = Counter(st.leader_weight)
         assert [levels[i] for i in range(st.rho + 1)] == sizes, desc.slug
-        if st.size <= 1 << 8:
-            lw, profiles = _plain_bfs(st)
-            assert lw == st.leader_weight, desc.slug
-            assert profiles == list(zip(st.c, st.b)), desc.slug
-            plain += 1
+        for side in (code, code.dual()):
+            if side.field.q**side.redundancy <= 1 << 8:
+                side_analysis = CodeAnalysis(side)
+                lw, profiles = _plain_bfs(side_analysis.table)
+                assert lw == side_analysis.table.leader_weight, desc.slug
+                expected = _scan_report(side, lw, profiles)
+                assert side_analysis.report == expected, desc.slug
+                plain += 1
         checked += 1
-    assert checked == 161 and plain == 80
+    assert checked == 161 and plain == 80 + 55
 
 
 def _with_zero_columns(code, u):
@@ -300,8 +320,7 @@ def test_zero_columns_add_only_loops(q):
         looped = _with_zero_columns(code, u)
         tables = [SyndromeTable(c) for c in (code, looped)]
         plain, padded = (
-            (bytes(st.leader_weight), st.c.typecode, st.c.tobytes(),
-             st.b.typecode, st.b.tobytes(), st.rho)
+            (bytes(st.leader_weight), st.rho, st.level_profiles, st.witness)
             for st in tables
         )
         assert padded == plain
@@ -317,15 +336,17 @@ def test_zero_columns_add_only_loops(q):
 
 
 def _table(code):
-    st = SyndromeTable(code)
-    return st.leader_weight, st.c, st.b, st.rho
+    analysis = CodeAnalysis(code)
+    st = analysis.table
+    return st.leader_weight, st.rho, analysis.report
 
 
 def test_word_bfs_on_one_syndrome():
     # the whole space as a code: m = 0 and a table of size 1
     code = LinearCode.from_parity(MatrixGF(GF(3), [[0, 0, 0]], 3))
     assert code.redundancy == 0
-    assert _table(code) == (bytearray([0]), array("H", [0]), array("H", [0]), 0)
+    arr = IntersectionArray.from_levels(3, 3, (), ())
+    assert _table(code) == (bytearray([0]), 0, (True, 0, arr, None))
 
 
 def test_steps_that_do_not_span_are_refused_on_each_path():
@@ -340,19 +361,17 @@ def test_steps_that_do_not_span_are_refused_on_each_path():
     ]
     for f, m, columns in cases:
         step = list(regularity._column_steps(f, columns))
-        with pytest.raises(AssertionError, match="^syndrome graph is not connected$"):
+        with pytest.raises(RuntimeError, match="^syndrome graph is not connected$"):
             SyndromeTable.from_steps(f, m, step)
 
 
 def test_four_byte_counts_on_each_path():
     # the all-ones row of length 256 over GF(257): n(q-1) = 2^16 steps
-    # all lead from 0 into level 1, so b[0] = 65536 needs a third byte
+    # all lead from 0 into level 1, so b_0 = 65536 needs a 17th bit plane
     code = LinearCode.from_parity(MatrixGF(GF(257), [[1] * 256], 256))
-    c = array("I", [0] + [256] * 256)
-    b = array("I", [65536] + [0] * 256)
+    arr = IntersectionArray.from_levels(257, 256, (65536,), (256,))
     table = _table(code)
-    assert table == (bytearray([0] + [1] * 256), c, b, 1)
-    assert table[1].typecode == table[2].typecode == "I"
+    assert table == (bytearray([0] + [1] * 256), 1, (True, 1, arr, None))
 
 
 def test_word_bfs_across_chunks(monkeypatch):
@@ -364,7 +383,7 @@ def test_word_bfs_across_chunks(monkeypatch):
     two_chunks = _table(code)
     monkeypatch.setattr(regularity, "_CHUNK_BITS", 1 << 17)
     assert _table(code) == two_chunks
-    assert two_chunks[3] >= 3
+    assert two_chunks[1] >= 3
 
 
 def test_split_half_tables_are_built_on_first_use():
@@ -435,9 +454,9 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
     assert expected.is_completely_regular == cr
     analysis = CodeAnalysis(code)
     st = analysis.table
-    # the fast scan's profile counts are not an input of the brute force
-    st.c[:] = array(st.c.typecode, [0]) * st.size
-    st.b[:] = array(st.b.typecode, [0]) * st.size
+    # the table's own scan is not an input of the brute force
+    st.level_profiles = None
+    st.witness = Witness(0, 0, 0, (0, 0), (0, 1))
 
     calls = 0
     translator = SyndromeTable.translator
@@ -554,6 +573,22 @@ def test_syndrome_table_memory_at_2_18_syndromes():
     # ru_maxrss is in KiB on Linux (bytes on macOS)
     peak_mb = peak_kb / (1 << 20 if sys.platform == "darwin" else 1 << 10)
     assert peak_mb < 100
+
+
+def test_syndrome_table_keeps_one_byte_per_syndrome():
+    # once built, a table of 2^16 syndromes holds its leader weights and
+    # a few rows of steps: the BFS drops the profile counts after it has
+    # scanned them
+    code = _random_code(random.Random(16), 2, 24, 16)
+    assert code.redundancy == 16
+    tracemalloc.start()
+    try:
+        st = SyndromeTable(code)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert st.size == 1 << 16
+    assert retained <= st.size + (1 << 15)
 
 
 def test_covering_radius_known_codes():
