@@ -47,8 +47,7 @@ _EXPORTS = {
     "regularity": (
         "CodeAnalysis", "IntersectionArray", "RegularityReport",
         "SyndromeTable", "Witness", "beta_solve", "complete_regularity",
-        "complete_regularity_bruteforce", "coset_low_weight_counts",
-        "coset_weight_counts", "covering_radius",
+        "complete_regularity_bruteforce", "covering_radius",
     ),
 }
 

@@ -17,25 +17,28 @@ counts every coset's (c, b) profile as bit planes too, and decides
 complete regularity on them level by level before it drops them, so
 the table keeps one byte per syndrome.
 
-The exhaustive passes over all q^n ambient vectors walk syndromes only,
+The brute-force check walks all q^n ambient vectors by syndrome only,
 with the odometer of codes.py stepping by one table addition per
-vector.  The brute-force check and the radius-1 census recount profiles
-from leader weights and hand (syndrome, level, profile) triples to
-_scan_cosets, which picks each level's reference profile and the first
-conflict in increasing syndrome order, as the BFS's scan does.
+vector.  It and the radius-1 census recount profiles from leader
+weights, through the table's additions (the split-half tables outside
+characteristic 2, which only these two build), and hand (syndrome,
+level, profile) triples to _scan_cosets, which picks each level's
+reference profile and the first conflict in increasing syndrome order,
+as the BFS's scan does.
+
+The uniform packing coefficients need no vector or coset enumeration:
+beta_solve solves for them from rho and the dual weights alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations, product
-from math import comb
 from operator import xor
 from typing import NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .codes import LinearCode, odometer, weight_pair
+from .codes import LinearCode, _krawtchouk, nonzero_weights, odometer, weight_pair
 from .field import _add_digitwise, _base_digits, _from_base
 from .matrix import solve_rational
 
@@ -91,8 +94,8 @@ class SyndromeTable:
     distinct step d has a pair of split-half translation tables of
     q^ceil(m/2) entries, so that s + d is lo[s % Q] + hi[s // Q] with
     Q = q^ceil(m/2).  They are built the first time add or translator is
-    read, which only the brute force, the low-weight counts and the
-    radius-1 census's recount do; the build never reads them.
+    read, which only the brute force and the radius-1 census's recount
+    do; the build never reads them.
     """
 
     __slots__ = (
@@ -578,54 +581,6 @@ def complete_regularity_bruteforce(
     return _scan_cosets(q, n, st.rho, first_visits())
 
 
-def coset_weight_counts(
-    code: LinearCode, budget: Budgets = DEFAULT_BUDGETS
-) -> list[list[int]]:
-    """counts[s][w] = number of ambient vectors of weight w with syndrome
-    s, accumulated in one pass over all q^n vectors.  Row s is also the
-    distance distribution of any vector in coset s to the code.  This is
-    the reference oracle for coset_low_weight_counts, which reaches the
-    rows' low-weight columns by enumerating supports instead."""
-    q, n = code.field.q, code.n
-    total = q**n
-    budget.require("max_vectors", total)
-    st = SyndromeTable(code, budget)
-    # a coordinate's weight rises as its digit leaves 0 and falls as it wraps
-    weight_steps = [[1] + [0] * (q - 2) + [-1]] * n
-    counts = [[0] * (n + 1) for _ in range(st.size)]
-    syndromes = odometer(0, _ambient_steps(st), st.add)
-    for s, w in zip(syndromes, odometer(0, weight_steps, int.__add__)):
-        counts[s][w] += 1
-    return counts
-
-
-def coset_low_weight_counts(
-    code: LinearCode,
-    wmax: int,
-    budget: Budgets = DEFAULT_BUDGETS,
-    analysis: CodeAnalysis | None = None,
-) -> list[list[int]]:
-    """counts[s][w] for w <= wmax only, by enumerating supports instead
-    of the whole space; touches sum_{w<=wmax} C(n,w)(q-1)^w vectors."""
-    f = code.field
-    q, n = f.q, code.n
-    total = sum(comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
-    budget.require("max_vectors", total)
-    st = analysis.table if analysis else SyndromeTable(code, budget)
-    add = st.add
-    step = st.step
-    counts = [[0] * (wmax + 1) for _ in range(st.size)]
-    counts[0][0] = 1
-    for w in range(1, wmax + 1):
-        for support in combinations(range(n), w):
-            for values in product(range(1, q), repeat=w):
-                s = 0
-                for j, beta in zip(support, values):
-                    s = add(s, step[j][beta])
-                counts[s][w] += 1
-    return counts
-
-
 def beta_solve(
     code: LinearCode,
     budget: Budgets = DEFAULT_BUDGETS,
@@ -637,10 +592,26 @@ def beta_solve(
     coefficients exist.  Solvability is equivalent to the code being
     uniformly packed in the wide sense.
 
-    Only distances up to rho enter the system, so the per-coset counts
-    come from the low-weight enumeration and long codes stay feasible.
+    The system is solved from the dual weights.  alpha_k is the
+    convolution of the code's indicator with that of the weight-k
+    sphere.  Over the characters u of GF(q)^n the first transforms to
+    |C| on the dual code and 0 off it, the second to K_k(wt u), the
+    Krawtchouk polynomial, and the constant 1 to q^n at u = 0 only.
+    Divided by |C| = q^(n-m), the condition holds exactly when
+    sum_k beta_k K_k(0) = q^m and sum_k beta_k K_k(w) = 0 at each of
+    the s nonzero dual weights w.
+    K_k has degree k in w, so P = sum_k beta_k K_k has degree at most
+    rho.  If rho < s, P vanishes at s distinct points, so P = 0 and
+    P(0) = q^m fails: there is no solution.  At rho = s (Delsarte:
+    rho <= s) the s + 1 rows, at distinct w, form a nonsingular square
+    system, which has exactly one solution.
     """
     analysis = analysis or CodeAnalysis(code, budget)
-    counts = coset_low_weight_counts(code, analysis.table.rho, budget, analysis)
-    rows = sorted({tuple(row) for row in counts})
-    return solve_rational(rows, [1] * len(rows))
+    rho = analysis.table.rho
+    q, n = code.field.q, code.n
+    dual_weights = nonzero_weights(analysis.weight_pair[1])
+    rows = [
+        [_krawtchouk(q, n, k, w) for k in range(rho + 1)]
+        for w in (0, *dual_weights)
+    ]
+    return solve_rational(rows, [q**code.redundancy] + [0] * len(dual_weights))

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from crcodes import (
+    CodeAnalysis,
     LinearCode,
     beta_solve,
     build_family,
@@ -24,13 +25,13 @@ from crcodes import (
     difference_matrix_code,
     enumerate_rho1,
     extendable_hamming_code,
-    external_distance,
     external_lines_code,
     hamming_code,
     hyperoval,
     iter_projective,
     latin_square_code,
     min_distance,
+    nonzero_weights,
     point_set_code,
     rho1_intersection_array,
     verify_theorem41,
@@ -218,10 +219,13 @@ def test_criterion_5_uniform_packing_consistency(
         kwargs = {"q": 8} if h is None else {"q": 8, "h": h}
         codes.append(build_family(fam, **kwargs)[1])
     for code in codes:
-        rho = complete_regularity(code).rho
-        s = external_distance(code)
+        # one analysis per code: the table gives rho, the weight pair s
+        # and both give beta
+        analysis = CodeAnalysis(code)
+        rho = analysis.report.rho
+        s = len(nonzero_weights(analysis.weight_pair[1]))
         assert rho <= s
-        beta = beta_solve(code)
+        beta = beta_solve(code, analysis=analysis)
         assert (rho == s) == (beta is not None)
 
 

@@ -206,6 +206,15 @@ def test_brute_force_budget_exits_4(capsys, hamming32_path):
     assert stderr == "error: max_vectors: needs 81 but the budget allows 7\n"
 
 
+def test_beta_walks_no_vector(capsys, hamming32_path):
+    # beta is solved from the dual weights, so no vector budget applies
+    code, stdout, stderr = run(
+        capsys, "analyze", hamming32_path, "--beta", "--max-vectors", "0"
+    )
+    assert (code, stderr) == (0, "")
+    assert "beta: 1, 1" in stdout.splitlines()
+
+
 @pytest.mark.parametrize(
     "flag, needed",
     [("--max-syndromes", 9), ("--max-codewords", 9), ("--max-vectors", 81)],

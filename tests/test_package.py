@@ -30,8 +30,7 @@ EXPORTS = [
     "beta_solve", "budgets", "build_family", "canonical_column", "classify",
     "classify_rho1", "codes", "complementary_parity_columns",
     "complete_regularity", "complete_regularity_bruteforce", "construction_I",
-    "construction_II", "constructions", "coset_low_weight_counts",
-    "coset_weight_counts", "covering_radius", "d1_antipodal_code",
+    "construction_II", "constructions", "covering_radius", "d1_antipodal_code",
     "denniston_arc", "difference_matrix", "difference_matrix_code",
     "enumerate_rho1", "extendable_hamming_code", "external_distance",
     "external_lines", "external_lines_code", "family_catalog", "field",

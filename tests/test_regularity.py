@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,23 +22,24 @@ from crcodes.cli import analysis_report
 from crcodes.codes import (
     LinearCode,
     external_distance,
+    nonzero_weights,
+    odometer,
     pg_points,
     weight_distribution,
 )
 from crcodes.constructions import family_catalog, hamming_code
 from crcodes.field import GF, _base_digits, _from_base
-from crcodes.matrix import MatrixGF
+from crcodes.matrix import MatrixGF, solve_rational
 from crcodes.regularity import (
     CodeAnalysis,
     IntersectionArray,
     RegularityReport,
     SyndromeTable,
     Witness,
+    _ambient_steps,
     beta_solve,
     complete_regularity,
     complete_regularity_bruteforce,
-    coset_low_weight_counts,
-    coset_weight_counts,
     covering_radius,
 )
 
@@ -657,6 +658,53 @@ def test_fast_and_bruteforce_reports_agree():
             assert fast.witness.level == slow.witness.level
 
 
+def coset_weight_counts(
+    code: LinearCode, budget: Budgets = Budgets()
+) -> list[list[int]]:
+    """counts[s][w] = number of ambient vectors of weight w with syndrome
+    s, accumulated in one pass over all q^n vectors.  Row s is also the
+    distance distribution of any vector in coset s to the code.  This is
+    the reference oracle for coset_low_weight_counts, which reaches the
+    rows' low-weight columns by enumerating supports instead."""
+    q, n = code.field.q, code.n
+    total = q**n
+    budget.require("max_vectors", total)
+    st = SyndromeTable(code, budget)
+    # a coordinate's weight rises as its digit leaves 0 and falls as it wraps
+    weight_steps = [[1] + [0] * (q - 2) + [-1]] * n
+    counts = [[0] * (n + 1) for _ in range(st.size)]
+    syndromes = odometer(0, _ambient_steps(st), st.add)
+    for s, w in zip(syndromes, odometer(0, weight_steps, int.__add__)):
+        counts[s][w] += 1
+    return counts
+
+
+def coset_low_weight_counts(
+    code: LinearCode, wmax: int, budget: Budgets = Budgets()
+) -> list[list[int]]:
+    """counts[s][w] for w <= wmax only, by enumerating supports instead
+    of the whole space; touches sum_{w<=wmax} C(n,w)(q-1)^w vectors.
+    With wmax = rho its distinct rows are the system that beta_solve
+    solves from the dual weights instead: one equation
+    sum_k beta_k * alpha_k(v) = 1 per kind of coset."""
+    q, n = code.field.q, code.n
+    total = sum(comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
+    budget.require("max_vectors", total)
+    st = SyndromeTable(code, budget)
+    add = st.add
+    step = st.step
+    counts = [[0] * (wmax + 1) for _ in range(st.size)]
+    counts[0][0] = 1
+    for w in range(1, wmax + 1):
+        for support in combinations(range(n), w):
+            for values in product(range(1, q), repeat=w):
+                s = 0
+                for j, beta in zip(support, values):
+                    s = add(s, step[j][beta])
+                counts[s][w] += 1
+    return counts
+
+
 def test_coset_weight_counts_shape_and_marginals():
     rng = random.Random(43)
     for code in (
@@ -717,6 +765,18 @@ def test_beta_solve_known_values():
     ]
 
 
+def test_beta_solve_budget():
+    # the dual weights come from the smaller side, 3^2 words of the
+    # ternary [4,2] Hamming code; no ambient vector is walked
+    code = hamming_code(3, 2)
+    with pytest.raises(BudgetExceeded) as err:
+        beta_solve(code, Budgets(max_codewords=8))
+    assert (err.value.budget, err.value.needed, err.value.limit) == (
+        "max_codewords", 9, 8,
+    )
+    assert beta_solve(code, Budgets(max_codewords=9, max_vectors=0)) == [1, 1]
+
+
 def test_beta_solve_unsolvable_when_radius_below_external_distance():
     code = LinearCode.from_parity(MatrixGF(GF(2), [[1, 1, 0, 1], [0, 0, 0, 1]]))
     assert covering_radius(code) == 2
@@ -726,16 +786,36 @@ def test_beta_solve_unsolvable_when_radius_below_external_distance():
     assert (report["uniformly_packed"], report["beta"]) == (False, None)
 
 
-def test_packing_predicate_matches_beta_solvability():
-    rng = random.Random(101)
-    for _ in range(25):
-        q = rng.choice((2, 3))
-        code = _random_code(rng, q, rng.randrange(3, 7), rng.randrange(1, 4))
-        rho = covering_radius(code)
-        s = external_distance(code)
+def _beta_oracle(code, rho):
+    """The packing coefficients from their definition: one equation
+    sum_k beta_k * alpha_k(v) = 1 per distinct row of the low-weight
+    coset counts, up to distance rho."""
+    rows = sorted({tuple(row) for row in coset_low_weight_counts(code, rho)})
+    return solve_rational(rows, [1] * len(rows))
+
+
+def test_packing_predicate_matches_beta_solvability(catalog48):
+    # the dual-weight solve against the coset-count system, on the
+    # catalog members and their duals, seeded random codes with zero and
+    # repeated columns, and the codes with k = 0 and with m = 0
+    codes = [c for _, code in catalog48 for c in (code, code.dual())]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        codes.extend(_oracle_codes(q))
+    f = GF(3)
+    codes.append(LinearCode.from_parity(MatrixGF(f, [[1, 0], [0, 1]], 2)))
+    codes.append(LinearCode.from_parity(MatrixGF(f, [[0, 0, 0]], 3)))
+    assert [(c.k, c.redundancy) for c in codes[-2:]] == [(0, 2), (3, 0)]
+    solvable = 0
+    for code in codes:
+        analysis = CodeAnalysis(code)
+        rho = analysis.table.rho
+        s = len(nonzero_weights(analysis.weight_pair[1]))
         assert rho <= s
-        report = analysis_report(code, with_beta=True)
-        assert report["uniformly_packed"] == (report["beta"] is not None)
+        beta = beta_solve(code, analysis=analysis)
+        assert beta == _beta_oracle(code, rho)
+        assert (beta is None) == (rho != s)
+        solvable += beta is not None
+    assert (len(codes), solvable) == (150, 128)
 
 
 def test_intersection_array_validation():
