@@ -441,9 +441,9 @@ def enumerate_rho1(
     steps {beta*h} = {beta*P}.  So each key is measured from its points,
     and no code is built.  The graph's distances depend only on its set
     of steps, so one syndrome table is built per set of points, each
-    point's steps taken once, and only its leader weights and rho are
-    read.  For each point P the (c, b) profile of every syndrome under
-    the steps beta*P alone is recounted from those leader weights, and a
+    point's steps taken once, and only its leader weights are read.
+    For each point P the (c, b) profile of every syndrome under the
+    steps beta*P alone is recounted from those leader weights, and a
     key's profiles are these summed with its multiplicities: the counts
     are linear in them.  A key's column form is read from its points,
     the cover of PG(m-1, q) once per point set.  Deriving the rest from
@@ -494,11 +494,11 @@ def enumerate_rho1(
     # integer c*W + b, a key's profiles are sums of these, and divmod by
     # W gives back the summed c and b
     W = (q - 1) * n_max + 1
-    tables = {}  # point set -> (leader weights, rho, profiles, form)
+    tables = {}  # point set -> (leader weights, profiles, form)
 
     def table_of(point_set):
         # one table on the point set's steps, each taken once: its leader
-        # weights, rho and column form at multiplicity 1, and for each
+        # weights and column form at multiplicity 1, and for each
         # point P the profile of every syndrome under the steps beta*P
         # alone
         table = SyndromeTable.from_steps(f, m, [rows[i] for i in point_set], budget)
@@ -507,7 +507,7 @@ def enumerate_rho1(
             recount = map(_recount(table, rows[i][1:]), range(table.size))
             profiles[i] = [c * W + b for c, b in recount]
         form = _points_rho1_form(f, m, 0, {points[i]: 1 for i in point_set})
-        return table.leader_weight, table.rho, profiles, form
+        return table.leader_weight, profiles, form
 
     def measure(key, n: int):
         # the report and column form of the key's coset graph without
@@ -517,7 +517,7 @@ def enumerate_rho1(
             tables[point_set] = table_of(point_set)
         # k = n - m, so at m < 2 the first key refuses
         _require_nontrivial(n, n - m)
-        lw, rho, profiles, form = tables[point_set]
+        lw, profiles, form = tables[point_set]
         weighted = [profiles[i] for i, k in key for _ in range(k)]
         summed = [divmod(sum(at), W) for at in zip(*weighted)]
         # _points_rho1_form reports a missing point of PG(m-1, q) before
@@ -526,8 +526,7 @@ def enumerate_rho1(
         # multiplicities
         if isinstance(form, Rho1Form):
             form = _points_rho1_form(f, m, 0, {points[i]: k for i, k in key})
-        cosets = zip(range(len(lw)), lw, summed)
-        return _scan_cosets(q, len(weighted), rho, cosets), form
+        return _scan_cosets(q, len(weighted), lw, summed), form
 
     def entries():
         # yielded into the report's tuple, so no list of them is held too

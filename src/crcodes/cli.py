@@ -70,7 +70,7 @@ def _add_budget_flags(p: argparse.ArgumentParser):
     )
     p.add_argument(
         "--max-vectors", type=_cap, default=DEFAULT_BUDGETS.max_vectors,
-        help="cap on ambient-space walks (default 2^20)",
+        help="cap on q^n for the brute-force check (default 2^20)",
     )
 
 
@@ -127,13 +127,10 @@ def analysis_report(
         beta = beta_solve(code, budget, analysis)
         report["beta"] = None if beta is None else [str(x) for x in beta]
     if brute_force:
-        # the array is None exactly when the code is not completely regular
-        ref = complete_regularity_bruteforce(code, budget, analysis)
-        if (ref.array, ref.witness and ref.witness.level) != (
-            rep.array, rep.witness and rep.witness.level
-        ):
+        if complete_regularity_bruteforce(code, budget, analysis) != rep:
             raise AssertionError(
-                "syndrome-level and vector-level regularity scans disagree"
+                "the syndrome table's regularity report and the brute-force"
+                " recount disagree"
             )
         report["brute_force_agrees"] = True
     try:
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", action="store_true", help="include the packing solution")
     p.add_argument(
         "--brute-force", dest="brute_force", action="store_true",
-        help="cross-check regularity against the vector-level scan",
+        help="cross-check regularity by recounting every coset's profile",
     )
     _add_budget_flags(p)
     p.set_defaults(func=cmd_analyze)

@@ -7,8 +7,8 @@ identities; for r = 1 the encoding is the residue itself.
 
 A field, prime or extension, is its modulus and two tables built once
 (O(q) memory): the log table and the antilog table, stored twice over,
-so that multiplication, inversion, powers and negation are one lookup
-each.  Negation is multiplication by -1, whose log is 0 when p = 2 and
+so that multiplication, inversion and negation are one lookup each.
+Negation is multiplication by -1, whose log is 0 when p = 2 and
 (q - 1)/2 otherwise.  Addition is (a + b) mod p when r = 1, XOR in
 characteristic 2 and digitwise mod p otherwise.  The base-p codec
 (`_base_digits`, `_from_base`) and the digitwise adder (`_add_digitwise`)
@@ -222,10 +222,6 @@ class Field:
         """Base-p digits of a, least significant first (the coefficients)."""
         return _base_digits(a, self.p, self.r)
 
-    def from_digits(self, digits) -> int:
-        p = self.p
-        return _from_base([int(d) % p for d in digits], p)
-
     # -- table construction ----------------------------------------------
 
     def _raw_mul(self, a: int, b: int) -> int:
@@ -303,18 +299,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._exp[self.q - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("0 has no multiplicative inverse")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def elements(self) -> list[int]:
         """All field elements in encoding order."""

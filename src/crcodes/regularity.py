@@ -17,14 +17,13 @@ counts every coset's (c, b) profile as bit planes too, and decides
 complete regularity on them level by level before it drops them, so
 the table keeps one byte per syndrome.
 
-The brute-force check walks all q^n ambient vectors by syndrome only,
-with the odometer of codes.py stepping by one table addition per
-vector.  It and the radius-1 census recount profiles from leader
-weights, through the table's additions (the split-half tables outside
-characteristic 2, which only these two build), and hand (syndrome,
-level, profile) triples to _scan_cosets, which picks each level's
-reference profile and the first conflict in increasing syndrome order,
-as the BFS's scan does.
+The brute-force check and the radius-1 census recount every syndrome's
+profile from the leader weights, through the table's translator (the
+split-half tables outside characteristic 2, which only these two
+build), and hand the profiles in syndrome order to _scan_cosets, which
+picks each level's reference profile and the first conflict in
+increasing syndrome order, as the BFS's scan does: all three name the
+same witness.
 
 The uniform packing coefficients need no vector or coset enumeration:
 beta_solve solves for them from rho and the dual weights alone.
@@ -34,11 +33,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from operator import xor
 from typing import NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .codes import LinearCode, _krawtchouk, nonzero_weights, odometer, weight_pair
+from .codes import LinearCode, _krawtchouk, nonzero_weights, weight_pair
 from .field import _add_digitwise, _base_digits, _from_base
 from .matrix import solve_rational
 
@@ -89,13 +87,13 @@ class SyndromeTable:
     syndrome; while the BFS runs it holds about two more, the profiles
     and the levels bit-sliced and three level sets.
 
-    add(s, d) is s + d for a step d, and translator(steps) gives all
-    s + d at once.  In characteristic 2 that is s ^ d.  Otherwise every
-    distinct step d has a pair of split-half translation tables of
-    q^ceil(m/2) entries, so that s + d is lo[s % Q] + hi[s // Q] with
-    Q = q^ceil(m/2).  They are built the first time add or translator is
-    read, which only the brute force and the radius-1 census's recount
-    do; the build never reads them.
+    translator(steps) gives s + d for every step d at once.  In
+    characteristic 2 that is s ^ d.  Otherwise every distinct step d has
+    a pair of split-half translation tables of q^ceil(m/2) entries, so
+    that s + d is lo[s % Q] + hi[s // Q] with Q = q^ceil(m/2).  They are
+    built the first time translator is called, which only the brute
+    force and the radius-1 census's recount do; the build never reads
+    them.
     """
 
     __slots__ = (
@@ -147,19 +145,6 @@ class SyndromeTable:
                         )
             self._halves = Q, halves
         return self._halves
-
-    @property
-    def add(self):
-        """The function (s, d) -> s + d for a syndrome s and a step d."""
-        if self.field.p == 2:
-            return xor
-        Q, halves = self._split_halves()
-
-        def add(s: int, d: int) -> int:
-            lo, hi = halves[d]
-            return lo[s % Q] + hi[s // Q]
-
-        return add
 
     def translator(self, steps):
         """A function taking a syndrome s to the list [s + d for d in steps]."""
@@ -458,14 +443,16 @@ class RegularityReport(NamedTuple):
     witness: Witness | None
 
 
-def _scan_cosets(q, n, rho, cosets) -> RegularityReport:
-    """The report from (syndrome, level, profile) triples in visiting
-    order.  Each level's first profile is its reference; the witness
-    pairs it with the first differing profile at the lowest level that
-    has one, and with none the references give the array."""
+def _scan_cosets(q, n, leader_weight, profiles) -> RegularityReport:
+    """The report from each syndrome's leader weight and (c, b) profile,
+    both indexed by syndrome.  Each level's profile at its lowest
+    syndrome is its reference; the witness pairs it with the lowest
+    syndrome whose profile differs, at the lowest level that has one,
+    and with none the references give the array."""
+    rho = max(leader_weight)
     first: list = [None] * (rho + 1)
     conflicts: list = [None] * (rho + 1)
-    for s, level, profile in cosets:
+    for s, (level, profile) in enumerate(zip(leader_weight, profiles)):
         ref = first[level]
         if ref is None:
             first[level] = (s, profile)
@@ -523,15 +510,6 @@ def _recount(st: SyndromeTable, steps):
     return profile
 
 
-def _ambient_steps(st: SyndromeTable) -> list[list[int]]:
-    """The odometer increments that walk the ambient space by syndrome:
-    entry [j][a] turns coordinate j from a into (a + 1) % q."""
-    f = st.field
-    q = f.q
-    deltas = [f.sub((a + 1) % q, a) for a in range(q)]
-    return [[row[d] for d in deltas] for row in st.step]
-
-
 def complete_regularity_bruteforce(
     code: LinearCode,
     budget: Budgets = DEFAULT_BUDGETS,
@@ -541,44 +519,21 @@ def complete_regularity_bruteforce(
     from the code has the same number c_i of neighbors v + beta*e_j at
     distance i - 1 and b_i at distance i + 1.
 
-    The walk visits the syndromes of the q^n vectors in odometer order
-    (coordinate 0 fastest) and takes each one's distance as the leader
-    weight of its syndrome.  The profile is recounted from those leader
-    weights over the n(q-1) neighbor syndromes s + step[j][beta] by
-    _recount, the one recount, which the radius-1 census shares; the
-    table's own verdict, which its BFS reached on its (c, b) counts, is
-    never read, so this checks it.
-
-    The neighbor syndromes of v depend only on the syndrome s of v, so
-    the profile is counted once per syndrome, at the first vector that
-    reaches it: q^m profiles for q^n vectors.  Skipping a later vector
-    of the same coset is exact, because its level's first profile was
-    taken at or before that first visit, and comparing the same profile
-    against the same reference again can add neither a first profile
-    nor a conflict.  The report, witness syndromes included, is the one
-    a count at every vector gives.  For the same reason the walk stops at
-    the vector that reaches the last unseen syndrome; the max_vectors
-    budget still counts all q^n vectors, as the walk's worst case.
+    The distance of v and the syndromes s + step[j][beta] of its n(q-1)
+    neighbors depend only on the syndrome s of v, so the vectors of one
+    coset share one profile, and every syndrome is some vector's.  Each
+    of the q^m profiles is recounted from the leader weights by _recount,
+    the one recount, which the radius-1 census shares, and _scan_cosets
+    compares them in increasing syndrome order.  The table's own verdict,
+    which its BFS reached on its (c, b) counts, is never read, so this
+    checks it.  The max_vectors budget counts the q^n vectors the check
+    covers.
     """
     q, n = code.field.q, code.n
-    total = q**n
-    budget.require("max_vectors", total)
+    budget.require("max_vectors", q**n)
     st = analysis.table if analysis else SyndromeTable(code, budget)
-    lw = st.leader_weight
     profile = _recount(st, [d for row in st.step for d in row[1:]])
-    seen = bytearray(st.size)
-
-    def first_visits():
-        unseen = st.size
-        for s in odometer(0, _ambient_steps(st), st.add):
-            if not seen[s]:
-                seen[s] = 1
-                yield s, lw[s], profile(s)
-                unseen -= 1
-                if not unseen:
-                    return
-
-    return _scan_cosets(q, n, st.rho, first_visits())
+    return _scan_cosets(q, n, st.leader_weight, map(profile, range(st.size)))
 
 
 def beta_solve(

@@ -199,13 +199,7 @@ def test_criterion_4_bruteforce_oracle_agreement(
     censuses = (census_2_2_8, census_2_3_8, census_3_2_5)
     checked = 0
     for code in _corpus(catalog48, censuses, bound=2**16):
-        fast = complete_regularity(code)
-        slow = complete_regularity_bruteforce(code)
-        assert fast.is_completely_regular == slow.is_completely_regular
-        assert fast.array == slow.array
-        assert fast.rho == slow.rho
-        if not fast.is_completely_regular:
-            assert fast.witness.level == slow.witness.level
+        assert complete_regularity_bruteforce(code) == complete_regularity(code)
         checked += 1
     assert checked > 10000
 

@@ -387,10 +387,10 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
     scans = []
     original_scan = classify_module._scan_cosets
 
-    def recorded_scan(q, n, rho, cosets):
-        cosets = list(cosets)
-        scans.append((n, rho, cosets))
-        return original_scan(q, n, rho, cosets)
+    def recorded_scan(q, n, leader_weight, profiles):
+        profiles = list(profiles)
+        scans.append((n, bytes(leader_weight), profiles))
+        return original_scan(q, n, leader_weight, profiles)
 
     monkeypatch.setattr(classify_module, "_scan_cosets", recorded_scan)
     enumerate_rho1(q, m, n_max)
@@ -404,9 +404,8 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
         steps = list(regularity_module._column_steps(f, columns))
         st = SyndromeTable.from_steps(f, m, steps)
         recount = regularity_module._recount(st, [d for row in steps for d in row[1:]])
-        syndromes = range(st.size)
-        profiles = list(zip(syndromes, st.leader_weight, map(recount, syndromes)))
-        assert scan == (len(columns), st.rho, profiles), columns
+        profiles = list(map(recount, range(st.size)))
+        assert scan == (len(columns), bytes(st.leader_weight), profiles), columns
 
 
 def test_census_reuse_matches_fresh_measurement(

@@ -206,6 +206,27 @@ def test_brute_force_budget_exits_4(capsys, hamming32_path):
     assert stderr == "error: max_vectors: needs 81 but the budget allows 7\n"
 
 
+def test_brute_force_compares_witness_syndromes(capsys, monkeypatch, tmp_path):
+    # a brute force that names another syndrome at the witness level, as
+    # a different scan order could, is a disagreement: exit 5
+    path = tmp_path / "non_cr.txt"
+    write_matrix(MatrixGF(GF(2), [[1, 0, 1, 1], [0, 1, 0, 1]]), path)
+    real = cli_module.complete_regularity_bruteforce
+
+    def other_witness(*args):
+        rep = real(*args)
+        w = rep.witness
+        return rep._replace(witness=w._replace(syndrome_b=w.syndrome_b ^ 1))
+
+    monkeypatch.setattr(cli_module, "complete_regularity_bruteforce", other_witness)
+    assert run(capsys, "analyze", str(path), "--brute-force") == (
+        5,
+        "",
+        "error: the syndrome table's regularity report and the brute-force"
+        " recount disagree\n",
+    )
+
+
 def test_beta_walks_no_vector(capsys, hamming32_path):
     # beta is solved from the dual weights, so no vector budget applies
     code, stdout, stderr = run(

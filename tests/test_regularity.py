@@ -28,7 +28,7 @@ from crcodes.codes import (
     weight_distribution,
 )
 from crcodes.constructions import family_catalog, hamming_code
-from crcodes.field import GF, _base_digits, _from_base
+from crcodes.field import GF, _add_digitwise, _base_digits, _from_base
 from crcodes.matrix import MatrixGF, solve_rational
 from crcodes.regularity import (
     CodeAnalysis,
@@ -36,7 +36,6 @@ from crcodes.regularity import (
     RegularityReport,
     SyndromeTable,
     Witness,
-    _ambient_steps,
     beta_solve,
     complete_regularity,
     complete_regularity_bruteforce,
@@ -194,10 +193,11 @@ def test_profiles_against_coset_leader_oracle(q):
         assert recounted == [profile[s] for s in range(st.size)]
         expected = _report_oracle(code, level, profile)
         assert complete_regularity(code) == expected
-        assert _scan_report(code, st.leader_weight, recounted) == expected
-        assert complete_regularity_bruteforce(code) == _walk_report_oracle(
-            code, level, profile
+        scanned = regularity._scan_cosets(
+            code.field.q, code.n, st.leader_weight, recounted
         )
+        assert scanned == expected
+        assert complete_regularity_bruteforce(code) == expected
         kinds.add(expected.is_completely_regular)
     assert kinds == {True, False}
 
@@ -207,13 +207,6 @@ def _recounted(st):
     leader weights one syndrome at a time."""
     profile = regularity._recount(st, [d for row in st.step for d in row[1:]])
     return [profile(s) for s in range(st.size)]
-
-
-def _scan_report(code, lw, profiles):
-    """The report _scan_cosets gives on these leader weights and
-    profiles, visited in increasing syndrome order."""
-    cosets = zip(range(len(lw)), lw, profiles)
-    return regularity._scan_cosets(code.field.q, code.n, max(lw), cosets)
 
 
 def _plain_bfs(st):
@@ -254,7 +247,8 @@ def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatc
         st = SyndromeTable(code)
         lw, profiles = _plain_bfs(st)
         assert lw == st.leader_weight
-        assert complete_regularity(code) == _scan_report(code, lw, profiles)
+        scanned = regularity._scan_cosets(code.field.q, code.n, lw, profiles)
+        assert complete_regularity(code) == scanned
         level, profile = _profile_oracle(code)
         assert st.size == len(level)
         assert list(st.leader_weight) == [level[s] for s in range(st.size)]
@@ -284,7 +278,9 @@ def test_word_bfs_matches_syndrome_bfs_on_the_catalog():
                 side_analysis = CodeAnalysis(side)
                 lw, profiles = _plain_bfs(side_analysis.table)
                 assert lw == side_analysis.table.leader_weight, desc.slug
-                expected = _scan_report(side, lw, profiles)
+                expected = regularity._scan_cosets(
+                    side.field.q, side.n, lw, profiles
+                )
                 assert side_analysis.report == expected, desc.slug
                 plain += 1
         checked += 1
@@ -398,42 +394,16 @@ def test_split_half_tables_are_built_on_first_use():
     assert st.size == 3**7
     assert analysis.report.rho == st.rho
     assert st._halves is None
-    add = st.add
+    steps = sorted({d for row in st.step for d in row})
+    translate = st.translator(steps)
     assert st._halves is not None
     for s in (0, 1, 5, 2186):
         digits = _base_digits(s, 3, 7)
-        for d in {d for row in st.step for d in row}:
-            total = [(x + y) % 3 for x, y in zip(digits, _base_digits(d, 3, 7))]
-            assert add(s, d) == _from_base(total, 3)
-
-
-def _walk_report_oracle(code, level, profile):
-    """The report of a per-vector check: walk the ambient space with
-    coordinate 0 fastest; the first vector at each level sets its
-    reference profile, and the first later vector whose profile differs
-    is its conflict.  The lowest level with a conflict is the witness."""
-    q, n = code.field.q, code.n
-    rho = max(level.values())
-    first = {}
-    conflicts = {}
-    for digits in product(range(q), repeat=n):
-        s = _from_base(code.H.mul_vector(digits[::-1]), q)
-        lv, prof = level[s], profile[s]
-        if lv not in first:
-            first[lv] = (s, prof)
-        elif lv not in conflicts and prof != first[lv][1]:
-            conflicts[lv] = (s, prof)
-    if conflicts:
-        lv = min(conflicts)
-        (ref, ref_prof), (bad, bad_prof) = first[lv], conflicts[lv]
-        return RegularityReport(
-            False, rho, None, Witness(lv, ref, bad, ref_prof, bad_prof)
-        )
-    b = [first[l][1][1] for l in range(rho)]
-    c = [first[l][1][0] for l in range(1, rho + 1)]
-    return RegularityReport(
-        True, rho, IntersectionArray.from_levels(q, n, b, c), None
-    )
+        sums = [
+            [(x + y) % 3 for x, y in zip(digits, _base_digits(d, 3, 7))]
+            for d in steps
+        ]
+        assert translate(s) == [_from_base(total, 3) for total in sums]
 
 
 @pytest.mark.parametrize(
@@ -459,45 +429,21 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
     st.level_profiles = None
     st.witness = Witness(0, 0, 0, (0, 0), (0, 1))
 
-    calls = 0
+    recounted = []
     translator = SyndromeTable.translator
 
     def counting_translator(self, steps):
         neighbors = translator(self, steps)
 
         def counted(s):
-            nonlocal calls
-            calls += 1
+            recounted.append(s)
             return neighbors(s)
 
         return counted
 
-    vectors = 0
-    walk = regularity.odometer
-
-    def counting_walk(*args):
-        nonlocal vectors
-        for item in walk(*args):
-            vectors += 1
-            yield item
-
     monkeypatch.setattr(SyndromeTable, "translator", counting_translator)
-    monkeypatch.setattr(regularity, "odometer", counting_walk)
     assert complete_regularity_bruteforce(code, analysis=analysis) == expected
-    # the walk stops at the vector that reaches the last unseen syndrome
-    assert vectors == _full_coverage_count(code) < q**code.n
-    assert 0 < calls <= st.size
-
-
-def _full_coverage_count(code):
-    """How many vectors an odometer walk (coordinate 0 fastest) takes to
-    reach every syndrome, each syndrome from H.mul_vector."""
-    q = code.field.q
-    seen = set()
-    for count, digits in enumerate(product(range(q), repeat=code.n), 1):
-        seen.add(_from_base(code.H.mul_vector(digits[::-1]), q))
-        if len(seen) == q**code.redundancy:
-            return count
+    assert recounted == list(range(st.size))
 
 
 def test_catalog_intersection_arrays_against_coset_graphs(catalog48):
@@ -649,13 +595,22 @@ def test_fast_and_bruteforce_reports_agree():
     for _ in range(30):
         q = rng.choice((2, 3, 4))
         code = _random_code(rng, q, rng.randrange(3, 7), rng.randrange(1, 4))
-        fast = complete_regularity(code)
-        slow = complete_regularity_bruteforce(code)
-        assert fast.is_completely_regular == slow.is_completely_regular
-        assert fast.rho == slow.rho
-        assert fast.array == slow.array
-        if fast.witness is not None:
-            assert fast.witness.level == slow.witness.level
+        assert complete_regularity_bruteforce(code) == complete_regularity(code)
+
+
+def test_bruteforce_report_on_the_catalog(catalog48):
+    # whole reports, witness syndromes included, on every member and its
+    # dual, past criterion 4's q^n <= 2^16 as well: the brute force
+    # recounts q^m profiles whatever the q^n its budget counts
+    kinds = Counter()
+    for desc, code in catalog48:
+        for side in (code, code.dual()):
+            analysis = CodeAnalysis(side)
+            budget = Budgets(max_vectors=side.field.q**side.n)
+            slow = complete_regularity_bruteforce(side, budget, analysis)
+            assert slow == analysis.report, desc.slug
+            kinds[slow.is_completely_regular] += 1
+    assert kinds == {True: 70, False: 8}
 
 
 def coset_weight_counts(
@@ -670,10 +625,15 @@ def coset_weight_counts(
     total = q**n
     budget.require("max_vectors", total)
     st = SyndromeTable(code, budget)
-    # a coordinate's weight rises as its digit leaves 0 and falls as it wraps
+    f = st.field
+    # the walk turns coordinate j from a into (a + 1) % q by adding the
+    # syndrome of (a + 1 - a)*e_j; its weight rises as the digit leaves 0
+    # and falls as it wraps
+    deltas = [f.sub((a + 1) % q, a) for a in range(q)]
+    syndrome_steps = [[row[d] for d in deltas] for row in st.step]
     weight_steps = [[1] + [0] * (q - 2) + [-1]] * n
     counts = [[0] * (n + 1) for _ in range(st.size)]
-    syndromes = odometer(0, _ambient_steps(st), st.add)
+    syndromes = odometer(0, syndrome_steps, lambda s, d: _add_digitwise(s, d, f.p))
     for s, w in zip(syndromes, odometer(0, weight_steps, int.__add__)):
         counts[s][w] += 1
     return counts
@@ -691,8 +651,7 @@ def coset_low_weight_counts(
     total = sum(comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
     budget.require("max_vectors", total)
     st = SyndromeTable(code, budget)
-    add = st.add
-    step = st.step
+    p, step = st.field.p, st.step
     counts = [[0] * (wmax + 1) for _ in range(st.size)]
     counts[0][0] = 1
     for w in range(1, wmax + 1):
@@ -700,7 +659,7 @@ def coset_low_weight_counts(
             for values in product(range(1, q), repeat=w):
                 s = 0
                 for j, beta in zip(support, values):
-                    s = add(s, step[j][beta])
+                    s = _add_digitwise(s, step[j][beta], p)
                 counts[s][w] += 1
     return counts
 
