@@ -21,7 +21,6 @@ from .budgets import DEFAULT_BUDGETS, Budgets
 from .codes import (
     LinearCode,
     _column_points,
-    _rowspace_weights,
     canonical_column,
     iter_pg_points,
     iter_projective,
@@ -40,7 +39,6 @@ from .regularity import (
     _column_steps,
     _recount,
     _scan_cosets,
-    complete_regularity,
 )
 
 
@@ -169,14 +167,16 @@ def verify_theorem31(
     radius 1; on positives the measured array must equal the predicted
     one, and at radius 1 the form must also coincide with the dual being
     equidistant.  `form` is the code's classify_rho1 result, computed
-    here when not given."""
+    here when not given.  One CodeAnalysis gives the report and the dual
+    weights."""
     if form is None:
         form = classify_rho1(code)
-    rep = complete_regularity(code, budget)
+    analysis = CodeAnalysis(code, budget)
+    rep = analysis.report
     if _rho1_disagreement(code.field.q, form, rep) is not None:
         return False
     return rep.rho != 1 or isinstance(form, Rho1Form) == (
-        len(nonzero_weights(_rowspace_weights(code.H, budget))) == 1
+        len(nonzero_weights(analysis.weight_pair[1])) == 1
     )
 
 
@@ -526,7 +526,7 @@ def enumerate_rho1(
         # multiplicities
         if isinstance(form, Rho1Form):
             form = _points_rho1_form(f, m, 0, {points[i]: k for i, k in key})
-        return _scan_cosets(q, len(weighted), lw, summed), form
+        return _scan_cosets(q, len(weighted), lw, summed.__getitem__), form
 
     def entries():
         # yielded into the report's tuple, so no list of them is held too

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product
-from math import comb
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .field import GF, Field
@@ -289,11 +288,19 @@ def weight_pair(
     return macwilliams_transform(dual_counts, code.field.q), dual_counts
 
 
-def _krawtchouk(q: int, n: int, j: int, i: int) -> int:
-    acc = 0
-    for t in range(min(i, j) + 1):
-        acc += (-1) ** t * (q - 1) ** (j - t) * comb(i, t) * comb(n - i, j - t)
-    return acc
+def _krawtchouk_values(q: int, n: int, i: int, top: int) -> list[int]:
+    """[K_0(i), ..., K_top(i)], the Krawtchouk polynomials of GF(q)^n at
+    i, by the three-term recurrence
+    (j+1) K_{j+1}(i) = ((n-j)(q-1) + j - q*i) K_j(i) - (q-1)(n-j+1) K_{j-1}(i),
+    in which every division is exact, each K_j(i) being an integer."""
+    values = [1]
+    prev, cur = 0, 1
+    for j in range(top):
+        prev, cur = cur, (
+            ((n - j) * (q - 1) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
+        ) // (j + 1)
+        values.append(cur)
+    return values
 
 
 def macwilliams_transform(counts: list[int], q: int) -> list[int]:
@@ -308,12 +315,13 @@ def macwilliams_transform(counts: list[int], q: int) -> list[int]:
     size = sum(counts)
     if counts[0] != 1 or size <= 0:
         raise ValueError("counts must describe a code containing only one zero word")
+    sums = [0] * (n + 1)
+    for i, a in enumerate(counts):
+        if a:
+            for j, k in enumerate(_krawtchouk_values(q, n, i, n)):
+                sums[j] += a * k
     out = []
-    for j in range(n + 1):
-        acc = 0
-        for i, a in enumerate(counts):
-            if a:
-                acc += a * _krawtchouk(q, n, j, i)
+    for j, acc in enumerate(sums):
         b, rem = divmod(acc, size)
         if rem:
             raise NonIntegerResult(f"B_{j} = {acc}/{size} is not an integer")

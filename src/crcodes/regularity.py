@@ -12,18 +12,25 @@ vector, and syndrome addition is digitwise mod p; the codec and the
 digitwise adder are the ones field.py uses for field elements.
 
 SyndromeTable finds each syndrome's leader weight in one BFS,
-_word_bfs, which moves whole levels at a time as bit sets.  The BFS
-counts every coset's (c, b) profile as bit planes too, and decides
-complete regularity on them level by level before it drops them, so
-the table keeps one byte per syndrome.
+_word_bfs, which moves whole levels at a time as bit sets and keeps only
+the level sets and the leader weights, bit-sliced until it writes them
+out one byte per syndrome.  It also keeps the covering radius rho and
+the size of the top level.
 
-The brute-force check and the radius-1 census recount every syndrome's
-profile from the leader weights, through the table's translator (the
-split-half tables outside characteristic 2, which only these two
-build), and hand the profiles in syndrome order to _scan_cosets, which
-picks each level's reference profile and the first conflict in
-increasing syndrome order, as the BFS's scan does: all three name the
-same witness.
+complete_regularity decides from those two numbers and the dual weights
+alone: spectral_array reads the coset graph's spectrum off the dual
+weights, and the code is completely regular exactly when rho = s and
+the top level is as large as the spectrum allows; the same recurrence
+gives the intersection array.  Only a code that is not completely
+regular has its witness searched for, by _scan_cosets.
+
+_scan_cosets takes each syndrome's (c, b) profile from a function and
+walks the levels in order, each level's syndromes in increasing order,
+until a level holds two profiles.  complete_regularity and the
+brute-force check hand it _recount, which recounts a profile from the
+leader weights through the table's translator (the split-half tables
+outside characteristic 2, built on first use); the radius-1 census hands
+it its summed profiles.  All three name the same witness.
 
 The uniform packing coefficients need no vector or coset enumeration:
 beta_solve solves for them from rho and the dual weights alone.
@@ -31,12 +38,11 @@ beta_solve solves for them from rho and the dual weights alone.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .codes import LinearCode, _krawtchouk, nonzero_weights, weight_pair
+from .codes import LinearCode, _krawtchouk_values, nonzero_weights, weight_pair
 from .field import _add_digitwise, _base_digits, _from_base
 from .matrix import solve_rational
 
@@ -61,44 +67,36 @@ _CHUNK_BITS = 1 << 16
 
 
 class SyndromeTable:
-    """Leader weights of a code's cosets, and whether every level of its
-    syndrome graph has one (c, b) profile, from one BFS.
+    """Leader weights of a code's cosets, from one BFS.
 
     step[j][beta] is the syndrome of beta*e_j (step[j][0] is 0).
     leader_weight[s] is the weight of a coset leader for syndrome s (the
-    distance of the coset from the code), and rho is the covering
-    radius.  The (c, b) profile of coset s counts, with multiplicity,
-    the steps beta*e_j (beta != 0) that take s one level down and one
-    level up.  witness is the first pair of cosets at one level whose
-    profiles differ, taken as _scan_cosets takes it.  When there is
-    none, witness is None and level_profiles[l] is the one profile of
-    level l; otherwise level_profiles is None.
+    distance of the coset from the code), rho is the covering radius and
+    top_level_size the number of syndromes at distance rho.
 
     SyndromeTable(code) reads the field, m = n - k and the step rows off
     the code's parity check; from_steps(field, m, step) is given them.
-    Both run one build.  The leader weights and rho depend only on the
-    set of steps of the syndrome graph Cay(GF(q)^m, {beta*h_j}), and the
-    profiles only on their multiset: the BFS adds each distinct step
-    once per row that holds it, so the counts are linear in the
-    multiplicities.  Step rows of any parity check with the same steps
-    give the same table.
+    Both run one build.  The leader weights depend only on the set of
+    steps of the syndrome graph Cay(GF(q)^m, {beta*h_j}), so the BFS
+    takes each distinct step once, and step rows of any parity check
+    with the same steps give the same table.
 
     The BFS is _word_bfs.  The table keeps one byte of leader weight per
-    syndrome; while the BFS runs it holds about two more, the profiles
-    and the levels bit-sliced and three level sets.
+    syndrome; while the BFS runs it holds three level sets and the
+    leader weights bit-sliced, a bit per syndrome for each bit of a
+    level number.
 
     translator(steps) gives s + d for every step d at once.  In
     characteristic 2 that is s ^ d.  Otherwise every distinct step d has
     a pair of split-half translation tables of q^ceil(m/2) entries, so
     that s + d is lo[s % Q] + hi[s // Q] with Q = q^ceil(m/2).  They are
-    built the first time translator is called, which only the brute
-    force and the radius-1 census's recount do; the build never reads
-    them.
+    built the first time translator is called, which only a profile
+    recount does; the build never reads them.
     """
 
     __slots__ = (
         "field", "m", "size", "step", "_halves", "leader_weight", "rho",
-        "level_profiles", "witness",
+        "top_level_size",
     )
 
     def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
@@ -124,9 +122,10 @@ class SyndromeTable:
         self.size = size
         self.step = step = list(step)
         self._halves = None
-        mult = Counter(d for row in step for d in row[1:] if d)
-        (self.leader_weight, self.rho, self.level_profiles,
-         self.witness) = _word_bfs(f.p, m * f.r, mult)
+        steps = {d for row in step for d in row[1:] if d}
+        self.leader_weight, self.rho, self.top_level_size = _word_bfs(
+            f.p, m * f.r, steps
+        )
 
     def _split_halves(self):
         """(Q, {d: (lo, hi)}) for every distinct step d, built on first use."""
@@ -160,11 +159,10 @@ class SyndromeTable:
         return translate
 
 
-def _word_bfs(p: int, digits: int, mult: Counter):
+def _word_bfs(p: int, digits: int, steps):
     """The syndrome BFS on whole levels: (leader_weight, rho,
-    level_profiles, witness), as SyndromeTable keeps them, for the
-    syndromes 0..p^digits - 1 under the steps d of mult, each taken
-    mult[d] times.
+    top_level_size), as SyndromeTable keeps them, for the syndromes
+    0..p^digits - 1 under the set of steps.
 
     A set of syndromes is a list of chunk ints: bit s % C of chunk s // C
     is set for each member s, with C = p^low.  Adding a step d to every
@@ -175,21 +173,11 @@ def _word_bfs(p: int, digits: int, mult: Counter):
     name the chunk, so they only reorder the list.  One code path serves
     every p.
 
-    Each level L is translated once by every step d.  With `seen` the
-    levels up to L and `before` the level below L:
-
-        (L + d) - seen is where d leads up from L: it joins the next
-            level, and mult[d] is added to c there;
-        (L + d) & before is where -d leads up into L: -d is a step as
-            often as d, so mult[d] is added to b there.
-
-    A last pass over the top level finishes b on the level below it.
-    The level numbers (at most m <= digits) and the counts are
-    bit-sliced, planes[i][j] holding bit j of the values in chunk i.
-
-    Once a level's counts are final, _level_witness scans them on the
-    planes, until a level has two profiles.  Then the count planes are
-    dropped and _unpacked writes the leader weights into one bytearray.
+    Each level is translated once by every step, and what the
+    translates reach outside the levels so far is the next level.  The
+    level numbers (at most m <= digits) are bit-sliced, planes[i][j]
+    holding bit j of the values in chunk i, and _unpacked writes them
+    into one bytearray once the level sets are dropped.
     """
     low = digits
     while low > 1 and p**low > _CHUNK_BITS:
@@ -224,40 +212,22 @@ def _word_bfs(p: int, digits: int, mult: Counter):
             src[_add_digitwise(i, d // C, p)] = i
         return [shifts[h][a] for h, a in enumerate(digits_of_d) if a], src
 
-    moves = [(k, *plan(d)) for d, k in mult.items()]
-    count_bits = sum(mult.values()).bit_length()
-    c_planes = [[0] * count_bits for _ in range(chunks)]
-    b_planes = [[0] * count_bits for _ in range(chunks)]
+    moves = [plan(d) for d in steps]
     lw_planes = [[0] * digits.bit_length() for _ in range(chunks)]
     level = [1] + [0] * (chunks - 1)
-    seen = level
-    before = [0] * chunks
-    reached = 1
-    rho = 0
-    profiles = []  # each scanned level's reference profile
-    witness = None
+    unseen = [full ^ 1] + [full] * (chunks - 1)
+    rho, top = 0, 1
     while True:
         nxt = [0] * chunks
-        for k, digit_shifts, src in moves:
+        for digit_shifts, src in moves:
             # one chunk of L + d at a time, into chunk j
             for j, i in enumerate(src):
                 x = level[i]
-                if not x:
-                    continue
-                for keep, up, down, wrap in digit_shifts:
-                    x = ((x & keep) << up) | ((x >> down) & wrap)
-                new = x & ~seen[j]
-                if new:
-                    nxt[j] |= new
-                    _add_bitsliced(c_planes[j], new, k)
-                x &= before[j]
                 if x:
-                    _add_bitsliced(b_planes[j], x, k)
-        if rho and witness is None:
-            # c and b are final on the level below L
-            witness = _level_witness(
-                before, rho - 1, C, c_planes, b_planes, profiles
-            )
+                    for keep, up, down, wrap in digit_shifts:
+                        x = ((x & keep) << up) | ((x >> down) & wrap)
+                    nxt[j] |= x
+        nxt = [x & y for x, y in zip(nxt, unseen)]
         found = sum(x.bit_count() for x in nxt)
         if not found:
             break
@@ -266,59 +236,15 @@ def _word_bfs(p: int, digits: int, mult: Counter):
             for j in range(rho.bit_length()):
                 if rho >> j & 1:
                     planes[j] |= x
-        seen = [x | y for x, y in zip(seen, nxt)]
-        before, level = level, nxt
-        reached += found
-    if reached < size:
+        unseen = [x ^ y for x, y in zip(unseen, nxt)]
+        level = nxt
+        top = found
+    if any(unseen):
         # cannot happen for a full-rank parity check
         raise RuntimeError("syndrome graph is not connected")
-    if witness is None:
-        witness = _level_witness(level, rho, C, c_planes, b_planes, profiles)
-    # free the level sets, the shift table and the count planes before
-    # the output array
-    del level, before, seen, moves, shifts, c_planes, b_planes
-    lw = _unpacked(lw_planes, C, bytearray(size))
-    return lw, rho, None if witness else profiles, witness
-
-
-def _level_witness(
-    members: list, level: int, C: int, c_planes, b_planes, profiles: list
-):
-    """The witness of a level, read off the count planes, or None after
-    its reference profile is appended to profiles.
-
-    members is the level's set of syndromes, as chunk ints.  Its lowest
-    syndrome is the reference, and the (c, b) profiles of a chunk's
-    members differ from the reference's exactly where some plane's bit
-    differs from the reference's bit j: members & plane where that bit
-    is 0, and members & ~plane where it is 1.  The lowest set bit of
-    the OR of these, in the first chunk that has one, is the lowest
-    syndrome at the level that differs, the one _scan_cosets takes."""
-
-    def profile(i: int, bit: int) -> tuple[int, int]:
-        return tuple(
-            sum((plane >> bit & 1) << j for j, plane in enumerate(planes[i]))
-            for planes in (c_planes, b_planes)
-        )
-
-    first = next(i for i, x in enumerate(members) if x)
-    ref_bit = (members[first] & -members[first]).bit_length() - 1
-    ref = profile(first, ref_bit)
-    for i in range(first, len(members)):
-        x = members[i]
-        if not x:
-            continue
-        bad = 0
-        for planes, value in zip((c_planes[i], b_planes[i]), ref):
-            for j, plane in enumerate(planes):
-                bad |= x & ~plane if value >> j & 1 else x & plane
-        if bad:
-            bit = (bad & -bad).bit_length() - 1
-            return Witness(
-                level, first * C + ref_bit, i * C + bit, ref, profile(i, bit)
-            )
-    profiles.append(ref)
-    return None
+    # free the level sets and the shift table before the output array
+    del level, nxt, unseen, moves, shifts
+    return _unpacked(lw_planes, C, bytearray(size)), rho, top
 
 
 def _unpacked(planes: list, C: int, out: bytearray) -> bytearray:
@@ -343,24 +269,6 @@ def _unpacked(planes: list, C: int, out: bytearray) -> bytearray:
         if acc:
             out[i * C:(i + 1) * C] = acc.to_bytes(C, "little")
     return out
-
-
-def _add_bitsliced(planes: list[int], members: int, k: int) -> None:
-    """Add k to the bit-sliced counts of one chunk (planes[j] is bit j)
-    at every member of the set, by ripple carry.  No count outgrows the
-    planes: each is at most the total multiplicity they were sized for."""
-    j = 0
-    while k:
-        if k & 1:
-            carry = members
-            i = j
-            while carry:
-                plane = planes[i]
-                planes[i] = plane ^ carry
-                carry &= plane
-                i += 1
-        k >>= 1
-        j += 1
 
 
 def covering_radius(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
@@ -443,39 +351,94 @@ class RegularityReport(NamedTuple):
     witness: Witness | None
 
 
-def _scan_cosets(q, n, leader_weight, profiles) -> RegularityReport:
-    """The report from each syndrome's leader weight and (c, b) profile,
-    both indexed by syndrome.  Each level's profile at its lowest
-    syndrome is its reference; the witness pairs it with the lowest
-    syndrome whose profile differs, at the lowest level that has one,
-    and with none the references give the array."""
-    rho = max(leader_weight)
-    first: list = [None] * (rho + 1)
-    conflicts: list = [None] * (rho + 1)
-    for s, (level, profile) in enumerate(zip(leader_weight, profiles)):
-        ref = first[level]
-        if ref is None:
-            first[level] = (s, profile)
-        elif conflicts[level] is None and profile != ref[1]:
-            conflicts[level] = (s, profile)
-    for level, bad in enumerate(conflicts):
-        if bad is not None:
-            (ref_s, ref_profile), (bad_s, bad_profile) = first[level], bad
-            witness = Witness(level, ref_s, bad_s, ref_profile, bad_profile)
-            return _report(q, n, rho, None, witness)
-    return _report(q, n, rho, [profile for _, profile in first], None)
-
-
-def _report(q, n, rho, profiles, witness) -> RegularityReport:
-    """The report of a scan: the witness if there is one, and otherwise
-    the array read off each level's profile."""
-    if witness is not None:
-        return RegularityReport(False, rho, None, witness)
-    b = [b for _, b in profiles[:-1]]
-    c = [c for c, _ in profiles[1:]]
+def _scan_cosets(q, n, leader_weight, profile) -> RegularityReport:
+    """The report from each syndrome's leader weight and its (c, b)
+    profile, profile(s).  The levels are walked in order, each level's
+    syndromes in increasing order, and each profile is asked for at most
+    once.  A level's lowest syndrome gives its reference profile; the
+    first level that holds another stops the walk, and the witness pairs
+    the reference with the lowest syndrome whose profile differs.  Only
+    with no witness is every profile asked for, and then each level's
+    one profile gives the array."""
+    # the levels 0..rho each hold a syndrome: rho is the last one found
+    rho = 0
+    while leader_weight.find(rho + 1) != -1:
+        rho += 1
+    refs = []
+    for level in range(rho + 1):
+        ref_s = leader_weight.find(level)
+        ref = profile(ref_s)
+        s = leader_weight.find(level, ref_s + 1)
+        while s != -1:
+            other = profile(s)
+            if other != ref:
+                witness = Witness(level, ref_s, s, ref, other)
+                return RegularityReport(False, rho, None, witness)
+            s = leader_weight.find(level, s + 1)
+        refs.append(ref)
+    b = [b for _, b in refs[:-1]]
+    c = [c for c, _ in refs[1:]]
     return RegularityReport(
         True, rho, IntersectionArray.from_levels(q, n, b, c), None
     )
+
+
+def spectral_array(q: int, n: int, m: int, dual_weights: list[int]):
+    """(s, k_s, b, c) of the coset graph of a code with redundancy m and
+    dual weight counts [B_0..B_n], each number a Fraction.
+
+    The coset graph Cay(GF(q)^m, {beta*h_j}) has the eigenvalue
+    theta_w = n(q-1) - q*w with multiplicity B_w, so its s + 1 distinct
+    eigenvalues are those of the weights w with B_w != 0, s the number
+    of nonzero dual weights.  Under <f, g> = sum_w B_w f(theta_w)
+    g(theta_w) the Stieltjes recurrence
+    r_{i+1} = (x - alpha_i) r_i - beta_i r_{i-1} gives the monic
+    orthogonal polynomials r_0..r_s.  With lambda_i = r_i(theta_0) /
+    <r_i, r_i>, the predistance polynomials are q^m lambda_i r_i, and
+    k_i = q^m lambda_i r_i(theta_0).  By the spectral excess theorem
+    (Fiol and Garriga, JCTB 71, 1997; van Dam, Koolen and Tanaka, EJC
+    DS22, 2016, section 2) the graph is distance regular, so the code
+    completely regular, exactly when its diameter rho is s (Delsarte:
+    rho <= s always) and k_s vertices lie at distance s from 0.  Then
+    c_{i+1} = lambda_i / lambda_{i+1} and b_i = k_{i+1} c_{i+1} / k_i,
+    for i < s.
+
+    The recurrence runs in integers, free of fractions as in Bareiss's
+    elimination: with Delta_i the Hankel determinant of the moments
+    sum_w B_w theta_w^j (Delta_{-1} = 1), u_i = Delta_{i-1} r_i has
+    integer values, Delta_i = <u_i, u_i> / Delta_{i-1}, and
+    u_{i+1} = ((Delta_{i-1} Delta_i x - <x u_i, u_i>) u_i
+               - Delta_i^2 u_{i-1}) / Delta_{i-1}^2,
+    every division exact.  With a_i = u_i(theta_0), which is positive,
+    k_s = q^m a_s^2 / (Delta_{s-1} Delta_s),
+    b_i = a_{i+1} Delta_{i-1} / (a_i Delta_i) and
+    c_{i+1} = a_i Delta_{i+1} / (a_{i+1} Delta_i).
+    """
+    from fractions import Fraction  # on first use, not with the package
+
+    points = [
+        (n * (q - 1) - q * w, count) for w, count in enumerate(dual_weights) if count
+    ]
+    s = len(points) - 1
+    prev, u = [0] * (s + 1), [1] * (s + 1)
+    deltas, a = [1], []  # deltas[i + 1] is Delta_i
+    for i in range(s + 1):
+        a.append(u[0])  # points[0] is theta_0, of the weight 0
+        deltas.append(sum(mu * v * v for (_, mu), v in zip(points, u)) // deltas[i])
+        if i < s:
+            moment = sum(th * mu * v * v for (th, mu), v in zip(points, u))
+            d0, d1 = deltas[i], deltas[i + 1]
+            u, prev = [
+                ((d0 * d1 * th - moment) * v - d1 * d1 * w) // (d0 * d0)
+                for (th, _), v, w in zip(points, u, prev)
+            ], u
+    b = tuple(
+        Fraction(a[i + 1] * deltas[i], a[i] * deltas[i + 1]) for i in range(s)
+    )
+    c = tuple(
+        Fraction(a[i] * deltas[i + 2], a[i + 1] * deltas[i + 1]) for i in range(s)
+    )
+    return s, Fraction(q**m * a[s] * a[s], deltas[s] * deltas[s + 1]), b, c
 
 
 def complete_regularity(
@@ -483,16 +446,37 @@ def complete_regularity(
     budget: Budgets = DEFAULT_BUDGETS,
     analysis: CodeAnalysis | None = None,
 ) -> RegularityReport:
-    """Decide complete regularity from each coset's (c, b) profile.
+    """Decide complete regularity from the dual weights, the covering
+    radius and the size of the top level, as spectral_array states it:
+    the code is completely regular exactly when rho = s and the table's
+    top level holds k_s syndromes, and the array is spectral_array's.
+    The recurrence runs only at rho = s.  A code that is not completely
+    regular has its witness searched for by _scan_cosets, level by
+    level, on profiles recounted from the leader weights.
 
-    The syndrome table's BFS counts the profiles and, level by level,
-    compares each with its level's lowest syndrome's, which is exactly
-    the defining condition; this reads the outcome off the table.
-    Callers holding a CodeAnalysis read its cached `report` rather than
-    deciding again.
+    The table is read before the weight pair, and both come from
+    `analysis` (a fresh CodeAnalysis when none is given).  Callers
+    holding a CodeAnalysis read its cached `report` rather than deciding
+    again.
     """
-    st = analysis.table if analysis else SyndromeTable(code, budget)
-    return _report(code.field.q, code.n, st.rho, st.level_profiles, st.witness)
+    analysis = analysis or CodeAnalysis(code, budget)
+    st = analysis.table
+    dual_weights = analysis.weight_pair[1]
+    q, n = code.field.q, code.n
+    if st.rho == len(nonzero_weights(dual_weights)):
+        _, k_s, b, c = spectral_array(q, n, st.m, dual_weights)
+        if st.top_level_size == k_s:
+            if any(x.denominator != 1 for x in b + c):
+                raise RuntimeError(f"non-integral intersection numbers {b}; {c}")
+            array = IntersectionArray.from_levels(
+                q, n, (x.numerator for x in b), (x.numerator for x in c)
+            )
+            return RegularityReport(True, st.rho, array, None)
+    profile = _recount(st, [d for row in st.step for d in row[1:]])
+    report = _scan_cosets(q, n, st.leader_weight, profile)
+    if report.is_completely_regular:
+        raise RuntimeError("the dual weights and the coset profiles disagree")
+    return report
 
 
 def _recount(st: SyndromeTable, steps):
@@ -521,19 +505,18 @@ def complete_regularity_bruteforce(
 
     The distance of v and the syndromes s + step[j][beta] of its n(q-1)
     neighbors depend only on the syndrome s of v, so the vectors of one
-    coset share one profile, and every syndrome is some vector's.  Each
-    of the q^m profiles is recounted from the leader weights by _recount,
-    the one recount, which the radius-1 census shares, and _scan_cosets
-    compares them in increasing syndrome order.  The table's own verdict,
-    which its BFS reached on its (c, b) counts, is never read, so this
-    checks it.  The max_vectors budget counts the q^n vectors the check
-    covers.
+    coset share one profile, and every syndrome is some vector's.  The
+    profiles are recounted from the leader weights by _recount and
+    compared by _scan_cosets, level by level, every one of them on a
+    completely regular code.  Neither the dual weights nor the spectral
+    verdict of complete_regularity is read, so this checks it.  The
+    max_vectors budget counts the q^n vectors the check covers.
     """
     q, n = code.field.q, code.n
     budget.require("max_vectors", q**n)
     st = analysis.table if analysis else SyndromeTable(code, budget)
     profile = _recount(st, [d for row in st.step for d in row[1:]])
-    return _scan_cosets(q, n, st.leader_weight, map(profile, range(st.size)))
+    return _scan_cosets(q, n, st.leader_weight, profile)
 
 
 def beta_solve(
@@ -565,8 +548,5 @@ def beta_solve(
     rho = analysis.table.rho
     q, n = code.field.q, code.n
     dual_weights = nonzero_weights(analysis.weight_pair[1])
-    rows = [
-        [_krawtchouk(q, n, k, w) for k in range(rho + 1)]
-        for w in (0, *dual_weights)
-    ]
+    rows = [_krawtchouk_values(q, n, w, rho) for w in (0, *dual_weights)]
     return solve_rational(rows, [q**code.redundancy] + [0] * len(dual_weights))

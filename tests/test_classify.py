@@ -387,10 +387,10 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
     scans = []
     original_scan = classify_module._scan_cosets
 
-    def recorded_scan(q, n, leader_weight, profiles):
-        profiles = list(profiles)
+    def recorded_scan(q, n, leader_weight, profile):
+        profiles = list(map(profile, range(len(leader_weight))))
         scans.append((n, bytes(leader_weight), profiles))
-        return original_scan(q, n, leader_weight, profiles)
+        return original_scan(q, n, leader_weight, profile)
 
     monkeypatch.setattr(classify_module, "_scan_cosets", recorded_scan)
     enumerate_rho1(q, m, n_max)

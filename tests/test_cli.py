@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, JSON stability, the exit-code contract."""
 
+import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from crcodes.codes import LinearCode
 from crcodes.constructions import (
     FAMILIES,
     build_family,
+    family_catalog,
     difference_matrix_code,
     hamming_code,
 )
@@ -314,6 +317,20 @@ def test_classify_31_json(capsys, hamming32_path):
         "form": {"m": 2, "ell": 1, "u": 0},
         "reason": None,
     }
+
+
+def test_classify_31_decides_from_the_smaller_sides_weights(capsys, diffmat32_path):
+    # the [9,6]_3 difference-matrix code has rho = 2, and its regularity
+    # is decided from the dual weights, walked on the smaller side: the
+    # 27 dual words.  A cap below both sides refuses, as it does not
+    # when rho = 2 is read off the syndrome table alone
+    argv = ("classify", diffmat32_path, "--theorem", "31", "--max-codewords")
+    assert run(capsys, *argv, "26") == (
+        4, "", "error: max_codewords: needs 27 but the budget allows 26\n"
+    )
+    code, stdout, stderr = run(capsys, *argv, "27")
+    assert (code, stderr) == (0, "")
+    assert "radius-1 equivalence holds: yes" in stdout.splitlines()
 
 
 def test_classify_41(capsys, diffmat32_path):
@@ -759,3 +776,58 @@ def test_orders_above_the_ceiling_are_refused_at_once(tmp_path):
             capture_output=True, text=True, env=_package_env(), timeout=60,
         )
         assert (proc.returncode, proc.stderr) == (want, message + "\n"), argv
+
+
+def _digest_codes():
+    """The catalog-63 members, their duals, and 21 seeded random codes,
+    three over each of GF(2, 3, 4, 5, 7, 8, 9), the second of each three
+    with a zero column and a column repeated as a multiple of another."""
+    for desc, code in family_catalog(63):
+        yield desc.slug, code
+        yield desc.slug + "-dual", code.dual()
+    rng = random.Random(2809)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = GF(q)
+        for trial in range(3):
+            n = rng.randrange(4, {2: 12, 3: 8, 4: 7}.get(q, 6) + 1)
+            rows = [
+                [rng.randrange(q) for _ in range(n)]
+                for _ in range(rng.randrange(2, n))
+            ]
+            if trial == 1:
+                j0, j1, j2 = rng.sample(range(n), 3)
+                beta = rng.randrange(1, q)
+                for row in rows:
+                    row[j0] = 0
+                    row[j2] = f.mul(beta, row[j1])
+            yield f"rand-q{q}-{trial}", LinearCode.from_parity(MatrixGF(f, rows, n))
+
+
+# sha256 of every run's exit code, stdout and stderr (and, for the
+# catalog, every file it writes), recorded at commit 9870b52
+CLI_DIGESTS = {
+    "catalog-200": "00d52ef9a7b6e87518fb0fd4a67b877d44b53644cbc9a1e8bf716c518b1e8625",
+    "analyze": "4e4309295e235884b9e915ebb400173d442d209865221ba4a9180d66b6b92437",
+}
+
+
+def test_cli_output_is_byte_identical_to_its_record(capsys, tmp_path):
+    out = tmp_path / "cat"
+    digest = hashlib.sha256()
+    for part in run(capsys, "catalog", "--qn-bound", "200", "--out", str(out)):
+        digest.update(repr(part).replace(str(out), "OUT").encode())
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == CLI_DIGESTS["catalog-200"]
+    digest = hashlib.sha256()
+    codes = 0
+    for slug, code in _digest_codes():
+        path = tmp_path / f"{slug}.txt"
+        write_matrix(code.H, path)
+        for flags in ((), ("--beta",)):
+            result = run(capsys, "analyze", str(path), "--json", *flags)
+            record = repr((slug, flags, result)).replace(str(tmp_path), "TMP")
+            digest.update(record.encode())
+        codes += 1
+    assert codes == 2 * 48 + 21
+    assert digest.hexdigest() == CLI_DIGESTS["analyze"]

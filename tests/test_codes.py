@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -402,6 +403,24 @@ def test_weight_distribution_budget():
         weight_distribution(code, Budgets(max_codewords=15))
     assert err.value.budget == "max_codewords"
     assert err.value.needed == 16
+
+
+def _krawtchouk(q, n, j, i):
+    """K_j(i) for GF(q)^n by its defining sum."""
+    return sum(
+        (-1) ** t * (q - 1) ** (j - t) * comb(i, t) * comb(n - i, j - t)
+        for t in range(min(i, j) + 1)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 49])
+def test_krawtchouk_recurrence_against_the_sum(q):
+    for n in range(16):
+        for i in range(n + 1):
+            for top in (0, n // 2, n):
+                assert codes._krawtchouk_values(q, n, i, top) == [
+                    _krawtchouk(q, n, j, i) for j in range(top + 1)
+                ], (n, i, top)
 
 
 def test_macwilliams_matches_dual_enumeration():

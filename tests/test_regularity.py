@@ -194,7 +194,7 @@ def test_profiles_against_coset_leader_oracle(q):
         expected = _report_oracle(code, level, profile)
         assert complete_regularity(code) == expected
         scanned = regularity._scan_cosets(
-            code.field.q, code.n, st.leader_weight, recounted
+            code.field.q, code.n, st.leader_weight, recounted.__getitem__
         )
         assert scanned == expected
         assert complete_regularity_bruteforce(code) == expected
@@ -247,7 +247,9 @@ def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatc
         st = SyndromeTable(code)
         lw, profiles = _plain_bfs(st)
         assert lw == st.leader_weight
-        scanned = regularity._scan_cosets(code.field.q, code.n, lw, profiles)
+        scanned = regularity._scan_cosets(
+            code.field.q, code.n, lw, profiles.__getitem__
+        )
         assert complete_regularity(code) == scanned
         level, profile = _profile_oracle(code)
         assert st.size == len(level)
@@ -279,7 +281,7 @@ def test_word_bfs_matches_syndrome_bfs_on_the_catalog():
                 lw, profiles = _plain_bfs(side_analysis.table)
                 assert lw == side_analysis.table.leader_weight, desc.slug
                 expected = regularity._scan_cosets(
-                    side.field.q, side.n, lw, profiles
+                    side.field.q, side.n, lw, profiles.__getitem__
                 )
                 assert side_analysis.report == expected, desc.slug
                 plain += 1
@@ -299,8 +301,9 @@ LARGE_M = {2: 10, 3: 7, 4: 5, 5: 5, 7: 4, 8: 4, 9: 4}
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_zero_columns_add_only_loops(q):
-    # a zero column adds only loops to the coset graph: the table and
-    # the levels stay, and each a_i grows by q - 1 per zero column
+    # a zero column adds only loops to the coset graph: the leader
+    # weights, rho and the top level stay, and each a_i grows by q - 1
+    # per zero column
     rng = random.Random(1100 + q)
     m = LARGE_M[q]
     small = list(_oracle_codes(q))
@@ -317,7 +320,7 @@ def test_zero_columns_add_only_loops(q):
         looped = _with_zero_columns(code, u)
         tables = [SyndromeTable(c) for c in (code, looped)]
         plain, padded = (
-            (bytes(st.leader_weight), st.rho, st.level_profiles, st.witness)
+            (bytes(st.leader_weight), st.rho, st.top_level_size)
             for st in tables
         )
         assert padded == plain
@@ -384,19 +387,24 @@ def test_word_bfs_across_chunks(monkeypatch):
 
 
 def test_split_half_tables_are_built_on_first_use():
-    # the build never adds one step at a time, at 3^2 syndromes as at 3^7
+    # the build never adds one step at a time, at 3^2 syndromes as at
+    # 3^7; the report of a completely regular code recounts no profile,
+    # and only the witness search of one that is not builds the halves
     small = SyndromeTable(_random_code(random.Random(32), 3, 4, 2))
     assert small.size == 3**2
     assert small._halves is None
+    hamming = CodeAnalysis(hamming_code(3, 3))
+    assert hamming.report.is_completely_regular
+    assert hamming.table._halves is None
     code = _random_code(random.Random(37), 3, 10, 7)
     analysis = CodeAnalysis(code)
     st = analysis.table
     assert st.size == 3**7
-    assert analysis.report.rho == st.rho
     assert st._halves is None
+    assert not analysis.report.is_completely_regular
+    assert st._halves is not None
     steps = sorted({d for row in st.step for d in row})
     translate = st.translator(steps)
-    assert st._halves is not None
     for s in (0, 1, 5, 2186):
         digits = _base_digits(s, 3, 7)
         sums = [
@@ -421,13 +429,15 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
     q, rows, cr, monkeypatch
 ):
     code = LinearCode.from_parity(MatrixGF(GF(q), rows, len(rows[0])))
+    n, m = code.n, code.redundancy
     expected = complete_regularity_bruteforce(code)
     assert expected.is_completely_regular == cr
     analysis = CodeAnalysis(code)
     st = analysis.table
-    # the table's own scan is not an input of the brute force
-    st.level_profiles = None
-    st.witness = Witness(0, 0, 0, (0, 0), (0, 1))
+    # the dual weights are not an input of the brute force: a weight
+    # pair that puts every nonzero dual word at weight n is planted
+    wrong = [1] + [0] * (n - 1) + [q**m - 1]
+    analysis.weight_pair = (wrong, wrong)
 
     recounted = []
     translator = SyndromeTable.translator
@@ -443,7 +453,20 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
 
     monkeypatch.setattr(SyndromeTable, "translator", counting_translator)
     assert complete_regularity_bruteforce(code, analysis=analysis) == expected
-    assert recounted == list(range(st.size))
+    # levels in order, each in increasing syndrome order, up to the
+    # witness, and every syndrome on a completely regular code
+    lw = st.leader_weight
+    order = sorted(range(st.size), key=lambda s: (lw[s], s))
+    if cr:
+        assert recounted == order
+    else:
+        assert recounted == order[: order.index(expected.witness.syndrome_b) + 1]
+    # the verdict recounts nothing on a completely regular code, and the
+    # same syndromes as the brute force on one that is not
+    searched = list(recounted)
+    recounted.clear()
+    assert complete_regularity(code) == expected
+    assert recounted == ([] if cr else searched)
 
 
 def test_catalog_intersection_arrays_against_coset_graphs(catalog48):
@@ -522,20 +545,23 @@ def test_syndrome_table_memory_at_2_18_syndromes():
     assert peak_mb < 100
 
 
-def test_syndrome_table_keeps_one_byte_per_syndrome():
-    # once built, a table of 2^16 syndromes holds its leader weights and
-    # a few rows of steps: the BFS drops the profile counts after it has
-    # scanned them
-    code = _random_code(random.Random(16), 2, 24, 16)
-    assert code.redundancy == 16
+def test_syndrome_table_build_peaks_near_two_bytes_per_syndrome():
+    # a table of 2^20 syndromes, sixteen chunks: while the BFS runs it
+    # holds three level sets and the leader weights bit-sliced, and
+    # these planes are unpacked, one chunk at a time, into the one byte
+    # per syndrome it keeps; no profile count is held (with the (c, b)
+    # counts bit-sliced too the peak was 2.7 bytes per syndrome)
+    code = _random_code(random.Random(20), 2, 30, 20)
+    assert code.redundancy == 20
     tracemalloc.start()
     try:
         st = SyndromeTable(code)
-        retained, _ = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert st.size == 1 << 16
+    assert st.size == 1 << 20
     assert retained <= st.size + (1 << 15)
+    assert peak <= st.size * 9 // 4
 
 
 def test_covering_radius_known_codes():
@@ -578,6 +604,105 @@ def test_complete_regularity_ternary_hamming():
     assert rep.is_completely_regular
     assert str(rep.array) == "(8;1)"
     assert rep.array.a == (0, 7)
+
+
+def test_spectral_array_known_codes():
+    # (s, k_s, b, c) from the dual weights alone: the simplex code
+    # [7,3] (every nonzero word of weight 4) for the Hamming code, and
+    # the first-order Reed-Muller code for the extended one
+    assert regularity.spectral_array(2, 7, 3, [1, 0, 0, 0, 7, 0, 0, 0]) == (
+        1, 7, (7,), (1,)
+    )
+    rm = [1, 0, 0, 0, 14, 0, 0, 0, 1]
+    assert regularity.spectral_array(2, 8, 4, rm) == (2, 7, (8, 7), (1, 8))
+    # m = 0: one syndrome, one eigenvalue, an empty array
+    assert regularity.spectral_array(3, 3, 0, [1, 0, 0, 0]) == (0, 1, (), ())
+    # the ternary [4,2] Hamming code is self-dual up to weights: 8 words
+    # of weight 3, and the array (8;1) at k_1 = 8
+    s, k_s, b, c = regularity.spectral_array(3, 4, 2, [1, 0, 0, 8, 0])
+    assert (s, k_s, b, c) == (1, 8, (8,), (1,))
+    assert all(isinstance(x, Fraction) for x in (k_s, *b, *c))
+
+
+def _stieltjes_oracle(q, n, m, dual_weights):
+    """(s, k_s, b, c) by the Stieltjes recurrence itself, in Fractions:
+    the monic r_i at the eigenvalues n(q-1) - q*w, weighted by B_w / q^m,
+    lambda_i = r_i(theta_0) / <r_i, r_i>, k_s = lambda_s r_s(theta_0),
+    b_i = lambda_{i+1} beta_{i+1} / lambda_i, c_{i+1} = lambda_i / lambda_{i+1}."""
+    points = [
+        (n * (q - 1) - q * w, Fraction(count, q**m))
+        for w, count in enumerate(dual_weights)
+        if count
+    ]
+    s = len(points) - 1
+    prev, r = [Fraction(0)] * (s + 1), [Fraction(1)] * (s + 1)
+    norms, betas = [], [Fraction(0)]
+    lam = []
+    for i in range(s + 1):
+        norm = sum(mu * v * v for (_, mu), v in zip(points, r))
+        if i:
+            betas.append(norm / norms[-1])
+        norms.append(norm)
+        lam.append(r[0] / norm)
+        alpha = sum(th * mu * v * v for (th, mu), v in zip(points, r)) / norm
+        r, prev = [
+            (th - alpha) * v - betas[i] * u for (th, _), v, u in zip(points, r, prev)
+        ], r
+    k_s = lam[s] * lam[s] * norms[s]
+    b = tuple(lam[i + 1] * betas[i + 1] / lam[i] for i in range(s))
+    c = tuple(lam[i] / lam[i + 1] for i in range(s))
+    return s, k_s, b, c
+
+
+def test_spectral_array_on_the_catalog(catalog48):
+    # every member is completely regular: s = rho, its top level holds
+    # k_s syndromes, and the recurrence gives its family's array; on the
+    # members, their duals and the oracle codes the fraction-free
+    # recurrence equals the recurrence in Fractions
+    for desc, code in catalog48:
+        analysis = CodeAnalysis(code)
+        st = analysis.table
+        s, k_s, b, c = regularity.spectral_array(
+            code.field.q, code.n, code.redundancy, analysis.weight_pair[1]
+        )
+        assert (s, k_s) == (st.rho, st.top_level_size), desc.slug
+        assert (b, c) == (desc.array.b, desc.array.c), desc.slug
+    codes = [c for _, code in catalog48 for c in (code, code.dual())]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        codes.extend(_oracle_codes(q))
+    largest = 0
+    for code in codes:
+        args = (code.field.q, code.n, code.redundancy, CodeAnalysis(code).weight_pair[1])
+        spectral = regularity.spectral_array(*args)
+        assert spectral == _stieltjes_oracle(*args)
+        largest = max(largest, spectral[0])
+    assert largest >= 6
+
+
+def test_spectral_verdict_guards(monkeypatch):
+    # a non-integral number under a completely regular verdict, and a
+    # verdict the witness search cannot back, are errors, never
+    # truncated or reported
+    code = hamming_code(2, 3)
+    real = regularity.spectral_array
+
+    def half_b(*args):
+        s, k_s, b, c = real(*args)
+        return s, k_s, (b[0] + Fraction(1, 2),), c
+
+    monkeypatch.setattr(regularity, "spectral_array", half_b)
+    with pytest.raises(RuntimeError, match="^non-integral intersection numbers"):
+        complete_regularity(code)
+
+    def wrong_top(*args):
+        s, k_s, b, c = real(*args)
+        return s, k_s + 1, b, c
+
+    monkeypatch.setattr(regularity, "spectral_array", wrong_top)
+    with pytest.raises(
+        RuntimeError, match="^the dual weights and the coset profiles disagree$"
+    ):
+        complete_regularity(code)
 
 
 def test_non_cr_witness():
