@@ -17,11 +17,14 @@ the level sets and the leader weights, bit-sliced until it writes them
 out one byte per syndrome.  It also keeps the covering radius rho and
 the size of the top level.
 
-complete_regularity decides from those two numbers and the dual weights
-alone: spectral_array reads the coset graph's spectrum off the dual
-weights, and the code is completely regular exactly when rho = s and
-the top level is as large as the spectrum allows; the same recurrence
-gives the intersection array.  Only a code that is not completely
+complete_regularity reads the weight pair first.  By Delsarte's theorem
+a code with no nonzero word, or whose minimum weight d is at least
+2s - 1 for s nonzero dual weights, is completely regular with rho = s,
+and spectral_array reads its intersection array off the dual weights:
+no table is built.  Any other code is decided from the table's rho and
+top level and the dual weights: it is completely regular exactly when
+rho = s and the top level is as large as the spectrum allows, and the
+same recurrence gives the array.  Only a code that is not completely
 regular has its witness searched for, by _scan_cosets.
 
 _scan_cosets takes each syndrome's (c, b) profile from a function and
@@ -278,9 +281,11 @@ def covering_radius(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
 class CodeAnalysis:
     """The facts about one code that several checks read, each computed
     on first use and then kept: the weight pair, the syndrome table and
-    the regularity report.  Passing one along as `analysis=` is what
-    shares the work: a function given none computes what it needs
-    afresh.  `budget` caps every computation made through it.
+    the regularity report.  The report reads the weight pair first and
+    the table only for a code outside Delsarte's bound d >= 2s - 1.
+    Passing one along as `analysis=` is what shares the work: a function
+    given none computes what it needs afresh.  `budget` caps every
+    computation made through it.
     """
 
     def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
@@ -383,9 +388,16 @@ def _scan_cosets(q, n, leader_weight, profile) -> RegularityReport:
     )
 
 
+def _exact(num: int, den: int) -> int | None:
+    """num / den when den divides num, else None."""
+    quotient, rest = divmod(num, den)
+    return None if rest else quotient
+
+
 def spectral_array(q: int, n: int, m: int, dual_weights: list[int]):
     """(s, k_s, b, c) of the coset graph of a code with redundancy m and
-    dual weight counts [B_0..B_n], each number a Fraction.
+    dual weight counts [B_0..B_n]: each number an int, or None where it
+    is not an integer.
 
     The coset graph Cay(GF(q)^m, {beta*h_j}) has the eigenvalue
     theta_w = n(q-1) - q*w with multiplicity B_w, so its s + 1 distinct
@@ -401,7 +413,7 @@ def spectral_array(q: int, n: int, m: int, dual_weights: list[int]):
     completely regular, exactly when its diameter rho is s (Delsarte:
     rho <= s always) and k_s vertices lie at distance s from 0.  Then
     c_{i+1} = lambda_i / lambda_{i+1} and b_i = k_{i+1} c_{i+1} / k_i,
-    for i < s.
+    for i < s, all of them integers.
 
     The recurrence runs in integers, free of fractions as in Bareiss's
     elimination: with Delta_i the Hankel determinant of the moments
@@ -412,10 +424,9 @@ def spectral_array(q: int, n: int, m: int, dual_weights: list[int]):
     every division exact.  With a_i = u_i(theta_0), which is positive,
     k_s = q^m a_s^2 / (Delta_{s-1} Delta_s),
     b_i = a_{i+1} Delta_{i-1} / (a_i Delta_i) and
-    c_{i+1} = a_i Delta_{i+1} / (a_{i+1} Delta_i).
+    c_{i+1} = a_i Delta_{i+1} / (a_{i+1} Delta_i), each quotient
+    checked by _exact.
     """
-    from fractions import Fraction  # on first use, not with the package
-
     points = [
         (n * (q - 1) - q * w, count) for w, count in enumerate(dual_weights) if count
     ]
@@ -433,12 +444,12 @@ def spectral_array(q: int, n: int, m: int, dual_weights: list[int]):
                 for (th, _), v, w in zip(points, u, prev)
             ], u
     b = tuple(
-        Fraction(a[i + 1] * deltas[i], a[i] * deltas[i + 1]) for i in range(s)
+        _exact(a[i + 1] * deltas[i], a[i] * deltas[i + 1]) for i in range(s)
     )
     c = tuple(
-        Fraction(a[i] * deltas[i + 2], a[i + 1] * deltas[i + 1]) for i in range(s)
+        _exact(a[i] * deltas[i + 2], a[i + 1] * deltas[i + 1]) for i in range(s)
     )
-    return s, Fraction(q**m * a[s] * a[s], deltas[s] * deltas[s + 1]), b, c
+    return s, _exact(q**m * a[s] * a[s], deltas[s] * deltas[s + 1]), b, c
 
 
 def complete_regularity(
@@ -446,32 +457,37 @@ def complete_regularity(
     budget: Budgets = DEFAULT_BUDGETS,
     analysis: CodeAnalysis | None = None,
 ) -> RegularityReport:
-    """Decide complete regularity from the dual weights, the covering
-    radius and the size of the top level, as spectral_array states it:
-    the code is completely regular exactly when rho = s and the table's
-    top level holds k_s syndromes, and the array is spectral_array's.
-    The recurrence runs only at rho = s.  A code that is not completely
-    regular has its witness searched for by _scan_cosets, level by
-    level, on profiles recounted from the leader weights.
+    """Decide complete regularity from the weight pair first.
 
-    The table is read before the weight pair, and both come from
-    `analysis` (a fresh CodeAnalysis when none is given).  Callers
-    holding a CodeAnalysis read its cached `report` rather than deciding
-    again.
+    A code with no nonzero word, or whose minimum weight d is at least
+    2s - 1 for s nonzero dual weights, is completely regular with
+    rho = s (Delsarte, "Four fundamental parameters of a code and their
+    combinatorial significance", Inform. Control 23, 1973), and its
+    array is spectral_array's: no syndrome table is built.  Any other
+    code is decided as spectral_array states it: completely regular
+    exactly when the table's rho is s and its top level holds k_s
+    syndromes; the recurrence, whose cost grows with s, runs only at
+    rho = s.  A code that is not completely regular has its witness
+    searched for by _scan_cosets, level by level, on profiles recounted
+    from the leader weights.
+
+    The weight pair and the table come from `analysis` (a fresh
+    CodeAnalysis when none is given).  Callers holding a CodeAnalysis
+    read its cached `report` rather than deciding again.
     """
     analysis = analysis or CodeAnalysis(code, budget)
-    st = analysis.table
-    dual_weights = analysis.weight_pair[1]
+    counts, dual_counts = analysis.weight_pair
     q, n = code.field.q, code.n
-    if st.rho == len(nonzero_weights(dual_weights)):
-        _, k_s, b, c = spectral_array(q, n, st.m, dual_weights)
-        if st.top_level_size == k_s:
-            if any(x.denominator != 1 for x in b + c):
+    s = len(nonzero_weights(dual_counts))
+    weights = nonzero_weights(counts)
+    st = analysis.table if weights and weights[0] < 2 * s - 1 else None
+    if st is None or st.rho == s:
+        _, k_s, b, c = spectral_array(q, n, code.redundancy, dual_counts)
+        if st is None or st.top_level_size == k_s:
+            if None in b + c:
                 raise RuntimeError(f"non-integral intersection numbers {b}; {c}")
-            array = IntersectionArray.from_levels(
-                q, n, (x.numerator for x in b), (x.numerator for x in c)
-            )
-            return RegularityReport(True, st.rho, array, None)
+            array = IntersectionArray.from_levels(q, n, b, c)
+            return RegularityReport(True, s, array, None)
     profile = _recount(st, [d for row in st.step for d in row[1:]])
     report = _scan_cosets(q, n, st.leader_weight, profile)
     if report.is_completely_regular:
@@ -530,7 +546,9 @@ def beta_solve(
     coefficients exist.  Solvability is equivalent to the code being
     uniformly packed in the wide sense.
 
-    The system is solved from the dual weights.  alpha_k is the
+    The system is solved from the dual weights and rho, read off the
+    regularity report (so from the weight pair alone, with no table, on
+    a code within Delsarte's bound).  alpha_k is the
     convolution of the code's indicator with that of the weight-k
     sphere.  Over the characters u of GF(q)^n the first transforms to
     |C| on the dual code and 0 off it, the second to K_k(wt u), the
@@ -545,7 +563,7 @@ def beta_solve(
     system, which has exactly one solution.
     """
     analysis = analysis or CodeAnalysis(code, budget)
-    rho = analysis.table.rho
+    rho = analysis.report.rho
     q, n = code.field.q, code.n
     dual_weights = nonzero_weights(analysis.weight_pair[1])
     rows = [_krawtchouk_values(q, n, w, rho) for w in (0, *dual_weights)]

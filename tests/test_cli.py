@@ -171,9 +171,10 @@ def test_analyze_error_exits(capsys, tmp_path, hamming32_path):
     code, _, stderr = run(capsys, "analyze", str(bad))
     assert code == 3
     assert "line 3" in stderr
-    code, _, stderr = run(
-        capsys, "analyze", hamming32_path, "--max-syndromes", "3"
-    )
+    # d = 1 < 2s - 1 = 3, so this code's verdict needs its 9-syndrome table
+    outside = tmp_path / "outside.txt"
+    write_matrix(MatrixGF(GF(3), [[0, 0, 1], [0, 2, 2]]), outside)
+    code, _, stderr = run(capsys, "analyze", str(outside), "--max-syndromes", "3")
     assert code == 4
     assert "max_syndromes" in stderr
 
@@ -197,6 +198,24 @@ def test_non_ascii_matrix_file_is_a_parse_error(capsys, tmp_path, hamming32_path
     )
     for argv in (("analyze", str(path)), ("classify", str(path), "--theorem", "31")):
         assert run(capsys, *argv) == (3, "", "error: line 1: non-ASCII byte 0xcf\n")
+
+
+def test_delsarte_range_codes_need_no_syndrome_budget(capsys, hamming32_path):
+    # the ternary Hamming code has d = 3 >= 2s - 1 = 1, so its report is
+    # read off the weight pair: a cap of 0 syndromes changes no output.
+    # The brute force still builds the table, and is refused
+    for argv in (
+        ("analyze", hamming32_path),
+        ("analyze", hamming32_path, "--json", "--beta"),
+        ("classify", hamming32_path, "--theorem", "31"),
+        ("classify", hamming32_path, "--theorem", "41", "--json"),
+    ):
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        assert run(capsys, *argv, "--max-syndromes", "0") == expected
+    assert run(
+        capsys, "analyze", hamming32_path, "--brute-force", "--max-syndromes", "0"
+    ) == (4, "", "error: max_syndromes: needs 9 but the budget allows 0\n")
 
 
 def test_brute_force_budget_exits_4(capsys, hamming32_path):
@@ -671,6 +690,20 @@ def test_one_syndrome_table_per_analysis(monkeypatch):
     # rho = 2 with an antipodal dual, so the Theorem 4.1 cross-check ran
     assert report["classification"]["rho2"]["all_flags"]
     assert built == [code]
+
+
+def test_catalog_builds_no_syndrome_table(capsys, monkeypatch, tmp_path):
+    # every member has d >= 2s - 1, so Delsarte's theorem decides it from
+    # the weight pair, and a table build anywhere fails the run
+    def refuse(*args):
+        raise AssertionError("a syndrome table was built")
+
+    monkeypatch.setattr(SyndromeTable, "_build", refuse)
+    out = tmp_path / "cat"
+    code, _, stderr = run(capsys, "catalog", "--qn-bound", "63", "--out", str(out))
+    assert (code, stderr) == (0, "")
+    index = json.loads((out / "index.json").read_text())
+    assert len(index["entries"]) == 48 and index["all_match"] is True
 
 
 def test_catalog_rejects_tiny_bound(capsys, tmp_path):

@@ -98,6 +98,27 @@ def test_cli_start_up_loads_no_heavy_stdlib_module(added):
     assert not loaded & {"dataclasses", "inspect", "fractions", "crcodes.constructions"}
 
 
+def test_catalog_and_analyze_load_no_fractions(added, tmp_path):
+    # the verdict and the array are integer arithmetic; only --beta's
+    # solve_rational imports fractions, and decimal with it
+    path = tmp_path / "h.txt"
+    crcodes.write_matrix(crcodes.hamming_code(3, 2).extended().H, path)
+
+    def loaded(*argv):
+        return added(
+            "import contextlib, io\n"
+            "from crcodes.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({list(argv)!r}) == 0"
+        )
+
+    heavy = {"fractions", "decimal"}
+    catalog = ["catalog", "--qn-bound", "12", "--out", str(tmp_path / "cat")]
+    assert not loaded(*catalog) & heavy
+    assert not loaded("analyze", str(path), "--json") & heavy
+    assert loaded("analyze", str(path), "--json", "--beta") >= heavy
+
+
 def test_all_is_the_exported_names():
     assert crcodes.__all__ == EXPORTS
     assert set(SUBMODULES) < set(EXPORTS)

@@ -153,15 +153,15 @@ def _report_oracle(code, level, profile):
     )
 
 
-def _oracle_codes(q):
-    """Seeded random codes over GF(q), every other one with a zero column
-    and a column repeated as a scalar multiple of another, plus two
-    completely regular codes with such columns: all points of PG(m-1, q)
-    with a zero column, and all of them twice."""
+def _oracle_codes(q, trials=8, seed=1000):
+    """`trials` seeded random codes over GF(q), every other one with a
+    zero column and a column repeated as a scalar multiple of another,
+    plus two completely regular codes with such columns: all points of
+    PG(m-1, q) with a zero column, and all of them twice."""
     f = GF(q)
-    rng = random.Random(1000 + q)
+    rng = random.Random(seed + q)
     n_max = {2: 8, 3: 6, 4: 5, 5: 4, 7: 4, 8: 4, 9: 4}[q]
-    for trial in range(8):
+    for trial in range(trials):
         n = rng.randrange(3, n_max + 1)
         rows = [
             [rng.randrange(q) for _ in range(n)]
@@ -621,14 +621,21 @@ def test_spectral_array_known_codes():
     # of weight 3, and the array (8;1) at k_1 = 8
     s, k_s, b, c = regularity.spectral_array(3, 4, 2, [1, 0, 0, 8, 0])
     assert (s, k_s, b, c) == (1, 8, (8,), (1,))
-    assert all(isinstance(x, Fraction) for x in (k_s, *b, *c))
+    assert all(type(x) is int for x in (k_s, *b, *c))
+    # the binary [4,2] code of H rows 1011, 0101 is not completely
+    # regular: its dual has the weights 2, 3, 3, and k_2, b_1 and c_1
+    # are not integers
+    assert regularity.spectral_array(2, 4, 2, [1, 0, 1, 2, 0]) == (
+        2, None, (4, None), (None, 4)
+    )
 
 
 def _stieltjes_oracle(q, n, m, dual_weights):
     """(s, k_s, b, c) by the Stieltjes recurrence itself, in Fractions:
     the monic r_i at the eigenvalues n(q-1) - q*w, weighted by B_w / q^m,
     lambda_i = r_i(theta_0) / <r_i, r_i>, k_s = lambda_s r_s(theta_0),
-    b_i = lambda_{i+1} beta_{i+1} / lambda_i, c_{i+1} = lambda_i / lambda_{i+1}."""
+    b_i = lambda_{i+1} beta_{i+1} / lambda_i, c_{i+1} = lambda_i / lambda_{i+1},
+    each number an int, or None where it is not an integer."""
     points = [
         (n * (q - 1) - q * w, Fraction(count, q**m))
         for w, count in enumerate(dual_weights)
@@ -651,7 +658,11 @@ def _stieltjes_oracle(q, n, m, dual_weights):
     k_s = lam[s] * lam[s] * norms[s]
     b = tuple(lam[i + 1] * betas[i + 1] / lam[i] for i in range(s))
     c = tuple(lam[i] / lam[i + 1] for i in range(s))
-    return s, k_s, b, c
+
+    def integral(x):
+        return x.numerator if x.denominator == 1 else None
+
+    return s, integral(k_s), tuple(map(integral, b)), tuple(map(integral, c))
 
 
 def test_spectral_array_on_the_catalog(catalog48):
@@ -670,29 +681,41 @@ def test_spectral_array_on_the_catalog(catalog48):
     codes = [c for _, code in catalog48 for c in (code, code.dual())]
     for q in (2, 3, 4, 5, 7, 8, 9):
         codes.extend(_oracle_codes(q))
-    largest = 0
+    largest = non_integral = 0
     for code in codes:
         args = (code.field.q, code.n, code.redundancy, CodeAnalysis(code).weight_pair[1])
         spectral = regularity.spectral_array(*args)
         assert spectral == _stieltjes_oracle(*args)
         largest = max(largest, spectral[0])
-    assert largest >= 6
+        non_integral += None in (spectral[1], *spectral[2], *spectral[3])
+    assert largest >= 6 and non_integral
+
+
+# completely regular with d = 1 < 2s - 1 = 3: a zero column, and the
+# columns (0, 2) and (1, 2) of GF(3)^2
+OUTSIDE_DELSARTE = MatrixGF(GF(3), [[0, 0, 1], [0, 2, 2]])
 
 
 def test_spectral_verdict_guards(monkeypatch):
     # a non-integral number under a completely regular verdict, and a
     # verdict the witness search cannot back, are errors, never
-    # truncated or reported
-    code = hamming_code(2, 3)
+    # truncated or reported: the first on the Hamming code, which
+    # Delsarte's bound decides, and on a code that needs its table, the
+    # second on that code
+    inside = hamming_code(2, 3)
+    outside = LinearCode.from_parity(OUTSIDE_DELSARTE)
     real = regularity.spectral_array
 
-    def half_b(*args):
+    def non_integral_b(*args):
         s, k_s, b, c = real(*args)
-        return s, k_s, (b[0] + Fraction(1, 2),), c
+        return s, k_s, (None,) + b[1:], c
 
-    monkeypatch.setattr(regularity, "spectral_array", half_b)
-    with pytest.raises(RuntimeError, match="^non-integral intersection numbers"):
-        complete_regularity(code)
+    monkeypatch.setattr(regularity, "spectral_array", non_integral_b)
+    for code in (inside, outside):
+        analysis = CodeAnalysis(code)
+        with pytest.raises(RuntimeError, match="^non-integral intersection numbers"):
+            complete_regularity(code, analysis=analysis)
+        assert ("table" in vars(analysis)) == (code is outside)
 
     def wrong_top(*args):
         s, k_s, b, c = real(*args)
@@ -702,7 +725,7 @@ def test_spectral_verdict_guards(monkeypatch):
     with pytest.raises(
         RuntimeError, match="^the dual weights and the coset profiles disagree$"
     ):
-        complete_regularity(code)
+        complete_regularity(outside)
 
 
 def test_non_cr_witness():
@@ -736,6 +759,69 @@ def test_bruteforce_report_on_the_catalog(catalog48):
             assert slow == analysis.report, desc.slug
             kinds[slow.is_completely_regular] += 1
     assert kinds == {True: 70, False: 8}
+
+
+def test_delsarte_bound_on_the_catalog():
+    # every catalog-400 member has d >= 2s - 1, so its report is read off
+    # the dual weights with no table built, and its table agrees: rho = s
+    # and the top level holds k_s syndromes.  Where recounting every
+    # profile is small (q^m * n(q-1) <= 2^17 neighbours: 163 members,
+    # against 20 s for all 315) the table route's report, _scan_cosets
+    # over _recount, equals it too
+    members = recounted = 0
+    for desc, code in family_catalog(400):
+        analysis = CodeAnalysis(code)
+        counts, dual_counts = analysis.weight_pair
+        q, n = code.field.q, code.n
+        s, k_s, _, _ = regularity.spectral_array(q, n, code.redundancy, dual_counts)
+        assert nonzero_weights(counts)[0] >= 2 * s - 1, desc.slug
+        report = analysis.report
+        assert "table" not in vars(analysis), desc.slug
+        st = analysis.table
+        assert (st.rho, st.top_level_size) == (s, k_s), desc.slug
+        members += 1
+        if st.size * n * (q - 1) <= 1 << 17:
+            profile = regularity._recount(st, [d for row in st.step for d in row[1:]])
+            scanned = regularity._scan_cosets(q, n, st.leader_weight, profile)
+            assert scanned == report, desc.slug
+            recounted += 1
+    assert (members, recounted) == (315, 163)
+
+
+def test_bruteforce_against_both_verdict_branches():
+    # the brute force agrees with complete_regularity, which builds a
+    # table exactly for the codes outside Delsarte's bound d >= 2s - 1.
+    # Every code inside it is completely regular; outside it are
+    # completely regular codes and codes that are not, some of these at
+    # d = 2s - 2, where a bound loosened by one would call them regular
+    kinds = Counter()
+    f = GF(3)
+    codes = [
+        LinearCode.from_parity(MatrixGF(f, [[1, 0], [0, 1]], 2)),  # k = 0
+        LinearCode.from_parity(MatrixGF(f, [[0, 0, 0]], 3)),  # m = 0
+    ]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        codes.extend(_oracle_codes(q, 60, 2900))
+    for code in codes:
+        analysis = CodeAnalysis(code)
+        report = complete_regularity(code, analysis=analysis)
+        counts, dual_counts = analysis.weight_pair
+        weights = nonzero_weights(counts)
+        s = len(nonzero_weights(dual_counts))
+        inside = not weights or weights[0] >= 2 * s - 1
+        assert ("table" in vars(analysis)) != inside
+        budget = Budgets(max_vectors=code.field.q**code.n)
+        assert complete_regularity_bruteforce(code, budget) == report
+        kind = "inside" if inside else "outside"
+        if not report.is_completely_regular:
+            kind += ", not CR" + (" at d = 2s - 2" if weights[0] == 2 * s - 2 else "")
+        kinds[kind] += 1
+    assert kinds == {
+        "inside": 265,
+        "outside": 12,
+        "outside, not CR": 142,
+        "outside, not CR at d = 2s - 2": 17,
+    }
 
 
 def coset_weight_counts(
