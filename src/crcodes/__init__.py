@@ -40,10 +40,7 @@ _EXPORTS = {
         "MatrixFormatError", "format_matrix", "parse_matrix", "read_matrix",
         "write_matrix",
     ),
-    "matrix": (
-        "MatrixGF", "kernel_basis", "rank", "row_space_basis", "rref",
-        "solve_rational",
-    ),
+    "matrix": ("MatrixGF", "kernel_basis", "rank", "row_space_basis", "rref"),
     "regularity": (
         "CodeAnalysis", "IntersectionArray", "RegularityReport",
         "SyndromeTable", "Witness", "beta_solve", "complete_regularity",

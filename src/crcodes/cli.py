@@ -70,7 +70,8 @@ def _add_budget_flags(p: argparse.ArgumentParser):
     )
     p.add_argument(
         "--max-vectors", type=_cap, default=DEFAULT_BUDGETS.max_vectors,
-        help="cap on q^n for the brute-force check (default 2^20)",
+        help="cap on the q^m*n(q-1) neighbours the brute-force check "
+        "recounts (default 2^20)",
     )
 
 

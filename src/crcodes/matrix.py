@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over GF(q), plus an exact rational solver.
+"""Dense exact linear algebra over GF(q).
 
 Matrices are immutable: entries live in nested tuples of encoded field
 elements.  Everything here is deliberately plain Python; the problem
@@ -13,8 +13,6 @@ which nothing outside this module calls.
 """
 
 from __future__ import annotations
-
-from operator import index
 
 from .field import Field
 
@@ -205,70 +203,3 @@ def kernel_basis(M: MatrixGF) -> MatrixGF:
         rows.append(vec)
     return MatrixGF._of(f, tuple(map(tuple, rows)), R.ncols)
 
-
-def solve_rational(A, b) -> list[Fraction] | None:
-    """Exact rational solution of A x = b for integer A, b; None if the
-    system is inconsistent.
-
-    Fraction-free (Bareiss) forward elimination keeps every intermediate
-    value an integer; back-substitution then produces exact Fractions.
-    Underdetermined systems get free variables fixed at zero.  Python
-    integers are unbounded, so eliminations never overflow.  The number
-    of unknowns is capped at 64; extra equations are fine.
-    """
-    from fractions import Fraction  # on first use, not with the package
-
-    rows = [[index(x) for x in row] for row in A]
-    rhs = [index(x) for x in b]
-    if len(rows) != len(rhs):
-        raise ValueError("A and b disagree on the number of equations")
-    if rows and len(rows[0]) > 64:
-        raise ValueError("too many unknowns (limit 64)")
-    ncols = len(rows[0]) if rows else 0
-    aug = [rows[i] + [rhs[i]] for i in range(len(rows))]
-    nrows = len(aug)
-
-    pivots: list[int] = []
-    pr = 0
-    prev_pivot = 1
-    for col in range(ncols):
-        if pr == nrows:
-            break
-        sel = None
-        for i in range(pr, nrows):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[pr], aug[sel] = aug[sel], aug[pr]
-        piv = aug[pr][col]
-        prow = aug[pr]
-        for i in range(pr + 1, nrows):
-            row = aug[i]
-            factor = row[col]
-            for j in range(col, ncols + 1):
-                val, rem = divmod(row[j] * piv - factor * prow[j], prev_pivot)
-                if rem:
-                    raise AssertionError("fraction-free elimination lost exactness")
-                row[j] = val
-        prev_pivot = piv
-        pivots.append(col)
-        pr += 1
-
-    # rows below the last pivot must be all-zero on the coefficient side
-    for i in range(pr, nrows):
-        if any(aug[i][j] for j in range(ncols)):
-            raise AssertionError("elimination left a stray coefficient")
-        if aug[i][ncols] != 0:
-            return None
-
-    x = [Fraction(0)] * ncols
-    for i in range(pr - 1, -1, -1):
-        col = pivots[i]
-        acc = Fraction(aug[i][ncols])
-        for j in range(col + 1, ncols):
-            if aug[i][j]:
-                acc -= Fraction(aug[i][j]) * x[j]
-        x[col] = acc / aug[i][col]
-    return x

@@ -36,18 +36,20 @@ outside characteristic 2, built on first use); the radius-1 census hands
 it its summed profiles.  All three name the same witness.
 
 The uniform packing coefficients need no vector or coset enumeration:
-beta_solve solves for them from rho and the dual weights alone.
+at rho = s they are the Krawtchouk coordinates of the annihilator
+polynomial q^m prod_w (1 - x/w) of the s nonzero dual weights, and
+beta_solve reads them off in closed form; at rho < s there are none.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import comb
 from typing import NamedTuple
 
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .codes import LinearCode, _krawtchouk_values, nonzero_weights, weight_pair
 from .field import _add_digitwise, _base_digits, _from_base
-from .matrix import solve_rational
 
 
 def _column_steps(field, columns):
@@ -526,10 +528,10 @@ def complete_regularity_bruteforce(
     compared by _scan_cosets, level by level, every one of them on a
     completely regular code.  Neither the dual weights nor the spectral
     verdict of complete_regularity is read, so this checks it.  The
-    max_vectors budget counts the q^n vectors the check covers.
+    max_vectors budget counts the q^m * n(q-1) neighbours recounted.
     """
     q, n = code.field.q, code.n
-    budget.require("max_vectors", q**n)
+    budget.require("max_vectors", q**code.redundancy * n * (q - 1))
     st = analysis.table if analysis else SyndromeTable(code, budget)
     profile = _recount(st, [d for row in st.step for d in row[1:]])
     return _scan_cosets(q, n, st.leader_weight, profile)
@@ -546,25 +548,44 @@ def beta_solve(
     coefficients exist.  Solvability is equivalent to the code being
     uniformly packed in the wide sense.
 
-    The system is solved from the dual weights and rho, read off the
-    regularity report (so from the weight pair alone, with no table, on
-    a code within Delsarte's bound).  alpha_k is the
+    They are read off the dual weights and rho, from the regularity
+    report (so from the weight pair alone, with no table, on a code
+    within Delsarte's bound).  alpha_k is the
     convolution of the code's indicator with that of the weight-k
     sphere.  Over the characters u of GF(q)^n the first transforms to
     |C| on the dual code and 0 off it, the second to K_k(wt u), the
     Krawtchouk polynomial, and the constant 1 to q^n at u = 0 only.
     Divided by |C| = q^(n-m), the condition holds exactly when
-    sum_k beta_k K_k(0) = q^m and sum_k beta_k K_k(w) = 0 at each of
-    the s nonzero dual weights w.
-    K_k has degree k in w, so P = sum_k beta_k K_k has degree at most
-    rho.  If rho < s, P vanishes at s distinct points, so P = 0 and
-    P(0) = q^m fails: there is no solution.  At rho = s (Delsarte:
-    rho <= s) the s + 1 rows, at distinct w, form a nonsingular square
-    system, which has exactly one solution.
+    P = sum_k beta_k K_k has P(0) = q^m and P(w) = 0 at each of the s
+    nonzero dual weights w.
+    K_k has degree k in w, so P has degree at most rho.  If rho < s, P
+    vanishes at s distinct points, so P = 0 and P(0) = q^m fails: there
+    is no solution.  At rho = s (Delsarte: rho <= s) P is the
+    annihilator polynomial q^m prod_w (1 - x/w), and by the
+    orthogonality of the K_k under the weights C(n,i)(q-1)^i
+    beta_k = sum_i C(n,i)(q-1)^i P(i) K_k(i) / (q^n C(n,k)(q-1)^k).
+    The sums run in integers on P(i) prod_w w = q^m prod_w (w - i).
     """
     analysis = analysis or CodeAnalysis(code, budget)
     rho = analysis.report.rho
-    q, n = code.field.q, code.n
+    q, n, m = code.field.q, code.n, code.redundancy
     dual_weights = nonzero_weights(analysis.weight_pair[1])
-    rows = [_krawtchouk_values(q, n, w, rho) for w in (0, *dual_weights)]
-    return solve_rational(rows, [q**code.redundancy] + [0] * len(dual_weights))
+    if rho < len(dual_weights):
+        return None
+    from fractions import Fraction  # on first use, not with the package
+
+    sums = [0] * (rho + 1)
+    for i in range(n + 1):
+        scaled = comb(n, i) * (q - 1) ** i * q**m
+        for w in dual_weights:
+            scaled *= w - i
+        if scaled:
+            for k, value in enumerate(_krawtchouk_values(q, n, i, rho)):
+                sums[k] += scaled * value
+    annihilator = 1
+    for w in dual_weights:
+        annihilator *= w
+    return [
+        Fraction(total, annihilator * q**n * comb(n, k) * (q - 1) ** k)
+        for k, total in enumerate(sums)
+    ]

@@ -219,13 +219,14 @@ def test_delsarte_range_codes_need_no_syndrome_budget(capsys, hamming32_path):
 
 
 def test_brute_force_budget_exits_4(capsys, hamming32_path):
-    # the ternary [4,2] Hamming code has 3^4 = 81 ambient vectors
+    # the ternary [4,2] Hamming code has 3^2 = 9 syndromes, each with
+    # 4 * 2 = 8 neighbours to recount
     code, stdout, stderr = run(
         capsys, "analyze", hamming32_path, "--brute-force", "--max-vectors", "7"
     )
     assert code == 4
     assert stdout == ""
-    assert stderr == "error: max_vectors: needs 81 but the budget allows 7\n"
+    assert stderr == "error: max_vectors: needs 72 but the budget allows 7\n"
 
 
 def test_brute_force_compares_witness_syndromes(capsys, monkeypatch, tmp_path):
@@ -260,7 +261,7 @@ def test_beta_walks_no_vector(capsys, hamming32_path):
 
 @pytest.mark.parametrize(
     "flag, needed",
-    [("--max-syndromes", 9), ("--max-codewords", 9), ("--max-vectors", 81)],
+    [("--max-syndromes", 9), ("--max-codewords", 9), ("--max-vectors", 72)],
 )
 def test_budget_flags_refuse_negative_caps(capsys, hamming32_path, flag, needed):
     # a negative cap is a parameter error at parse time (exit 2), not a

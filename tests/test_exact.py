@@ -14,17 +14,13 @@ EXACT_MATH = {
     "comb": "binomial coefficient of two ints, an int",
     "isqrt": "floor square root of an int, an int",
 }
-# Functions whose true divisions stay exact, with why.
-DIVISION_ALLOWED = {
-    "solve_rational": "Gauss-Jordan on Fraction operands, which divide exactly",
-}
 
 
 def float_uses(source: str) -> list[tuple[int, str]]:
     """(line, finding) for every float or complex constant, every use of
     the names float and complex, every import from an inexact module
-    other than the EXACT_MATH names, and every true division outside the
-    DIVISION_ALLOWED functions, in source order."""
+    other than the EXACT_MATH names, and every true division, in source
+    order."""
     found = []
 
     def visit(node, func):
@@ -46,10 +42,8 @@ def float_uses(source: str) -> list[tuple[int, str]]:
                     found.append(
                         (node.lineno, f"from {node.module} import {alias.name}")
                     )
-        elif (
-            isinstance(node, (ast.BinOp, ast.AugAssign))
-            and isinstance(node.op, ast.Div)
-            and func not in DIVISION_ALLOWED
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.Div
         ):
             found.append((node.lineno, f"true division in {func or 'module'}"))
         for child in ast.iter_child_nodes(node):
@@ -64,19 +58,6 @@ def float_uses(source: str) -> list[tuple[int, str]]:
 )
 def test_module_has_no_floating_point(path):
     assert float_uses(path.read_text(encoding="utf-8")) == []
-
-
-def test_every_allowed_division_is_used():
-    divides = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.FunctionDef) and any(
-                isinstance(sub, (ast.BinOp, ast.AugAssign))
-                and isinstance(sub.op, ast.Div)
-                for sub in ast.walk(node)
-            ):
-                divides.add(node.name)
-    assert set(DIVISION_ALLOWED) <= divides
 
 
 @pytest.mark.parametrize(
@@ -103,7 +84,7 @@ def test_scan_flags_each_way_to_a_float(source, finding):
 def test_scan_passes_exact_code():
     source = (
         "from math import comb, isqrt\n"
-        "def solve_rational(a, b):\n"
-        "    return a / b + comb(4, 2) // isqrt(9)\n"
+        "def solve(a, b):\n"
+        "    return a // b + comb(4, 2) // isqrt(9)\n"
     )
     assert float_uses(source) == []

@@ -1,4 +1,4 @@
-"""Matrix layer: shape handling, row reduction, kernels, rational solving."""
+"""Matrix layer: shape handling, row reduction, kernels."""
 
 import random
 from fractions import Fraction
@@ -8,14 +8,7 @@ import pytest
 from crcodes.classify import enumerate_rho1
 from crcodes.constructions import family_catalog
 from crcodes.field import GF
-from crcodes.matrix import (
-    MatrixGF,
-    kernel_basis,
-    rank,
-    row_space_basis,
-    rref,
-    solve_rational,
-)
+from crcodes.matrix import MatrixGF, kernel_basis, rank, row_space_basis, rref
 from crcodes.regularity import complete_regularity
 
 
@@ -235,60 +228,3 @@ def test_matrix_equality_and_hash():
     assert a != MatrixGF(GF(5), [[1, 2]])
     assert MatrixGF.zeros(f, 2, 2) == MatrixGF(f, [[0, 0], [0, 0]])
 
-
-def _consistent_oracle(a, b):
-    """Plain Fraction Gaussian elimination, deciding solvability only."""
-    aug = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    ncols = len(a[0]) if a else 0
-    pr = 0
-    for col in range(ncols):
-        sel = next((i for i in range(pr, len(aug)) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[pr], aug[sel] = aug[sel], aug[pr]
-        for i in range(len(aug)):
-            if i != pr and aug[i][col]:
-                factor = aug[i][col] / aug[pr][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[pr])]
-        pr += 1
-    return all(row[-1] == 0 for row in aug[pr:])
-
-
-def test_solve_rational_against_fraction_oracle():
-    rng = random.Random(51)
-    seen_fractional = seen_inconsistent = 0
-    for _ in range(60):
-        nrows = rng.randrange(1, 6)
-        ncols = rng.randrange(1, 5)
-        a = [[rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(nrows)]
-        b = [rng.randrange(-6, 7) for _ in range(nrows)]
-        got = solve_rational(a, b)
-        assert (got is not None) == _consistent_oracle(a, b)
-        if got is None:
-            seen_inconsistent += 1
-            continue
-        for row, bi in zip(a, b):
-            assert sum(Fraction(aij) * xj for aij, xj in zip(row, got)) == bi
-        if any(xj.denominator != 1 for xj in got):
-            seen_fractional += 1
-    # the sample must actually exercise both interesting regimes
-    assert seen_fractional >= 3
-    assert seen_inconsistent >= 3
-
-
-def test_solve_rational_inconsistent():
-    assert solve_rational([[1, 1], [1, 1]], [1, 2]) is None
-    assert solve_rational([[2]], [3]) == [Fraction(3, 2)]
-
-
-def test_solve_rational_rejects_non_integers():
-    with pytest.raises(TypeError):
-        solve_rational([[Fraction(1, 2)]], [1])
-    with pytest.raises(ValueError):
-        solve_rational([[1] * 65], [0])
-
-
-def test_solve_rational_underdetermined_picks_a_solution():
-    got = solve_rational([[1, 1]], [2])
-    assert got is not None
-    assert sum(got) == 2

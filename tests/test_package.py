@@ -39,7 +39,7 @@ EXPORTS = [
     "latin_square_code", "macwilliams_transform", "matio", "matrix",
     "min_distance", "nonzero_weights", "num_pg_points", "parse_matrix",
     "pg_points", "point_set_code", "rank", "read_matrix", "regularity",
-    "rho1_intersection_array", "row_space_basis", "rref", "solve_rational",
+    "rho1_intersection_array", "row_space_basis", "rref",
     "two_weight_structure", "verify_theorem31", "verify_theorem41",
     "weight_distribution", "weight_pair", "write_matrix",
 ]
@@ -92,17 +92,24 @@ def test_reading_a_matrix_file_loads_what_it_uses(added, tmp_path):
 
 def test_cli_start_up_loads_no_heavy_stdlib_module(added):
     # dataclasses pulls in inspect; fractions is needed only by
-    # solve_rational, and constructions only by construct and catalog
+    # beta_solve's result, and constructions only by construct and catalog
     loaded = added("import crcodes.cli")
     assert "crcodes.regularity" in loaded
     assert not loaded & {"dataclasses", "inspect", "fractions", "crcodes.constructions"}
 
 
 def test_catalog_and_analyze_load_no_fractions(added, tmp_path):
-    # the verdict and the array are integer arithmetic; only --beta's
-    # solve_rational imports fractions, and decimal with it
-    path = tmp_path / "h.txt"
-    crcodes.write_matrix(crcodes.hamming_code(3, 2).extended().H, path)
+    # the verdict, the array and the theorem checks are integer
+    # arithmetic; only a --beta that has a solution builds Fractions,
+    # and importing fractions imports decimal with it
+    files = {}
+    for name, code in (
+        ("h32", crcodes.hamming_code(3, 2)),  # rho = s = 1
+        ("h32x", crcodes.hamming_code(3, 2).extended()),  # rho = 2 < s = 3
+        ("ii4", crcodes.build_family("ii", q=4)[1]),
+    ):
+        files[name] = str(tmp_path / f"{name}.txt")
+        crcodes.write_matrix(code.H, files[name])
 
     def loaded(*argv):
         return added(
@@ -115,8 +122,12 @@ def test_catalog_and_analyze_load_no_fractions(added, tmp_path):
     heavy = {"fractions", "decimal"}
     catalog = ["catalog", "--qn-bound", "12", "--out", str(tmp_path / "cat")]
     assert not loaded(*catalog) & heavy
-    assert not loaded("analyze", str(path), "--json") & heavy
-    assert loaded("analyze", str(path), "--json", "--beta") >= heavy
+    assert not loaded("analyze", files["h32x"], "--json") & heavy
+    assert not loaded("analyze", files["h32x"], "--json", "--beta") & heavy
+    assert not loaded("classify", files["h32"], "--theorem", "31") & heavy
+    for theorem in ("41", "52"):
+        assert not loaded("classify", files["ii4"], "--theorem", theorem) & heavy
+    assert loaded("analyze", files["h32"], "--json", "--beta") >= heavy
 
 
 def test_all_is_the_exported_names():

@@ -21,6 +21,7 @@ from crcodes.budgets import Budgets, BudgetExceeded
 from crcodes.cli import analysis_report
 from crcodes.codes import (
     LinearCode,
+    _krawtchouk_values,
     external_distance,
     nonzero_weights,
     odometer,
@@ -29,7 +30,7 @@ from crcodes.codes import (
 )
 from crcodes.constructions import family_catalog, hamming_code
 from crcodes.field import GF, _add_digitwise, _base_digits, _from_base
-from crcodes.matrix import MatrixGF, solve_rational
+from crcodes.matrix import MatrixGF
 from crcodes.regularity import (
     CodeAnalysis,
     IntersectionArray,
@@ -749,12 +750,14 @@ def test_fast_and_bruteforce_reports_agree():
 def test_bruteforce_report_on_the_catalog(catalog48):
     # whole reports, witness syndromes included, on every member and its
     # dual, past criterion 4's q^n <= 2^16 as well: the brute force
-    # recounts q^m profiles whatever the q^n its budget counts
+    # recounts q^m profiles of n(q-1) neighbours each, the count its
+    # budget caps
     kinds = Counter()
     for desc, code in catalog48:
         for side in (code, code.dual()):
             analysis = CodeAnalysis(side)
-            budget = Budgets(max_vectors=side.field.q**side.n)
+            q = side.field.q
+            budget = Budgets(max_vectors=q**side.redundancy * side.n * (q - 1))
             slow = complete_regularity_bruteforce(side, budget, analysis)
             assert slow == analysis.report, desc.slug
             kinds[slow.is_completely_regular] += 1
@@ -810,8 +813,7 @@ def test_bruteforce_against_both_verdict_branches():
         s = len(nonzero_weights(dual_counts))
         inside = not weights or weights[0] >= 2 * s - 1
         assert ("table" in vars(analysis)) != inside
-        budget = Budgets(max_vectors=code.field.q**code.n)
-        assert complete_regularity_bruteforce(code, budget) == report
+        assert complete_regularity_bruteforce(code) == report
         kind = "inside" if inside else "outside"
         if not report.is_completely_regular:
             kind += ", not CR" + (" at d = 2s - 2" if weights[0] == 2 * s - 2 else "")
@@ -917,13 +919,14 @@ def test_coset_count_budgets():
 
 
 def test_bruteforce_budget():
+    # 2^3 syndromes of the [7,4] Hamming code, 7 neighbours each
     code = hamming_code(2, 3)
     with pytest.raises(BudgetExceeded) as err:
-        complete_regularity_bruteforce(code, Budgets(max_vectors=127))
+        complete_regularity_bruteforce(code, Budgets(max_vectors=55))
     assert (err.value.budget, err.value.needed, err.value.limit) == (
-        "max_vectors", 128, 127,
+        "max_vectors", 56, 55,
     )
-    assert complete_regularity_bruteforce(code, Budgets(max_vectors=128)).rho == 1
+    assert complete_regularity_bruteforce(code, Budgets(max_vectors=56)).rho == 1
 
 
 def test_beta_solve_known_values():
@@ -956,12 +959,44 @@ def test_beta_solve_unsolvable_when_radius_below_external_distance():
     assert (report["uniformly_packed"], report["beta"]) == (False, None)
 
 
+def _solve_fractions(rows, rhs):
+    """A solution x of rows . x = rhs by Gauss-Jordan elimination on
+    Fractions, free unknowns at 0; None when the system is inconsistent."""
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(len(rows[0])):
+        top = len(pivots)
+        sel = next((i for i in range(top, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[top], aug[sel] = aug[sel], aug[top]
+        pivot = aug[top][col]
+        aug[top] = [a / pivot for a in aug[top]]
+        for i, row in enumerate(aug):
+            if i != top and row[col]:
+                aug[i] = [a - row[col] * b for a, b in zip(row, aug[top])]
+        pivots.append(col)
+    if any(row[-1] for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * len(rows[0])
+    for row, col in zip(aug, pivots):
+        x[col] = row[-1]
+    return x
+
+
+def test_solve_fractions():
+    assert _solve_fractions([[2]], [3]) == [Fraction(3, 2)]
+    assert _solve_fractions([[1, 1], [1, 1]], [1, 2]) is None
+    assert _solve_fractions([[1, 1]], [2]) == [2, 0]
+    assert _solve_fractions([[0, 2], [1, 1], [1, 3]], [2, 3, 5]) == [2, 1]
+
+
 def _beta_oracle(code, rho):
     """The packing coefficients from their definition: one equation
     sum_k beta_k * alpha_k(v) = 1 per distinct row of the low-weight
     coset counts, up to distance rho."""
     rows = sorted({tuple(row) for row in coset_low_weight_counts(code, rho)})
-    return solve_rational(rows, [1] * len(rows))
+    return _solve_fractions(rows, [1] * len(rows))
 
 
 def test_packing_predicate_matches_beta_solvability(catalog48):
@@ -986,6 +1021,43 @@ def test_packing_predicate_matches_beta_solvability(catalog48):
         assert (beta is None) == (rho != s)
         solvable += beta is not None
     assert (len(codes), solvable) == (150, 128)
+
+
+def test_beta_solve_solves_the_krawtchouk_equations():
+    # past the coset-count range: on every catalog-200 member and its
+    # dual (n up to 127) and on seeded random codes, beta is None
+    # exactly when rho < s, and otherwise solves sum_k beta_k K_k(0) =
+    # q^m and sum_k beta_k K_k(w) = 0 at each nonzero dual weight w.
+    # Where rho needs a table of more than 2^12 syndromes (up to 2^120
+    # on the duals), beta is taken at rho = s, where the equations must
+    # hold whatever the code's rho
+    codes = [c for _, code in family_catalog(200) for c in (code, code.dual())]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        codes.extend(_oracle_codes(q, 60, 2900))
+    kinds = Counter()
+    for code in codes:
+        q, n, m = code.field.q, code.n, code.redundancy
+        analysis = CodeAnalysis(code, Budgets(max_syndromes=1 << 12))
+        dual_weights = nonzero_weights(analysis.weight_pair[1])
+        s = len(dual_weights)
+        try:
+            rho = analysis.report.rho
+            kind = "rho = s" if rho == s else "rho < s"
+        except BudgetExceeded:
+            rho, kind = s, "taken at rho = s"
+            analysis = SimpleNamespace(
+                weight_pair=analysis.weight_pair, report=SimpleNamespace(rho=s)
+            )
+        beta = beta_solve(code, analysis=analysis)
+        kinds[kind] += 1
+        if rho < s:
+            assert beta is None
+            continue
+        assert len(beta) == s + 1
+        for w, target in zip((0, *dual_weights), [q**m] + [0] * s):
+            values = _krawtchouk_values(q, n, w, s)
+            assert sum(b * v for b, v in zip(beta, values)) == target
+    assert kinds == {"rho = s": 543, "rho < s": 145, "taken at rho = s": 68}
 
 
 def test_intersection_array_validation():
