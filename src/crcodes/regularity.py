@@ -24,16 +24,16 @@ and spectral_array reads its intersection array off the dual weights:
 no table is built.  Any other code is decided from the table's rho and
 top level and the dual weights: it is completely regular exactly when
 rho = s and the top level is as large as the spectrum allows, and the
-same recurrence gives the array.  Only a code that is not completely
-regular has its witness searched for, by _scan_cosets.
+same recurrence gives the array.  It stops at the verdict: no profile
+is recounted and no witness searched for.
 
 _scan_cosets takes each syndrome's (c, b) profile from a function and
 walks the levels in order, each level's syndromes in increasing order,
-until a level holds two profiles.  complete_regularity and the
-brute-force check hand it _recount, which recounts a profile from the
+until a level holds two profiles, whose pair is the witness.  The
+brute-force check hands it _recount, which recounts a profile from the
 leader weights through the table's translator (the split-half tables
 outside characteristic 2, built on first use); the radius-1 census hands
-it its summed profiles.  All three name the same witness.
+it its summed profiles.  Both name the same witness.
 
 The uniform packing coefficients need no vector or coset enumeration:
 at rho = s they are the Krawtchouk coordinates of the annihilator
@@ -283,8 +283,8 @@ def covering_radius(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
 class CodeAnalysis:
     """The facts about one code that several checks read, each computed
     on first use and then kept: the weight pair, the syndrome table and
-    the regularity report.  The report reads the weight pair first and
-    the table only for a code outside Delsarte's bound d >= 2s - 1.
+    the regularity report.  The report reads the weight pair first, the
+    table only outside Delsarte's bound d >= 2s - 1, and no profile.
     Passing one along as `analysis=` is what shares the work: a function
     given none computes what it needs afresh.  `budget` caps every
     computation made through it.
@@ -352,6 +352,9 @@ class Witness(NamedTuple):
 
 
 class RegularityReport(NamedTuple):
+    """The verdict, rho and, on a completely regular code, the array.
+    `witness` is set by the brute force; None from complete_regularity."""
+
     is_completely_regular: bool
     rho: int
     array: IntersectionArray | None
@@ -469,9 +472,8 @@ def complete_regularity(
     code is decided as spectral_array states it: completely regular
     exactly when the table's rho is s and its top level holds k_s
     syndromes; the recurrence, whose cost grows with s, runs only at
-    rho = s.  A code that is not completely regular has its witness
-    searched for by _scan_cosets, level by level, on profiles recounted
-    from the leader weights.
+    rho = s.  A code that is not completely regular gets no witness and
+    has no profile recounted: complete_regularity_bruteforce does that.
 
     The weight pair and the table come from `analysis` (a fresh
     CodeAnalysis when none is given).  Callers holding a CodeAnalysis
@@ -490,11 +492,7 @@ def complete_regularity(
                 raise RuntimeError(f"non-integral intersection numbers {b}; {c}")
             array = IntersectionArray.from_levels(q, n, b, c)
             return RegularityReport(True, s, array, None)
-    profile = _recount(st, [d for row in st.step for d in row[1:]])
-    report = _scan_cosets(q, n, st.leader_weight, profile)
-    if report.is_completely_regular:
-        raise RuntimeError("the dual weights and the coset profiles disagree")
-    return report
+    return RegularityReport(False, st.rho, None, None)
 
 
 def _recount(st: SyndromeTable, steps):

@@ -199,7 +199,8 @@ def test_criterion_4_bruteforce_oracle_agreement(
     censuses = (census_2_2_8, census_2_3_8, census_3_2_5)
     checked = 0
     for code in _corpus(catalog48, censuses, bound=2**16):
-        assert complete_regularity_bruteforce(code) == complete_regularity(code)
+        slow = complete_regularity_bruteforce(code)
+        assert slow._replace(witness=None) == complete_regularity(code)
         checked += 1
     assert checked > 10000
 

@@ -16,6 +16,7 @@ from crcodes import classify as classify_module
 from crcodes import cli as cli_module
 from crcodes import codes as codes_module
 from crcodes import constructions as constructions_module
+from crcodes import regularity as regularity_module
 from crcodes.classify import NoZeroColumnReachable
 from crcodes.cli import analysis_report, main
 from crcodes.codes import LinearCode
@@ -229,19 +230,21 @@ def test_brute_force_budget_exits_4(capsys, hamming32_path):
     assert stderr == "error: max_vectors: needs 72 but the budget allows 7\n"
 
 
-def test_brute_force_compares_witness_syndromes(capsys, monkeypatch, tmp_path):
-    # a brute force that names another syndrome at the witness level, as
-    # a different scan order could, is a disagreement: exit 5
-    path = tmp_path / "non_cr.txt"
-    write_matrix(MatrixGF(GF(2), [[1, 0, 1, 1], [0, 1, 0, 1]]), path)
-    real = cli_module.complete_regularity_bruteforce
+def test_brute_force_catches_a_wrong_verdict(capsys, monkeypatch, tmp_path):
+    # a spectrum that asks one syndrome more of the top level turns the
+    # verdict on a completely regular code outside Delsarte's bound
+    # (d = 1 < 2s - 1 = 3: a zero column and the columns (0, 2), (1, 2)
+    # of GF(3)^2); the brute force never reads it and disagrees: exit 5
+    path = tmp_path / "outside.txt"
+    write_matrix(MatrixGF(GF(3), [[0, 0, 1], [0, 2, 2]]), path)
+    real = regularity_module.spectral_array
 
-    def other_witness(*args):
-        rep = real(*args)
-        w = rep.witness
-        return rep._replace(witness=w._replace(syndrome_b=w.syndrome_b ^ 1))
+    def wrong_top(*args):
+        s, k_s, b, c = real(*args)
+        return s, k_s + 1, b, c
 
-    monkeypatch.setattr(cli_module, "complete_regularity_bruteforce", other_witness)
+    assert run(capsys, "analyze", str(path), "--brute-force")[0] == 0
+    monkeypatch.setattr(regularity_module, "spectral_array", wrong_top)
     assert run(capsys, "analyze", str(path), "--brute-force") == (
         5,
         "",

@@ -1,5 +1,6 @@
 """Coset geometry: syndrome BFS, regularity decisions, packing coefficients."""
 
+import hashlib
 import json
 import os
 import random
@@ -18,7 +19,7 @@ import pytest
 import crcodes
 from crcodes import regularity
 from crcodes.budgets import Budgets, BudgetExceeded
-from crcodes.cli import analysis_report
+from crcodes.cli import analysis_report, main
 from crcodes.codes import (
     LinearCode,
     _krawtchouk_values,
@@ -28,8 +29,10 @@ from crcodes.codes import (
     pg_points,
     weight_distribution,
 )
+from crcodes.classify import two_weight_structure, verify_theorem41
 from crcodes.constructions import family_catalog, hamming_code
 from crcodes.field import GF, _add_digitwise, _base_digits, _from_base
+from crcodes.matio import write_matrix
 from crcodes.matrix import MatrixGF
 from crcodes.regularity import (
     CodeAnalysis,
@@ -193,7 +196,8 @@ def test_profiles_against_coset_leader_oracle(q):
         recounted = _recounted(st)
         assert recounted == [profile[s] for s in range(st.size)]
         expected = _report_oracle(code, level, profile)
-        assert complete_regularity(code) == expected
+        # the verdict names no witness; the brute force names the oracle's
+        assert complete_regularity(code) == expected._replace(witness=None)
         scanned = regularity._scan_cosets(
             code.field.q, code.n, st.leader_weight, recounted.__getitem__
         )
@@ -239,9 +243,8 @@ def _plain_bfs(st):
 @pytest.mark.parametrize("chunk_bits", [1 << 16, 8])
 def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatch):
     # eight-bit chunks put most digits of a syndrome above the chunk, so
-    # steps move whole chunks as well as bits inside them, and the scan
-    # looks for a witness across chunks; the reference is a plain BFS
-    # one syndrome at a time, and the vector-scan oracle
+    # steps move whole chunks as well as bits inside them; the reference
+    # is a plain BFS one syndrome at a time, and the vector-scan oracle
     monkeypatch.setattr(regularity, "_CHUNK_BITS", chunk_bits)
     sizes = []
     for code in _oracle_codes(q):
@@ -251,7 +254,7 @@ def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatc
         scanned = regularity._scan_cosets(
             code.field.q, code.n, lw, profiles.__getitem__
         )
-        assert complete_regularity(code) == scanned
+        assert complete_regularity(code) == scanned._replace(witness=None)
         level, profile = _profile_oracle(code)
         assert st.size == len(level)
         assert list(st.leader_weight) == [level[s] for s in range(st.size)]
@@ -284,7 +287,9 @@ def test_word_bfs_matches_syndrome_bfs_on_the_catalog():
                 expected = regularity._scan_cosets(
                     side.field.q, side.n, lw, profiles.__getitem__
                 )
-                assert side_analysis.report == expected, desc.slug
+                assert side_analysis.report == expected._replace(
+                    witness=None
+                ), desc.slug
                 plain += 1
         checked += 1
     assert checked == 161 and plain == 80 + 55
@@ -326,9 +331,10 @@ def test_zero_columns_add_only_loops(q):
         )
         assert padded == plain
         rep, rep_u = complete_regularity(code), complete_regularity(looped)
-        assert (rep_u.is_completely_regular, rep_u.rho, rep_u.witness) == (
-            rep.is_completely_regular, rep.rho, rep.witness
-        )
+        assert rep_u == rep._replace(array=rep_u.array)
+        if not rep.is_completely_regular:
+            slow, slow_u = map(complete_regularity_bruteforce, (code, looped))
+            assert slow_u.witness == slow.witness
         if rep.array is not None:
             assert (rep_u.array.b, rep_u.array.c) == (rep.array.b, rep.array.c)
             assert rep_u.array.a == tuple(a + (q - 1) * u for a in rep.array.a)
@@ -387,10 +393,10 @@ def test_word_bfs_across_chunks(monkeypatch):
     assert two_chunks[1] >= 3
 
 
-def test_split_half_tables_are_built_on_first_use():
+def test_split_half_tables_are_built_on_first_use(tmp_path, capsys, monkeypatch):
     # the build never adds one step at a time, at 3^2 syndromes as at
-    # 3^7; the report of a completely regular code recounts no profile,
-    # and only the witness search of one that is not builds the halves
+    # 3^7; no report recounts a profile, whether the code is completely
+    # regular or not, and only the brute force builds the halves
     small = SyndromeTable(_random_code(random.Random(32), 3, 4, 2))
     assert small.size == 3**2
     assert small._halves is None
@@ -403,6 +409,8 @@ def test_split_half_tables_are_built_on_first_use():
     assert st.size == 3**7
     assert st._halves is None
     assert not analysis.report.is_completely_regular
+    assert st._halves is None
+    complete_regularity_bruteforce(code, analysis=analysis)
     assert st._halves is not None
     steps = sorted({d for row in st.step for d in row})
     translate = st.translator(steps)
@@ -413,6 +421,23 @@ def test_split_half_tables_are_built_on_first_use():
             for d in steps
         ]
         assert translate(s) == [_from_base(total, 3) for total in sums]
+    # analyze --json on the same code recounts no profile either; its
+    # output is pinned
+    path = tmp_path / "r37.txt"
+    write_matrix(code.H, path)
+
+    def refused(*args):
+        raise AssertionError("a profile was recounted")
+
+    monkeypatch.setattr(regularity, "_recount", refused)
+    monkeypatch.setattr(regularity, "_scan_cosets", refused)
+    monkeypatch.setattr(SyndromeTable, "translator", refused)
+    assert main(["analyze", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["is_completely_regular"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c0caf9c9927a76b29439e7896674a6ccaa2ff25ea799b1d31b57c9405c47a7b9"
+    )
 
 
 @pytest.mark.parametrize(
@@ -462,12 +487,11 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
         assert recounted == order
     else:
         assert recounted == order[: order.index(expected.witness.syndrome_b) + 1]
-    # the verdict recounts nothing on a completely regular code, and the
-    # same syndromes as the brute force on one that is not
-    searched = list(recounted)
+    # the verdict recounts nothing, whether the code is completely
+    # regular or not
     recounted.clear()
-    assert complete_regularity(code) == expected
-    assert recounted == ([] if cr else searched)
+    assert complete_regularity(code) == expected._replace(witness=None)
+    assert recounted == []
 
 
 def test_catalog_intersection_arrays_against_coset_graphs(catalog48):
@@ -502,10 +526,14 @@ def test_catalog_intersection_arrays_against_coset_graphs(catalog48):
 
 # A seeded random binary [28,10] code (2^18 syndromes), drawn as the
 # benchmark draws its random analyze code, then decided in a process of
-# its own, which reports its peak RSS when done.
+# its own, which reads its peak RSS when done and then names the
+# witness by the brute force.
 _MEMORY_CHILD = """
 import json, random, resource
-from crcodes import GF, LinearCode, MatrixGF, complete_regularity, rank
+from crcodes import (
+    GF, Budgets, LinearCode, MatrixGF, complete_regularity,
+    complete_regularity_bruteforce, rank,
+)
 
 rng = random.Random(0)
 n, k = 28, 10
@@ -517,9 +545,12 @@ while True:
     H = MatrixGF(GF(2), rows, n)
     if rank(H) == n - k:
         break
-rep = complete_regularity(LinearCode.from_parity(H))
-w = rep.witness
+code = LinearCode.from_parity(H)
+rep = complete_regularity(code)
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+slow = complete_regularity_bruteforce(code, Budgets(max_vectors=2**18 * 28))
+assert slow._replace(witness=None) == rep
+w = slow.witness
 print(json.dumps([rep.rho, w.level, w.syndrome_a, w.syndrome_b,
                   w.profile_a, w.profile_b, peak_kb]))
 """
@@ -698,11 +729,11 @@ OUTSIDE_DELSARTE = MatrixGF(GF(3), [[0, 0, 1], [0, 2, 2]])
 
 
 def test_spectral_verdict_guards(monkeypatch):
-    # a non-integral number under a completely regular verdict, and a
-    # verdict the witness search cannot back, are errors, never
-    # truncated or reported: the first on the Hamming code, which
-    # Delsarte's bound decides, and on a code that needs its table, the
-    # second on that code
+    # a non-integral number under a completely regular verdict is an
+    # error, never truncated or reported: on the Hamming code, which
+    # Delsarte's bound decides, and on a code that needs its table (a
+    # wrong top-level count is caught by analyze --brute-force, in
+    # test_cli)
     inside = hamming_code(2, 3)
     outside = LinearCode.from_parity(OUTSIDE_DELSARTE)
     real = regularity.spectral_array
@@ -718,19 +749,11 @@ def test_spectral_verdict_guards(monkeypatch):
             complete_regularity(code, analysis=analysis)
         assert ("table" in vars(analysis)) == (code is outside)
 
-    def wrong_top(*args):
-        s, k_s, b, c = real(*args)
-        return s, k_s + 1, b, c
-
-    monkeypatch.setattr(regularity, "spectral_array", wrong_top)
-    with pytest.raises(
-        RuntimeError, match="^the dual weights and the coset profiles disagree$"
-    ):
-        complete_regularity(outside)
-
 
 def test_non_cr_witness():
-    rep = complete_regularity(LinearCode.from_parity(NON_CR_PROBE))
+    code = LinearCode.from_parity(NON_CR_PROBE)
+    rep = complete_regularity_bruteforce(code)
+    assert complete_regularity(code) == rep._replace(witness=None)
     assert not rep.is_completely_regular
     assert rep.array is None
     w = rep.witness
@@ -744,12 +767,13 @@ def test_fast_and_bruteforce_reports_agree():
     for _ in range(30):
         q = rng.choice((2, 3, 4))
         code = _random_code(rng, q, rng.randrange(3, 7), rng.randrange(1, 4))
-        assert complete_regularity_bruteforce(code) == complete_regularity(code)
+        slow = complete_regularity_bruteforce(code)
+        assert slow._replace(witness=None) == complete_regularity(code)
 
 
 def test_bruteforce_report_on_the_catalog(catalog48):
-    # whole reports, witness syndromes included, on every member and its
-    # dual, past criterion 4's q^n <= 2^16 as well: the brute force
+    # the verdict, rho and the array on every member and its dual, past
+    # criterion 4's q^n <= 2^16 as well: the brute force
     # recounts q^m profiles of n(q-1) neighbours each, the count its
     # budget caps
     kinds = Counter()
@@ -759,7 +783,7 @@ def test_bruteforce_report_on_the_catalog(catalog48):
             q = side.field.q
             budget = Budgets(max_vectors=q**side.redundancy * side.n * (q - 1))
             slow = complete_regularity_bruteforce(side, budget, analysis)
-            assert slow == analysis.report, desc.slug
+            assert slow._replace(witness=None) == analysis.report, desc.slug
             kinds[slow.is_completely_regular] += 1
     assert kinds == {True: 70, False: 8}
 
@@ -786,7 +810,7 @@ def test_delsarte_bound_on_the_catalog():
         if st.size * n * (q - 1) <= 1 << 17:
             profile = regularity._recount(st, [d for row in st.step for d in row[1:]])
             scanned = regularity._scan_cosets(q, n, st.leader_weight, profile)
-            assert scanned == report, desc.slug
+            assert scanned._replace(witness=None) == report, desc.slug
             recounted += 1
     assert (members, recounted) == (315, 163)
 
@@ -813,7 +837,8 @@ def test_bruteforce_against_both_verdict_branches():
         s = len(nonzero_weights(dual_counts))
         inside = not weights or weights[0] >= 2 * s - 1
         assert ("table" in vars(analysis)) != inside
-        assert complete_regularity_bruteforce(code) == report
+        slow = complete_regularity_bruteforce(code)
+        assert slow._replace(witness=None) == report
         kind = "inside" if inside else "outside"
         if not report.is_completely_regular:
             kind += ", not CR" + (" at d = 2s - 2" if weights[0] == 2 * s - 2 else "")
@@ -823,6 +848,67 @@ def test_bruteforce_against_both_verdict_branches():
         "outside": 12,
         "outside, not CR": 142,
         "outside, not CR at d = 2s - 2": 17,
+    }
+
+
+def _planted(q, trials, seed):
+    """_oracle_codes(q, trials, seed), each followed by the code whose
+    parity check gains a random row of nonzero entries: a full-weight
+    dual word."""
+    f = GF(q)
+    rng = random.Random(seed + q)
+    for code in _oracle_codes(q, trials, seed):
+        yield code
+        rows = [list(row) for row in code.H.data]
+        rows.append([rng.randrange(1, q) for _ in range(code.n)])
+        yield LinearCode.from_parity(MatrixGF(f, rows, code.n))
+
+
+def test_theorems_41_and_52_against_the_weights():
+    # Both theorems have a weight form, checked here on the weight pair
+    # with no walk of the test's own.  After scaling, a dual that holds a
+    # full-weight word is W + <1>, and v + c*1 has weight n minus the
+    # number of coordinates where v is -c.  So the dual's nonzero weights
+    # are {w, n} for one w < n exactly when every nonzero word of W has
+    # weight w and each symbol occurring in it occurs n - w times:
+    # Theorem 4.1's equidistance and symbol-frequency flags.  Theorem
+    # 5.2's hypothesis, two weights w2 < w1 = n, is that case, so both
+    # of two_weight_structure's flags hold.  Corpus: the catalog-400
+    # members, the catalog-200 duals whose own dual has at most 2^12
+    # words, and seeded codes over GF(2..9), half of them with a planted
+    # full-weight dual word.
+    codes = [code for _, code in family_catalog(400)]
+    codes += [
+        code.dual() for _, code in family_catalog(200)
+        if code.field.q**code.k <= 1 << 12
+    ]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        codes.extend(_planted(q, 20, 4100))
+    kinds = Counter()
+    for code in codes:
+        analysis = CodeAnalysis(code)
+        counts, dual_counts = analysis.weight_pair
+        n = code.n
+        dual_weights = nonzero_weights(dual_counts)
+        if code.k >= 1 and code.redundancy >= 2:
+            rep = verify_theorem41(code, analysis=analysis)
+            assert rep.dual_antipodal == bool(dual_counts[n])
+            if rep.dual_antipodal:
+                flags = rep.equidistant_ok and rep.symbol_frequency_ok
+                assert flags == (len(dual_weights) == 2)
+                kinds["4.1", flags] += 1
+        for side, side_counts in (("code", counts), ("dual", dual_counts)):
+            weights = nonzero_weights(side_counts)
+            if len(weights) == 2 and weights[1] == n:
+                tw = two_weight_structure(code if side == "code" else code.dual())
+                assert tw.w1_is_length
+                assert tw.equidistant_ok and tw.symbol_frequency_ok
+                kinds["5.2", side] += 1
+    assert kinds == {
+        ("4.1", True): 409,
+        ("4.1", False): 112,
+        ("5.2", "code"): 195,
+        ("5.2", "dual"): 419,
     }
 
 
