@@ -43,7 +43,7 @@ _EXPORTS = {
     "matrix": ("MatrixGF", "kernel_basis", "rank", "row_space_basis", "rref"),
     "regularity": (
         "CodeAnalysis", "IntersectionArray", "RegularityReport",
-        "SyndromeTable", "Witness", "beta_solve", "complete_regularity",
+        "SyndromeTable", "beta_solve", "complete_regularity",
         "complete_regularity_bruteforce", "covering_radius",
     ),
 }

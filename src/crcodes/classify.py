@@ -36,6 +36,7 @@ from .regularity import (
     IntersectionArray,
     RegularityReport,
     SyndromeTable,
+    _analysis_of,
     _column_steps,
     _recount,
     _scan_cosets,
@@ -267,7 +268,7 @@ def verify_theorem41(
         )
     f = code.field
     q, n = f.q, code.n
-    analysis = analysis or CodeAnalysis(code, budget)
+    analysis = _analysis_of(code, budget, analysis)
 
     dual_size = q**code.redundancy
     # Walk the dual only for a full-weight word that the weight pair
@@ -414,10 +415,7 @@ def _with_zero_columns(q: int, n: int, u: int, rep, form):
         array = IntersectionArray.from_levels(q, n, array.b, array.c)
     if isinstance(form, Rho1Form):
         form = Rho1Form(form.m, form.ell, u)
-    return (
-        RegularityReport(rep.is_completely_regular, rep.rho, array, rep.witness),
-        form,
-    )
+    return rep._replace(array=array), form
 
 
 def enumerate_rho1(

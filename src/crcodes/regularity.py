@@ -25,15 +25,13 @@ no table is built.  Any other code is decided from the table's rho and
 top level and the dual weights: it is completely regular exactly when
 rho = s and the top level is as large as the spectrum allows, and the
 same recurrence gives the array.  It stops at the verdict: no profile
-is recounted and no witness searched for.
+is recounted.
 
 _scan_cosets takes each syndrome's (c, b) profile from a function and
-walks the levels in order, each level's syndromes in increasing order,
-until a level holds two profiles, whose pair is the witness.  The
+decides from them: a code is completely regular exactly when every
+level holds one profile, and then those profiles are its array.  The
 brute-force check hands it _recount, which recounts a profile from the
-leader weights through the table's translator (the split-half tables
-outside characteristic 2, built on first use); the radius-1 census hands
-it its summed profiles.  Both name the same witness.
+leader weights; the radius-1 census hands it its summed profiles.
 
 The uniform packing coefficients need no vector or coset enumeration:
 at rho = s they are the Krawtchouk coordinates of the annihilator
@@ -89,19 +87,11 @@ class SyndromeTable:
     The BFS is _word_bfs.  The table keeps one byte of leader weight per
     syndrome; while the BFS runs it holds three level sets and the
     leader weights bit-sliced, a bit per syndrome for each bit of a
-    level number.
-
-    translator(steps) gives s + d for every step d at once.  In
-    characteristic 2 that is s ^ d.  Otherwise every distinct step d has
-    a pair of split-half translation tables of q^ceil(m/2) entries, so
-    that s + d is lo[s % Q] + hi[s // Q] with Q = q^ceil(m/2).  They are
-    built the first time translator is called, which only a profile
-    recount does; the build never reads them.
+    level number.  It keeps what the build produces and nothing else.
     """
 
     __slots__ = (
-        "field", "m", "size", "step", "_halves", "leader_weight", "rho",
-        "top_level_size",
+        "field", "m", "size", "step", "leader_weight", "rho", "top_level_size",
     )
 
     def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
@@ -126,42 +116,10 @@ class SyndromeTable:
         self.m = m
         self.size = size
         self.step = step = list(step)
-        self._halves = None
         steps = {d for row in step for d in row[1:] if d}
         self.leader_weight, self.rho, self.top_level_size = _word_bfs(
             f.p, m * f.r, steps
         )
-
-    def _split_halves(self):
-        """(Q, {d: (lo, hi)}) for every distinct step d, built on first use."""
-        if self._halves is None:
-            p = self.field.p
-            Q = self.field.q ** ((self.m + 1) // 2)
-            hi_size = self.size // Q
-            halves = {}
-            for row in self.step:
-                for d in row:
-                    if d not in halves:
-                        lo, hi = d % Q, d // Q
-                        halves[d] = (
-                            [_add_digitwise(x, lo, p) for x in range(Q)],
-                            [_add_digitwise(y, hi, p) * Q for y in range(hi_size)],
-                        )
-            self._halves = Q, halves
-        return self._halves
-
-    def translator(self, steps):
-        """A function taking a syndrome s to the list [s + d for d in steps]."""
-        if self.field.p == 2:
-            return lambda s: [s ^ d for d in steps]
-        Q, halves = self._split_halves()
-        pairs = [halves[d] for d in steps]
-
-        def translate(s):
-            s_lo, s_hi = s % Q, s // Q
-            return [lo[s_lo] + hi[s_hi] for lo, hi in pairs]
-
-        return translate
 
 
 def _word_bfs(p: int, digits: int, steps):
@@ -308,6 +266,16 @@ class CodeAnalysis:
         return complete_regularity(self.code, self.budget, self)
 
 
+def _analysis_of(code: LinearCode, budget: Budgets, analysis) -> CodeAnalysis:
+    """`analysis` when it is one of `code`, or a fresh CodeAnalysis of
+    `code` under `budget` when none is given."""
+    if analysis is None:
+        return CodeAnalysis(code, budget)
+    if analysis.code != code:
+        raise ValueError("the analysis given is of another code")
+    return analysis
+
+
 class IntersectionArray(NamedTuple):
     """The numbers (b_0..b_{rho-1}; c_1..c_rho) plus the derived a_l."""
 
@@ -340,57 +308,29 @@ class IntersectionArray(NamedTuple):
         return f"({bs};{cs})"
 
 
-class Witness(NamedTuple):
-    """Two cosets at the same distance from the code whose neighbor
-    profiles (c, b) differ; the smallest such pair at the lowest level."""
-
-    level: int
-    syndrome_a: int
-    syndrome_b: int
-    profile_a: tuple[int, int]
-    profile_b: tuple[int, int]
-
-
 class RegularityReport(NamedTuple):
-    """The verdict, rho and, on a completely regular code, the array.
-    `witness` is set by the brute force; None from complete_regularity."""
+    """The verdict, rho and, on a completely regular code, the array."""
 
     is_completely_regular: bool
     rho: int
     array: IntersectionArray | None
-    witness: Witness | None
 
 
 def _scan_cosets(q, n, leader_weight, profile) -> RegularityReport:
     """The report from each syndrome's leader weight and its (c, b)
-    profile, profile(s).  The levels are walked in order, each level's
-    syndromes in increasing order, and each profile is asked for at most
-    once.  A level's lowest syndrome gives its reference profile; the
-    first level that holds another stops the walk, and the witness pairs
-    the reference with the lowest syndrome whose profile differs.  Only
-    with no witness is every profile asked for, and then each level's
-    one profile gives the array."""
-    # the levels 0..rho each hold a syndrome: rho is the last one found
-    rho = 0
-    while leader_weight.find(rho + 1) != -1:
-        rho += 1
-    refs = []
-    for level in range(rho + 1):
-        ref_s = leader_weight.find(level)
-        ref = profile(ref_s)
-        s = leader_weight.find(level, ref_s + 1)
-        while s != -1:
-            other = profile(s)
-            if other != ref:
-                witness = Witness(level, ref_s, s, ref, other)
-                return RegularityReport(False, rho, None, witness)
-            s = leader_weight.find(level, s + 1)
-        refs.append(ref)
-    b = [b for _, b in refs[:-1]]
-    c = [c for c, _ in refs[1:]]
-    return RegularityReport(
-        True, rho, IntersectionArray.from_levels(q, n, b, c), None
-    )
+    profile, profile(s).  The syndromes are walked in increasing order,
+    each profile asked for once, and the walk stops at the first one
+    whose profile differs from the first one met at its level.  If none
+    does, each level's one profile gives the array."""
+    rho = max(leader_weight)
+    first = {}  # level -> the profile of its first syndrome
+    for s, level in enumerate(leader_weight):
+        got = profile(s)
+        if first.setdefault(level, got) != got:
+            return RegularityReport(False, rho, None)
+    b = [first[i][1] for i in range(rho)]
+    c = [first[i][0] for i in range(1, rho + 1)]
+    return RegularityReport(True, rho, IntersectionArray.from_levels(q, n, b, c))
 
 
 def _exact(num: int, den: int) -> int | None:
@@ -472,14 +412,14 @@ def complete_regularity(
     code is decided as spectral_array states it: completely regular
     exactly when the table's rho is s and its top level holds k_s
     syndromes; the recurrence, whose cost grows with s, runs only at
-    rho = s.  A code that is not completely regular gets no witness and
-    has no profile recounted: complete_regularity_bruteforce does that.
+    rho = s.  No profile is recounted: complete_regularity_bruteforce
+    does that.
 
     The weight pair and the table come from `analysis` (a fresh
     CodeAnalysis when none is given).  Callers holding a CodeAnalysis
     read its cached `report` rather than deciding again.
     """
-    analysis = analysis or CodeAnalysis(code, budget)
+    analysis = _analysis_of(code, budget, analysis)
     counts, dual_counts = analysis.weight_pair
     q, n = code.field.q, code.n
     s = len(nonzero_weights(dual_counts))
@@ -491,20 +431,42 @@ def complete_regularity(
             if None in b + c:
                 raise RuntimeError(f"non-integral intersection numbers {b}; {c}")
             array = IntersectionArray.from_levels(q, n, b, c)
-            return RegularityReport(True, s, array, None)
-    return RegularityReport(False, st.rho, None, None)
+            return RegularityReport(True, s, array)
+    return RegularityReport(False, st.rho, None)
 
 
 def _recount(st: SyndromeTable, steps):
     """The function taking a syndrome s to its (c, b) profile under
     `steps`, recounted from the table's leader weights: how many s + d
-    lie one level below s, and how many one level above."""
-    lw = st.leader_weight
-    neighbors = st.translator(steps)
+    lie one level below s, and how many one level above.
+
+    In characteristic 2, s + d is s ^ d.  Otherwise each distinct step d
+    gets a pair of split-half translation tables, so that s + d is
+    lo[s % Q] + hi[s // Q] with Q = q^ceil(m/2): two lists of about
+    q^(m/2) ints instead of one of q^m."""
+    lw, p = st.leader_weight, st.field.p
+    if p == 2:
+        def profile(s: int) -> tuple[int, int]:
+            level = lw[s]
+            levels = [lw[s ^ d] for d in steps]
+            return levels.count(level - 1), levels.count(level + 1)
+
+        return profile
+    Q = st.field.q ** ((st.m + 1) // 2)
+    halves = {}
+    for d in steps:
+        if d not in halves:
+            lo, hi = d % Q, d // Q
+            halves[d] = (
+                [_add_digitwise(x, lo, p) for x in range(Q)],
+                [_add_digitwise(y, hi, p) * Q for y in range(st.size // Q)],
+            )
+    pairs = [halves[d] for d in steps]
 
     def profile(s: int) -> tuple[int, int]:
         level = lw[s]
-        levels = [lw[t] for t in neighbors(s)]
+        s_hi, s_lo = divmod(s, Q)
+        levels = [lw[lo[s_lo] + hi[s_hi]] for lo, hi in pairs]
         return levels.count(level - 1), levels.count(level + 1)
 
     return profile
@@ -523,14 +485,14 @@ def complete_regularity_bruteforce(
     neighbors depend only on the syndrome s of v, so the vectors of one
     coset share one profile, and every syndrome is some vector's.  The
     profiles are recounted from the leader weights by _recount and
-    compared by _scan_cosets, level by level, every one of them on a
-    completely regular code.  Neither the dual weights nor the spectral
-    verdict of complete_regularity is read, so this checks it.  The
-    max_vectors budget counts the q^m * n(q-1) neighbours recounted.
+    compared by _scan_cosets in increasing syndrome order, every one of
+    them on a completely regular code.  Neither the dual weights nor the
+    spectral verdict of complete_regularity is read, so this checks it.
+    The max_vectors budget counts the q^m * n(q-1) neighbours recounted.
     """
     q, n = code.field.q, code.n
     budget.require("max_vectors", q**code.redundancy * n * (q - 1))
-    st = analysis.table if analysis else SyndromeTable(code, budget)
+    st = _analysis_of(code, budget, analysis).table
     profile = _recount(st, [d for row in st.step for d in row[1:]])
     return _scan_cosets(q, n, st.leader_weight, profile)
 
@@ -564,7 +526,7 @@ def beta_solve(
     beta_k = sum_i C(n,i)(q-1)^i P(i) K_k(i) / (q^n C(n,k)(q-1)^k).
     The sums run in integers on P(i) prod_w w = q^m prod_w (w - i).
     """
-    analysis = analysis or CodeAnalysis(code, budget)
+    analysis = _analysis_of(code, budget, analysis)
     rho = analysis.report.rho
     q, n, m = code.field.q, code.n, code.redundancy
     dual_weights = nonzero_weights(analysis.weight_pair[1])

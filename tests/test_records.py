@@ -16,7 +16,7 @@ from crcodes.cli import _plain
 from crcodes.constructions import Family, FamilyDescriptor, ProjectivePointSet
 from crcodes.field import GF
 from crcodes.matrix import MatrixGF
-from crcodes.regularity import IntersectionArray, RegularityReport, Witness
+from crcodes.regularity import IntersectionArray, RegularityReport
 
 ARRAY = IntersectionArray.from_levels(2, 3, (3,), (1,))
 FORM = Rho1Form(2, 1, 0)
@@ -52,14 +52,7 @@ RECORDS = [
     ),
     (Family(("m",), abs, max, min), ("names", "build", "expect", "candidates")),
     (ARRAY, ("b", "c", "a")),
-    (
-        Witness(1, 2, 3, (1, 2), (2, 1)),
-        ("level", "syndrome_a", "syndrome_b", "profile_a", "profile_b"),
-    ),
-    (
-        RegularityReport(False, 1, None, Witness(1, 2, 3, (1, 2), (2, 1))),
-        ("is_completely_regular", "rho", "array", "witness"),
-    ),
+    (RegularityReport(True, 1, ARRAY), ("is_completely_regular", "rho", "array")),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
 

@@ -39,7 +39,6 @@ from crcodes.regularity import (
     IntersectionArray,
     RegularityReport,
     SyndromeTable,
-    Witness,
     beta_solve,
     complete_regularity,
     complete_regularity_bruteforce,
@@ -132,29 +131,19 @@ def _profile_oracle(code):
 
 
 def _report_oracle(code, level, profile):
-    """The report the definition gives: the lowest level holding two
-    different profiles, with its first syndrome and the first one that
-    differs from it, or else the array read off each level's profile."""
+    """The report the definition gives: not completely regular when a
+    level holds two different profiles, or else the array read off each
+    level's profile."""
     q, n = code.field.q, code.n
     rho = max(level.values())
     first = {}
     for s in sorted(level):
         first.setdefault(level[s], s)
-    bad = [
-        (level[s], s) for s in sorted(level)
-        if profile[s] != profile[first[level[s]]]
-    ]
-    if bad:
-        lv, s = min(bad)
-        ref = first[lv]
-        return RegularityReport(
-            False, rho, None, Witness(lv, ref, s, profile[ref], profile[s])
-        )
+    if any(profile[s] != profile[first[level[s]]] for s in level):
+        return RegularityReport(False, rho, None)
     b = [profile[first[l]][1] for l in range(rho)]
     c = [profile[first[l]][0] for l in range(1, rho + 1)]
-    return RegularityReport(
-        True, rho, IntersectionArray.from_levels(q, n, b, c), None
-    )
+    return RegularityReport(True, rho, IntersectionArray.from_levels(q, n, b, c))
 
 
 def _oracle_codes(q, trials=8, seed=1000):
@@ -196,8 +185,7 @@ def test_profiles_against_coset_leader_oracle(q):
         recounted = _recounted(st)
         assert recounted == [profile[s] for s in range(st.size)]
         expected = _report_oracle(code, level, profile)
-        # the verdict names no witness; the brute force names the oracle's
-        assert complete_regularity(code) == expected._replace(witness=None)
+        assert complete_regularity(code) == expected
         scanned = regularity._scan_cosets(
             code.field.q, code.n, st.leader_weight, recounted.__getitem__
         )
@@ -216,10 +204,14 @@ def _recounted(st):
 
 def _plain_bfs(st):
     """(leader_weight, [(c, b)] per syndrome) by a plain BFS one syndrome
-    at a time, adding steps through translator, with the profiles
-    recounted from its own leader weights."""
+    at a time, adding each step digitwise, with the profiles counted from
+    its own leader weights."""
+    p = st.field.p
     steps = [d for row in st.step for d in row[1:]]
-    neighbors = st.translator(sorted(set(steps) - {0}))
+    neighbors = [
+        [s ^ d if p == 2 else _add_digitwise(s, d, p) for d in steps]
+        for s in range(st.size)
+    ]
     lw = bytearray(st.size)
     seen = bytearray(st.size)
     seen[0] = 1
@@ -227,16 +219,18 @@ def _plain_bfs(st):
     while frontier:
         nxt = []
         for s in frontier:
-            for t in neighbors(s):
+            for t in neighbors[s]:
                 if not seen[t]:
                     seen[t] = 1
                     lw[t] = lw[s] + 1
                     nxt.append(t)
         frontier = nxt
-    profile = regularity._recount(
-        SimpleNamespace(leader_weight=lw, translator=st.translator), steps
-    )
-    return lw, [profile(s) for s in range(st.size)]
+    profiles = []
+    for s in range(st.size):
+        c = sum(lw[t] == lw[s] - 1 for t in neighbors[s])
+        b = sum(lw[t] == lw[s] + 1 for t in neighbors[s])
+        profiles.append((c, b))
+    return lw, profiles
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -254,7 +248,7 @@ def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatc
         scanned = regularity._scan_cosets(
             code.field.q, code.n, lw, profiles.__getitem__
         )
-        assert complete_regularity(code) == scanned._replace(witness=None)
+        assert complete_regularity(code) == scanned
         level, profile = _profile_oracle(code)
         assert st.size == len(level)
         assert list(st.leader_weight) == [level[s] for s in range(st.size)]
@@ -273,7 +267,7 @@ def test_word_bfs_matches_syndrome_bfs_on_the_catalog():
     for desc, code in family_catalog(200):
         analysis = CodeAnalysis(code)
         st = analysis.table
-        assert analysis.report == (True, desc.rho, desc.array, None), desc.slug
+        assert analysis.report == (True, desc.rho, desc.array), desc.slug
         sizes = [1]
         for b, c in zip(desc.array.b, desc.array.c):
             sizes.append(sizes[-1] * b // c)
@@ -287,9 +281,7 @@ def test_word_bfs_matches_syndrome_bfs_on_the_catalog():
                 expected = regularity._scan_cosets(
                     side.field.q, side.n, lw, profiles.__getitem__
                 )
-                assert side_analysis.report == expected._replace(
-                    witness=None
-                ), desc.slug
+                assert side_analysis.report == expected, desc.slug
                 plain += 1
         checked += 1
     assert checked == 161 and plain == 80 + 55
@@ -334,7 +326,7 @@ def test_zero_columns_add_only_loops(q):
         assert rep_u == rep._replace(array=rep_u.array)
         if not rep.is_completely_regular:
             slow, slow_u = map(complete_regularity_bruteforce, (code, looped))
-            assert slow_u.witness == slow.witness
+            assert (slow, slow_u) == (rep, rep_u)
         if rep.array is not None:
             assert (rep_u.array.b, rep_u.array.c) == (rep.array.b, rep.array.c)
             assert rep_u.array.a == tuple(a + (q - 1) * u for a in rep.array.a)
@@ -353,7 +345,7 @@ def test_word_bfs_on_one_syndrome():
     code = LinearCode.from_parity(MatrixGF(GF(3), [[0, 0, 0]], 3))
     assert code.redundancy == 0
     arr = IntersectionArray.from_levels(3, 3, (), ())
-    assert _table(code) == (bytearray([0]), 0, (True, 0, arr, None))
+    assert _table(code) == (bytearray([0]), 0, (True, 0, arr))
 
 
 def test_steps_that_do_not_span_are_refused_on_each_path():
@@ -378,7 +370,7 @@ def test_four_byte_counts_on_each_path():
     code = LinearCode.from_parity(MatrixGF(GF(257), [[1] * 256], 256))
     arr = IntersectionArray.from_levels(257, 256, (65536,), (256,))
     table = _table(code)
-    assert table == (bytearray([0] + [1] * 256), 1, (True, 1, arr, None))
+    assert table == (bytearray([0] + [1] * 256), 1, (True, 1, arr))
 
 
 def test_word_bfs_across_chunks(monkeypatch):
@@ -393,45 +385,25 @@ def test_word_bfs_across_chunks(monkeypatch):
     assert two_chunks[1] >= 3
 
 
-def test_split_half_tables_are_built_on_first_use(tmp_path, capsys, monkeypatch):
-    # the build never adds one step at a time, at 3^2 syndromes as at
-    # 3^7; no report recounts a profile, whether the code is completely
-    # regular or not, and only the brute force builds the halves
-    small = SyndromeTable(_random_code(random.Random(32), 3, 4, 2))
-    assert small.size == 3**2
-    assert small._halves is None
-    hamming = CodeAnalysis(hamming_code(3, 3))
-    assert hamming.report.is_completely_regular
-    assert hamming.table._halves is None
-    code = _random_code(random.Random(37), 3, 10, 7)
-    analysis = CodeAnalysis(code)
-    st = analysis.table
-    assert st.size == 3**7
-    assert st._halves is None
-    assert not analysis.report.is_completely_regular
-    assert st._halves is None
-    complete_regularity_bruteforce(code, analysis=analysis)
-    assert st._halves is not None
-    steps = sorted({d for row in st.step for d in row})
-    translate = st.translator(steps)
-    for s in (0, 1, 5, 2186):
-        digits = _base_digits(s, 3, 7)
-        sums = [
-            [(x + y) % 3 for x, y in zip(digits, _base_digits(d, 3, 7))]
-            for d in steps
-        ]
-        assert translate(s) == [_from_base(total, 3) for total in sums]
-    # analyze --json on the same code recounts no profile either; its
-    # output is pinned
-    path = tmp_path / "r37.txt"
-    write_matrix(code.H, path)
-
+def test_default_analyze_recounts_no_profile(tmp_path, capsys, monkeypatch):
+    # no report recounts a profile, whether the code is completely
+    # regular or not, inside Delsarte's bound or outside it: only the
+    # brute force and the census do
     def refused(*args):
         raise AssertionError("a profile was recounted")
 
     monkeypatch.setattr(regularity, "_recount", refused)
     monkeypatch.setattr(regularity, "_scan_cosets", refused)
-    monkeypatch.setattr(SyndromeTable, "translator", refused)
+    assert CodeAnalysis(hamming_code(3, 3)).report.is_completely_regular
+    outside = CodeAnalysis(LinearCode.from_parity(OUTSIDE_DELSARTE))
+    assert outside.report.is_completely_regular and "table" in vars(outside)
+    code = _random_code(random.Random(37), 3, 10, 7)
+    analysis = CodeAnalysis(code)
+    assert analysis.table.size == 3**7
+    assert not analysis.report.is_completely_regular
+    # analyze --json on the same code; its output is pinned
+    path = tmp_path / "r37.txt"
+    write_matrix(code.H, path)
     assert main(["analyze", str(path), "--json"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["is_completely_regular"] is False
@@ -466,31 +438,31 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
     analysis.weight_pair = (wrong, wrong)
 
     recounted = []
-    translator = SyndromeTable.translator
+    recount = regularity._recount
 
-    def counting_translator(self, steps):
-        neighbors = translator(self, steps)
+    def counting_recount(st, steps):
+        profile = recount(st, steps)
 
         def counted(s):
             recounted.append(s)
-            return neighbors(s)
+            return profile(s)
 
         return counted
 
-    monkeypatch.setattr(SyndromeTable, "translator", counting_translator)
+    monkeypatch.setattr(regularity, "_recount", counting_recount)
     assert complete_regularity_bruteforce(code, analysis=analysis) == expected
-    # levels in order, each in increasing syndrome order, up to the
-    # witness, and every syndrome on a completely regular code
-    lw = st.leader_weight
-    order = sorted(range(st.size), key=lambda s: (lw[s], s))
+    # each syndrome at most once, in increasing order: every one on a
+    # completely regular code, and on one that is not, a strict prefix
+    # that ends where a level first shows a second profile
     if cr:
-        assert recounted == order
+        assert recounted == list(range(st.size))
     else:
-        assert recounted == order[: order.index(expected.witness.syndrome_b) + 1]
+        assert recounted == list(range(len(recounted)))
+        assert len(recounted) < st.size
     # the verdict recounts nothing, whether the code is completely
     # regular or not
     recounted.clear()
-    assert complete_regularity(code) == expected._replace(witness=None)
+    assert complete_regularity(code) == expected
     assert recounted == []
 
 
@@ -526,8 +498,8 @@ def test_catalog_intersection_arrays_against_coset_graphs(catalog48):
 
 # A seeded random binary [28,10] code (2^18 syndromes), drawn as the
 # benchmark draws its random analyze code, then decided in a process of
-# its own, which reads its peak RSS when done and then names the
-# witness by the brute force.
+# its own, which reads its peak RSS when done and then checks the
+# report by the brute force.
 _MEMORY_CHILD = """
 import json, random, resource
 from crcodes import (
@@ -549,10 +521,8 @@ code = LinearCode.from_parity(H)
 rep = complete_regularity(code)
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 slow = complete_regularity_bruteforce(code, Budgets(max_vectors=2**18 * 28))
-assert slow._replace(witness=None) == rep
-w = slow.witness
-print(json.dumps([rep.rho, w.level, w.syndrome_a, w.syndrome_b,
-                  w.profile_a, w.profile_b, peak_kb]))
+assert slow == rep
+print(json.dumps([rep.is_completely_regular, rep.rho, rep.array, peak_kb]))
 """
 
 
@@ -570,8 +540,8 @@ def test_syndrome_table_memory_at_2_18_syndromes():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    rho, level, sa, sb, pa, pb, peak_kb = json.loads(proc.stdout)
-    assert (rho, level, sa, sb, pa, pb) == (8, 2, 3, 130, [2, 26], [4, 24])
+    cr, rho, array, peak_kb = json.loads(proc.stdout)
+    assert (cr, rho, array) == (False, 8, None)
     # ru_maxrss is in KiB on Linux (bytes on macOS)
     peak_mb = peak_kb / (1 << 20 if sys.platform == "darwin" else 1 << 10)
     assert peak_mb < 100
@@ -621,7 +591,6 @@ def test_complete_regularity_hamming():
     assert rep.rho == 1
     assert str(rep.array) == "(7;1)"
     assert rep.array.a == (0, 6)
-    assert rep.witness is None
 
 
 def test_complete_regularity_extended_hamming():
@@ -636,6 +605,48 @@ def test_complete_regularity_ternary_hamming():
     assert rep.is_completely_regular
     assert str(rep.array) == "(8;1)"
     assert rep.array.a == (0, 7)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [complete_regularity, complete_regularity_bruteforce, beta_solve, verify_theorem41],
+    ids=lambda reader: reader.__name__,
+)
+def test_an_analysis_of_another_code_is_refused(reader):
+    # the ternary [4,2] Hamming code, whose array is (8;1), given the
+    # analysis of the binary [7,4] one: the reader refuses it, before it
+    # computes anything, rather than mix the two codes' weights and tables
+    code = hamming_code(3, 2)
+    other = CodeAnalysis(hamming_code(2, 3))
+    with pytest.raises(ValueError, match="^the analysis given is of another code$"):
+        reader(code, analysis=other)
+    assert set(vars(other)) == {"code", "budget"}
+    # an analysis of an equal code is used as it is
+    same = CodeAnalysis(hamming_code(3, 2))
+    reader(code, analysis=same)
+    assert set(vars(same)) > {"code", "budget"}
+
+
+def test_scan_stops_at_the_first_syndrome_off_its_levels_profile():
+    # syndromes in increasing order, each profile asked for once: level 2
+    # shows a second profile at syndrome 4, before level 1 does at 5, so
+    # the scan asks for 0..4 only; rho is the largest level all the same
+    leader_weight = bytearray([0, 1, 2, 1, 2, 1, 3])
+    profiles = [(0, 3), (1, 2), (2, 1), (1, 2), (1, 1), (2, 1), (3, 0)]
+    asked = []
+
+    def profile(s):
+        asked.append(s)
+        return profiles[s]
+
+    scan = regularity._scan_cosets(2, 3, leader_weight, profile)
+    assert (scan, asked) == ((False, 3, None), [0, 1, 2, 3, 4])
+    # with one profile per level, every one is asked for and gives the array
+    profiles[4], profiles[5] = (2, 1), (1, 2)
+    asked.clear()
+    scan = regularity._scan_cosets(2, 3, leader_weight, profile)
+    array = IntersectionArray.from_levels(2, 3, (3, 2, 1), (1, 2, 3))
+    assert (scan, asked) == ((True, 3, array), list(range(7)))
 
 
 def test_spectral_array_known_codes():
@@ -751,15 +762,13 @@ def test_spectral_verdict_guards(monkeypatch):
 
 
 def test_non_cr_witness():
+    # level 1 holds the profiles (2, 0) and (1, 0), so both reports
+    # give the verdict False at rho = 1 and no array
     code = LinearCode.from_parity(NON_CR_PROBE)
+    level, profile = _profile_oracle(code)
+    assert {profile[s] for s in level if level[s] == 1} == {(2, 0), (1, 0)}
     rep = complete_regularity_bruteforce(code)
-    assert complete_regularity(code) == rep._replace(witness=None)
-    assert not rep.is_completely_regular
-    assert rep.array is None
-    w = rep.witness
-    assert w.level == 1
-    assert w.syndrome_a != w.syndrome_b
-    assert {w.profile_a, w.profile_b} == {(2, 0), (1, 0)}
+    assert rep == complete_regularity(code) == (False, 1, None)
 
 
 def test_fast_and_bruteforce_reports_agree():
@@ -768,7 +777,7 @@ def test_fast_and_bruteforce_reports_agree():
         q = rng.choice((2, 3, 4))
         code = _random_code(rng, q, rng.randrange(3, 7), rng.randrange(1, 4))
         slow = complete_regularity_bruteforce(code)
-        assert slow._replace(witness=None) == complete_regularity(code)
+        assert slow == complete_regularity(code)
 
 
 def test_bruteforce_report_on_the_catalog(catalog48):
@@ -783,7 +792,7 @@ def test_bruteforce_report_on_the_catalog(catalog48):
             q = side.field.q
             budget = Budgets(max_vectors=q**side.redundancy * side.n * (q - 1))
             slow = complete_regularity_bruteforce(side, budget, analysis)
-            assert slow._replace(witness=None) == analysis.report, desc.slug
+            assert slow == analysis.report, desc.slug
             kinds[slow.is_completely_regular] += 1
     assert kinds == {True: 70, False: 8}
 
@@ -810,7 +819,7 @@ def test_delsarte_bound_on_the_catalog():
         if st.size * n * (q - 1) <= 1 << 17:
             profile = regularity._recount(st, [d for row in st.step for d in row[1:]])
             scanned = regularity._scan_cosets(q, n, st.leader_weight, profile)
-            assert scanned._replace(witness=None) == report, desc.slug
+            assert scanned == report, desc.slug
             recounted += 1
     assert (members, recounted) == (315, 163)
 
@@ -838,7 +847,7 @@ def test_bruteforce_against_both_verdict_branches():
         inside = not weights or weights[0] >= 2 * s - 1
         assert ("table" in vars(analysis)) != inside
         slow = complete_regularity_bruteforce(code)
-        assert slow._replace(witness=None) == report
+        assert slow == report
         kind = "inside" if inside else "outside"
         if not report.is_completely_regular:
             kind += ", not CR" + (" at d = 2s - 2" if weights[0] == 2 * s - 2 else "")
@@ -1132,7 +1141,9 @@ def test_beta_solve_solves_the_krawtchouk_equations():
         except BudgetExceeded:
             rho, kind = s, "taken at rho = s"
             analysis = SimpleNamespace(
-                weight_pair=analysis.weight_pair, report=SimpleNamespace(rho=s)
+                code=code,
+                weight_pair=analysis.weight_pair,
+                report=SimpleNamespace(rho=s),
             )
         beta = beta_solve(code, analysis=analysis)
         kinds[kind] += 1
