@@ -13,7 +13,7 @@ multiset of parity columns after scaling.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import NamedTuple
 
@@ -415,7 +415,7 @@ def _with_zero_columns(q: int, n: int, u: int, rep, form):
         array = IntersectionArray.from_levels(q, n, array.b, array.c)
     if isinstance(form, Rho1Form):
         form = Rho1Form(form.m, form.ell, u)
-    return rep._replace(array=array), form
+    return RegularityReport(rep.is_completely_regular, rep.rho, array), form
 
 
 def enumerate_rho1(
@@ -432,23 +432,27 @@ def enumerate_rho1(
     adjacent.  Row reduction makes neither a zero column nor a repeated
     one a pivot, so the multiset's reduced parity check is u zero
     columns followed by the reduced columns of its nonzero support, each
-    repeated by its multiplicity.  Each nonzero support is row-reduced
-    once.  A code's key is the multiset of canonical points of its
-    nonzero reduced columns; it fixes the coset graph Cay(GF(q)^m,
-    {beta*h_j}) up to loops, as a column h and its point P give the same
-    steps {beta*h} = {beta*P}.  So each key is measured from its points,
-    and no code is built.  The graph's distances depend only on its set
-    of steps, so one syndrome table is built per set of points, each
-    point's steps taken once, and only its leader weights are read.
-    For each point P the (c, b) profile of every syndrome under the
-    steps beta*P alone is recounted from those leader weights, and a
-    key's profiles are these summed with its multiplicities: the counts
-    are linear in them.  A key's column form is read from its points,
-    the cover of PG(m-1, q) once per point set.  Deriving the rest from
-    u is exact: a zero column gives the step beta*0 = 0, which adds only
-    loops, so the levels, b_i, c_i and rho do not depend on u, and each
-    a_i = (q-1)n - b_i - c_i grows by (q-1)u.  The column form counts
-    zeros apart from points, so u changes a Rho1Form's u and no
+    repeated by its multiplicity.  Each nonzero support of rank m is
+    row-reduced once, into a map from each of its points to the point of
+    its reduced column.  A code's key is the multiset of points of its
+    nonzero reduced columns, held as the sorted tuple of their indices
+    in pg_points, each repeated by its multiplicity, read through its
+    support's map and interned; the rank-m parts of each length are
+    listed once, each with its key.  The key fixes the coset graph
+    Cay(GF(q)^m, {beta*h_j}) up to loops, as a column h and its point P
+    give the same steps {beta*h} = {beta*P}.  So each key is measured
+    from its points, and no code is built.  The graph's distances depend
+    only on its set of steps, so one syndrome table is built per set of
+    points, each point's steps taken once, and only its leader weights
+    are read.  For each point P the (c, b) profile of every syndrome
+    under the steps beta*P alone is recounted from those leader weights,
+    and a key's profiles are these summed with its multiplicities: the
+    counts are linear in them.  A key's column form is read from its
+    points, the cover of PG(m-1, q) once per point set.  Deriving the
+    rest from u is exact: a zero column gives the step beta*0 = 0, which
+    adds only loops, so the levels, b_i, c_i and rho do not depend on u,
+    and each a_i = (q-1)n - b_i - c_i grows by (q-1)u.  The column form
+    counts zeros apart from points, so u changes a Rho1Form's u and no
     NotOfForm reason.  Each (key, u) takes its array at its own length
     and its Rho1Form with its own u, and is checked against the column
     form on its first multiset.
@@ -458,33 +462,29 @@ def enumerate_rho1(
     total = sum(comb(len(points) + n, n) for n in range(m + 2, n_max + 1))
     budget.require("max_vectors", total)
 
-    # keys[L]: the key of each nonzero part of length L, over point
-    # indices in combinations_with_replacement order, None below rank m.
-    # Equal keys are interned, so a part costs one reference; the parts
-    # themselves are generated again where they are used.
+    # images[support]: for each nonzero support of rank m, each of its
+    # point indices -> the point index of that column in its one rref
     index = {point: i for i, point in enumerate(points)}
-    keys = []
+    images = {}
+    for size in range(m, min(len(points), n_max) + 1):
+        for support in combinations(range(len(points)), size):
+            R, rk, _ = rref(MatrixGF.from_columns(f, [points[i] for i in support]))
+            if rk == m:
+                reduced = [index[canonical_column(f, c)] for c in R.columns()]
+                images[frozenset(support)] = dict(zip(support, reduced))
+    # parts[L]: the columns and the interned key of each nonzero part of
+    # length L and rank m, in combinations_with_replacement order
     interned = {}
-    reduced = {}  # nonzero support -> the point indices of its reduced columns
-    for length in range(n_max + 1):
-        row = []
-        for part in combinations_with_replacement(range(len(points)), length):
-            support = tuple(dict.fromkeys(part))
-            if support not in reduced:
-                reduced[support] = None  # rank < m
-                if len(support) >= m:
-                    S = MatrixGF.from_columns(f, [points[i] for i in support])
-                    R, rk, _ = rref(S)
-                    if rk == m:
-                        reduced[support] = [
-                            index[canonical_column(f, c)] for c in R.columns()
-                        ]
-            key = None
-            if reduced[support] is not None:
-                key = frozenset(zip(reduced[support], map(part.count, support)))
-                key = interned.setdefault(key, key)
-            row.append(key)
-        keys.append(row)
+    parts = [([], []) for _ in range(n_max + 1)]
+    for length, (walked, keys) in enumerate(parts):
+        indices = combinations_with_replacement(range(len(points)), length)
+        walk = combinations_with_replacement(points, length)
+        for columns, part in zip(walk, indices):
+            image = images.get(frozenset(part))
+            if image is not None:
+                key = tuple(sorted(map(image.__getitem__, part)))
+                walked.append(columns)
+                keys.append(interned.setdefault(key, key))
 
     rows = list(_column_steps(f, points))
     # c and b each count steps of one key, which has at most (q-1)n_max,
@@ -510,24 +510,25 @@ def enumerate_rho1(
     def measure(key, n: int):
         # the report and column form of the key's coset graph without
         # loops, first met at length n
-        point_set = frozenset(i for i, _ in key)
+        point_set = frozenset(key)
         if point_set not in tables:
             tables[point_set] = table_of(point_set)
         # k = n - m, so at m < 2 the first key refuses
         _require_nontrivial(n, n - m)
         lw, profiles, form = tables[point_set]
-        weighted = [profiles[i] for i, k in key for _ in range(k)]
-        summed = [divmod(sum(at), W) for at in zip(*weighted)]
+        summed = [divmod(sum(at), W) for at in zip(*[profiles[i] for i in key])]
         # _points_rho1_form reports a missing point of PG(m-1, q) before
         # it reads a multiplicity, so that NotOfForm holds for every key
         # on the point set; only a cover is checked again, for its
         # multiplicities
         if isinstance(form, Rho1Form):
-            form = _points_rho1_form(f, m, 0, {points[i]: k for i, k in key})
-        return _scan_cosets(q, len(weighted), lw, summed.__getitem__), form
+            form = _points_rho1_form(f, m, 0, Counter(points[i] for i in key))
+        return _scan_cosets(q, len(key), lw, summed.__getitem__), form
 
     def entries():
-        # yielded into the report's tuple, so no list of them is held too
+        # yielded into the report's tuple, so no list of them is held too;
+        # tuple.__new__ skips the NamedTuple's Python __new__
+        new = tuple.__new__
         measured = {}  # key -> measure(key, n)
         for n in range(m + 2, n_max + 1):
             # combinations_with_replacement order: more zero columns first
@@ -535,10 +536,7 @@ def enumerate_rho1(
                 # a key's length is n - u, so (key, u) recurs only here
                 derived = {}  # key -> (rho, is_completely_regular, form, array)
                 zeros = ((0,) * m,) * u
-                parts = combinations_with_replacement(points, n - u)
-                for part, key in zip(parts, keys[n - u]):
-                    if key is None:
-                        continue
+                for part, key in zip(*parts[n - u]):
                     fields = derived.get(key)
                     if fields is None:
                         if key not in measured:
@@ -550,6 +548,6 @@ def enumerate_rho1(
                         fields = derived[key] = (
                             rep.rho, rep.is_completely_regular, form, rep.array
                         )
-                    yield CorpusEntry(zeros + part, n, n - m, *fields)
+                    yield new(CorpusEntry, (zeros + part, n, n - m, *fields))
 
     return CorpusReport(q, m, n_max, tuple(entries()))

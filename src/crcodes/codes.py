@@ -231,9 +231,15 @@ def iter_projective(M: MatrixGF):
     messages (digit 0 fastest) that have that form, in the same order."""
     f = M.field
     fadd, mul = f.add, f.mul
-    # digit j moving from a to a + 1 adds (a + 1 - a) * row_j
+    # digit j moving from a to a + 1 adds (a + 1 - a) * row_j.  In the
+    # base-p encoding that increment depends only on how many low digits
+    # carry, so GF(p^r) has r distinct ones, and each row builds one
+    # tuple per distinct increment
     deltas = [f.sub((a + 1) % f.q, a) for a in range(f.q)]
-    inc = [[tuple([mul(d, x) for x in row]) for d in deltas] for row in M.data]
+    inc = []
+    for row in M.data:
+        by_delta = {d: tuple([mul(d, x) for x in row]) for d in set(deltas)}
+        inc.append([by_delta[d] for d in deltas])
     # a tuple built from a list reuses a freed word of its length;
     # tuple(map(...)) resizes a guessed one instead, so the freed words
     # would pile up on the interpreter's tuple free list

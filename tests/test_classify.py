@@ -353,7 +353,7 @@ def test_census_reduces_each_support_once_and_measures_each_loopless_key_once(
     assert (len(rref_calls), len(built)) == (len(supports), len(point_sets))
 
 
-@pytest.mark.parametrize("q, m, n_max", [(2, 2, 6), (3, 2, 4), (4, 2, 4)])
+@pytest.mark.parametrize("q, m, n_max", [(2, 2, 6), (2, 3, 6), (3, 2, 4), (4, 2, 4)])
 def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
     # zero columns first and equal columns adjacent: the multiset's rref
     # is its nonzero support's rref with each column repeated

@@ -98,6 +98,18 @@ def test_cli_start_up_loads_no_heavy_stdlib_module(added):
     assert not loaded & {"dataclasses", "inspect", "fractions", "crcodes.constructions"}
 
 
+def test_census_start_up_loads_only_what_it_uses(added):
+    # the census measures thousands of tiny codes per process, so its
+    # start-up is a large share of a run: no CLI, file I/O, family
+    # constructions or exact fractions
+    loaded = added("from crcodes import enumerate_rho1\nenumerate_rho1(2, 2, 6)")
+    assert _ours(loaded) == {
+        "crcodes", "crcodes.budgets", "crcodes.classify", "crcodes.codes",
+        "crcodes.field", "crcodes.matrix", "crcodes.regularity",
+    }
+    assert not loaded & {"fractions", "decimal", "argparse", "json"}
+
+
 def test_catalog_and_analyze_load_no_fractions(added, tmp_path):
     # the verdict, the array and the theorem checks are integer
     # arithmetic; only a --beta that has a solution builds Fractions,
