@@ -97,18 +97,12 @@ def _columns_rho1_form(field, columns) -> Rho1Form | NotOfForm:
     matrix, so no row reduction is needed.  Columns of lower rank (the
     Theorem 4.1 puncture loop can pass them) lie in a proper subspace,
     miss a point of PG(m-1, q) and give NotOfForm, as a rank-based m
-    would too."""
+    would too.  A missing point is reported before any multiplicity is
+    read, so that NotOfForm depends only on the set of points."""
     u, groups = _column_points(field, columns)
     if not groups:
         return NotOfForm("no nonzero columns")
-    return _points_rho1_form(field, len(next(iter(groups))), u, groups)
-
-
-def _points_rho1_form(field, m: int, u: int, groups) -> Rho1Form | NotOfForm:
-    """The column form of u zero columns and, for each point of
-    PG(m-1, q) in `groups`, that many copies of it.  Points that miss a
-    point of PG(m-1, q) give a NotOfForm that does not depend on their
-    multiplicities, which the census reuses across them."""
+    m = len(next(iter(groups)))
     # Every group is a point of PG(m-1, q), so covering every point
     # means equality.
     for point in iter_pg_points(field, m):
@@ -444,13 +438,12 @@ def enumerate_rho1(
     from its points, and no code is built.  The graph's distances depend
     only on its set of steps, so one syndrome table is built per set of
     points, each point's steps taken once, and only its leader weights
-    are read.  For each point P the (c, b) profile of every syndrome
-    under the steps beta*P alone is recounted from those leader weights,
-    and a key's profiles are these summed with its multiplicities: the
-    counts are linear in them.  A key's column form is read from its
-    points, the cover of PG(m-1, q) once per point set.  Deriving the
-    rest from u is exact: a zero column gives the step beta*0 = 0, which
-    adds only loops, so the levels, b_i, c_i and rho do not depend on u,
+    are read.  A key's (c, b) profiles are recounted from those leader
+    weights by _recount, under the key's steps, each point's repeated by
+    its multiplicity, as the brute-force check recounts a code's.  A
+    key's column form is read from its points.  Deriving the rest from
+    u is exact: a zero column gives the step beta*0 = 0, which adds
+    only loops, so the levels, b_i, c_i and rho do not depend on u,
     and each a_i = (q-1)n - b_i - c_i grows by (q-1)u.  The column form
     counts zeros apart from points, so u changes a Rho1Form's u and no
     NotOfForm reason.  Each (key, u) takes its array at its own length
@@ -487,43 +480,25 @@ def enumerate_rho1(
                 keys.append(interned.setdefault(key, key))
 
     rows = list(_column_steps(f, points))
-    # c and b each count steps of one key, which has at most (q-1)n_max,
-    # so W is above any count: a profile (c, b) is held as the one
-    # integer c*W + b, a key's profiles are sums of these, and divmod by
-    # W gives back the summed c and b
-    W = (q - 1) * n_max + 1
-    tables = {}  # point set -> (leader weights, profiles, form)
-
-    def table_of(point_set):
-        # one table on the point set's steps, each taken once: its leader
-        # weights and column form at multiplicity 1, and for each
-        # point P the profile of every syndrome under the steps beta*P
-        # alone
-        table = SyndromeTable.from_steps(f, m, [rows[i] for i in point_set], budget)
-        profiles = {}
-        for i in point_set:
-            recount = map(_recount(table, rows[i][1:]), range(table.size))
-            profiles[i] = [c * W + b for c, b in recount]
-        form = _points_rho1_form(f, m, 0, {points[i]: 1 for i in point_set})
-        return table.leader_weight, profiles, form
+    tables = {}  # point set -> (its syndrome table, its points' column form)
 
     def measure(key, n: int):
         # the report and column form of the key's coset graph without
         # loops, first met at length n
         point_set = frozenset(key)
         if point_set not in tables:
-            tables[point_set] = table_of(point_set)
+            table = SyndromeTable.from_steps(f, m, [rows[i] for i in point_set], budget)
+            form = _columns_rho1_form(f, [points[i] for i in point_set])
+            tables[point_set] = table, form
         # k = n - m, so at m < 2 the first key refuses
         _require_nontrivial(n, n - m)
-        lw, profiles, form = tables[point_set]
-        summed = [divmod(sum(at), W) for at in zip(*[profiles[i] for i in key])]
-        # _points_rho1_form reports a missing point of PG(m-1, q) before
-        # it reads a multiplicity, so that NotOfForm holds for every key
-        # on the point set; only a cover is checked again, for its
-        # multiplicities
+        table, form = tables[point_set]
+        # a missing point holds for every key on the point set; only a
+        # cover is checked again, for its multiplicities
         if isinstance(form, Rho1Form):
-            form = _points_rho1_form(f, m, 0, Counter(points[i] for i in key))
-        return _scan_cosets(q, len(key), lw, summed.__getitem__), form
+            form = _columns_rho1_form(f, [points[i] for i in key])
+        profile = _recount(table, [d for i in key for d in rows[i][1:]])
+        return _scan_cosets(q, len(key), table.leader_weight, profile), form
 
     def entries():
         # yielded into the report's tuple, so no list of them is held too;

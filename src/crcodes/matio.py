@@ -56,6 +56,18 @@ def _significant_lines(text: str):
         yield lineno, line
 
 
+def _tokens(lineno: int, line: str):
+    """Yield each token of a header line with its key and value, and
+    refuse a key that the line repeats."""
+    seen = set()
+    for token in line.split():
+        key, _, value = token.partition("=")
+        if key in seen:
+            raise MatrixFormatError(lineno, f"repeated key {key!r}")
+        seen.add(key)
+        yield token, key, value
+
+
 def parse_matrix(text: str) -> MatrixGF:
     lines = _significant_lines(text)
 
@@ -65,8 +77,7 @@ def parse_matrix(text: str) -> MatrixGF:
         raise MatrixFormatError(1, "missing header line") from None
     q = None
     poly = None
-    for token in header.split():
-        key, _, value = token.partition("=")
+    for token, key, value in _tokens(lineno, header):
         if key == "q" and value:
             try:
                 q = int(value)
@@ -91,8 +102,7 @@ def parse_matrix(text: str) -> MatrixGF:
     except StopIteration:
         raise MatrixFormatError(lineno + 1, "missing rows=/cols= line") from None
     nrows = ncols = None
-    for token in shape.split():
-        key, _, value = token.partition("=")
+    for token, key, value in _tokens(lineno, shape):
         if key == "rows" and value.isdigit():
             nrows = int(value)
         elif key == "cols" and value.isdigit():

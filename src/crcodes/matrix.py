@@ -83,6 +83,8 @@ class MatrixGF:
         return cls(field, zip(*columns), len(columns))
 
     def column(self, j: int) -> tuple[int, ...]:
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range for {self.ncols} columns")
         return tuple(row[j] for row in self.data)
 
     def columns(self) -> list[tuple[int, ...]]:

@@ -29,9 +29,10 @@ is recounted.
 
 _scan_cosets takes each syndrome's (c, b) profile from a function and
 decides from them: a code is completely regular exactly when every
-level holds one profile, and then those profiles are its array.  The
-brute-force check hands it _recount, which recounts a profile from the
-leader weights; the radius-1 census hands it its summed profiles.
+level holds one profile, and then those profiles are its array.  Both
+callers, the brute-force check and the radius-1 census, hand it
+_recount, which recounts a profile from the leader weights when the
+scan asks for it.
 
 The uniform packing coefficients need no vector or coset enumeration:
 at rho = s they are the Krawtchouk coordinates of the annihilator

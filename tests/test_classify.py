@@ -396,8 +396,8 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
     enumerate_rho1(q, m, n_max)
     assert all(any(row) for step in built for row in step)
     assert [_step_multiset(step) for step in built] == want
-    # each key's summed profiles, levels and rho are those of a table on
-    # its first code's steps, each repeated by its multiplicity, with
+    # each key's recounted profiles, levels and rho are those of a table
+    # on its first code's steps, each repeated by its multiplicity, with
     # every profile recounted from the table's leader weights
     assert len(scans) == len(first)
     for columns, scan in zip(first.values(), scans):
@@ -406,6 +406,41 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
         recount = regularity_module._recount(st, [d for row in steps for d in row[1:]])
         profiles = list(map(recount, range(st.size)))
         assert scan == (len(columns), bytes(st.leader_weight), profiles), columns
+
+
+@pytest.mark.parametrize("q, m, n_max", [(2, 2, 6), (3, 2, 4)])
+def test_census_recounts_only_the_profiles_its_scans_read(q, m, n_max, monkeypatch):
+    # a profile is recounted when the scan asks for it, so a scan that
+    # stops early leaves the syndromes after it unrecounted
+    recounted, asked, stopped = [], [], []
+    original_recount = classify_module._recount
+    original_scan = classify_module._scan_cosets
+
+    def counted_recount(st, steps):
+        profile = original_recount(st, steps)
+
+        def counted(s):
+            recounted.append(s)
+            return profile(s)
+
+        return counted
+
+    def counted_scan(q, n, leader_weight, profile):
+        read = []
+
+        def asked_for(s):
+            read.append(s)
+            return profile(s)
+
+        report = original_scan(q, n, leader_weight, asked_for)
+        asked.extend(read)
+        stopped.append(len(read) < len(leader_weight))
+        return report
+
+    monkeypatch.setattr(classify_module, "_recount", counted_recount)
+    monkeypatch.setattr(classify_module, "_scan_cosets", counted_scan)
+    enumerate_rho1(q, m, n_max)
+    assert recounted == asked and any(stopped)
 
 
 def test_census_reuse_matches_fresh_measurement(

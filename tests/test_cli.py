@@ -201,6 +201,14 @@ def test_non_ascii_matrix_file_is_a_parse_error(capsys, tmp_path, hamming32_path
         assert run(capsys, *argv) == (3, "", "error: line 1: non-ASCII byte 0xcf\n")
 
 
+def test_repeated_header_key_exits_3(capsys, tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("q=2 q=3\nrows=1 rows=2 cols=2\n0 1\n1 0\n")
+    assert run(capsys, "analyze", str(path)) == (
+        3, "", "error: line 1: repeated key 'q'\n"
+    )
+
+
 def test_delsarte_range_codes_need_no_syndrome_budget(capsys, hamming32_path):
     # the ternary Hamming code has d = 3 >= 2s - 1 = 1, so its report is
     # read off the weight pair: a cap of 0 syndromes changes no output.

@@ -63,6 +63,11 @@ def test_comments_and_blank_lines_ignored():
         ("q=2\nrows=1 cols=1\nx\n", 3),
         ("q=2\nrows=1 cols=1\n5\n", 3),
         ("q=2\nrows=1 cols=1\n0\n1\n", 4),
+        # a repeated key, whose last value used to win silently
+        ("q=2 q=3\nrows=2 cols=2\n0 0\n0 0\n", 1),
+        ("q=4 poly=1,1,1 poly=1,1,1\nrows=1 cols=1\n0\n", 1),
+        ("q=3\nrows=1 rows=2 cols=2\n0 0\n0 0\n", 2),
+        ("q=3\nrows=1 cols=2 cols=2\n0 0\n", 2),
     ],
 )
 def test_malformed_inputs_report_line(text, line):

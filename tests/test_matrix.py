@@ -143,6 +143,19 @@ def test_drop_column_checks_its_index():
             a.drop_column(j)
 
 
+def test_column_checks_its_index():
+    f = GF(3)
+    a = MatrixGF(f, [[1, 2, 0], [0, 1, 2]])
+    empty = MatrixGF(f, [], 3)
+    assert [a.column(j) for j in range(a.ncols)] == a.columns()
+    assert [empty.column(j) for j in range(empty.ncols)] == empty.columns()
+    # a negative index would read from the right, and a matrix of no
+    # rows has no entry to fail on
+    for m, j in ((a, -1), (a, a.ncols), (empty, -1), (empty, 7)):
+        with pytest.raises(IndexError):
+            m.column(j)
+
+
 def _product(a, b):
     """a times b, one mul_vector per column of b."""
     return MatrixGF.from_columns(
