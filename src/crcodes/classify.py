@@ -250,8 +250,8 @@ def verify_theorem41(
     residual has the radius-1 column form, and (6) cross-check the flags
     against the measured coset regularity whenever the covering radius
     is 2 and the dual is antipodal, which is the regime the equivalence
-    speaks about.  The weight pair and the regularity report come from
-    `analysis`, or from a fresh CodeAnalysis when none is given.
+    speaks about.  The weight pair, the regularity report and every
+    budget come from `analysis`; `budget` only caps a fresh one.
 
     Accepts k = 1 (redundancy >= 2 is all the normal form needs); the
     catalog's radius-2 list contains such members.
@@ -269,11 +269,11 @@ def verify_theorem41(
     # shows.  When neither side is within budget there is no weight
     # pair, and the budget error names the dual walk.
     if (
-        min(q**code.k, dual_size) <= budget.max_codewords
+        min(q**code.k, dual_size) <= analysis.budget.max_codewords
         and not analysis.weight_pair[1][n]
     ):
         return Rho2Report(False, None, None, False, False, None, None)
-    budget.require("max_codewords", dual_size)
+    analysis.budget.require("max_codewords", dual_size)
 
     scaling, M, weights, counts = _antipodal_split(code.H, 0)
     dtilde = min(weights)
@@ -487,9 +487,9 @@ def enumerate_rho1(
         # loops, first met at length n
         point_set = frozenset(key)
         if point_set not in tables:
-            table = SyndromeTable.from_steps(f, m, [rows[i] for i in point_set], budget)
-            form = _columns_rho1_form(f, [points[i] for i in point_set])
-            tables[point_set] = table, form
+            columns = [points[i] for i in point_set]
+            table = SyndromeTable(f, m, columns, budget)
+            tables[point_set] = table, _columns_rho1_form(f, columns)
         # k = n - m, so at m < 2 the first key refuses
         _require_nontrivial(n, n - m)
         table, form = tables[point_set]

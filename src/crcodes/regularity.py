@@ -11,13 +11,13 @@ whole syndrome code is the base-p encoding of the concatenated digit
 vector, and syndrome addition is digitwise mod p; the codec and the
 digitwise adder are the ones field.py uses for field elements.
 
-SyndromeTable finds each syndrome's leader weight in one BFS,
+SyndromeTable, built from a list of parity columns (a code's, or the
+census's points), finds each syndrome's leader weight in one BFS,
 _word_bfs, which moves whole levels at a time as bit sets and keeps only
 the level sets and the leader weights, bit-sliced until it writes them
-out one byte per syndrome.  It also keeps the covering radius rho and
-the size of the top level.
+out one byte per syndrome.  It also keeps rho and the top level's size.
 
-complete_regularity reads the weight pair first.  By Delsarte's theorem
+CodeAnalysis.report reads the weight pair first.  By Delsarte's theorem
 a code with no nonzero word, or whose minimum weight d is at least
 2s - 1 for s nonzero dual weights, is completely regular with rho = s,
 and spectral_array reads its intersection array off the dual weights:
@@ -71,19 +71,19 @@ _CHUNK_BITS = 1 << 16
 
 
 class SyndromeTable:
-    """Leader weights of a code's cosets, from one BFS.
+    """Leader weights of the coset graph Cay(GF(q)^m, {beta*h_j}) of a
+    list of parity columns h_j of length m, from one BFS.
 
-    step[j][beta] is the syndrome of beta*e_j (step[j][0] is 0).
-    leader_weight[s] is the weight of a coset leader for syndrome s (the
-    distance of the coset from the code), rho is the covering radius and
-    top_level_size the number of syndromes at distance rho.
-
-    SyndromeTable(code) reads the field, m = n - k and the step rows off
-    the code's parity check; from_steps(field, m, step) is given them.
-    Both run one build.  The leader weights depend only on the set of
-    steps of the syndrome graph Cay(GF(q)^m, {beta*h_j}), so the BFS
-    takes each distinct step once, and step rows of any parity check
-    with the same steps give the same table.
+    SyndromeTable(field, m, columns, budget) checks the q^m syndromes
+    against max_syndromes before it reads a column, then builds the step
+    rows, step[j][beta] the syndrome of beta*h_j (step[j][0] is 0), and
+    runs the BFS.  leader_weight[s] is the weight of a coset leader for
+    syndrome s (the distance of the coset from the code), rho is the
+    covering radius and top_level_size the number of syndromes at
+    distance rho.  A code's table is CodeAnalysis.table, built on the
+    columns of its parity check.  The leader weights depend only on the
+    set of steps of the graph, so the BFS takes each distinct step once,
+    and any columns with the same steps give the same table.
 
     The BFS is _word_bfs.  The table keeps one byte of leader weight per
     syndrome; while the BFS runs it holds three level sets and the
@@ -95,31 +95,16 @@ class SyndromeTable:
         "field", "m", "size", "step", "leader_weight", "rho", "top_level_size",
     )
 
-    def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
-        f = code.field
-        self._build(f, code.redundancy, _column_steps(f, code.H.columns()), budget)
-
-    @classmethod
-    def from_steps(
-        cls, field, m: int, step, budget: Budgets = DEFAULT_BUDGETS
-    ) -> "SyndromeTable":
-        """The table whose step rows are `step`, syndromes of length m."""
-        table = cls.__new__(cls)
-        table._build(field, m, step, budget)
-        return table
-
-    def _build(self, f, m: int, step, budget: Budgets) -> None:
-        """The one build: the step rows are read only once the table's
-        q^m syndromes are within budget."""
-        size = f.q**m
+    def __init__(self, field, m: int, columns, budget: Budgets = DEFAULT_BUDGETS):
+        size = field.q**m
         budget.require("max_syndromes", size)
-        self.field = f
+        self.field = field
         self.m = m
         self.size = size
-        self.step = step = list(step)
+        self.step = step = list(_column_steps(field, columns))
         steps = {d for row in step for d in row[1:] if d}
         self.leader_weight, self.rho, self.top_level_size = _word_bfs(
-            f.p, m * f.r, steps
+            field.p, m * field.r, steps
         )
 
 
@@ -236,7 +221,7 @@ def _unpacked(planes: list, C: int, out: bytearray) -> bytearray:
 
 
 def covering_radius(code: LinearCode, budget: Budgets = DEFAULT_BUDGETS) -> int:
-    return SyndromeTable(code, budget).rho
+    return CodeAnalysis(code, budget).table.rho
 
 
 class CodeAnalysis:
@@ -246,7 +231,8 @@ class CodeAnalysis:
     table only outside Delsarte's bound d >= 2s - 1, and no profile.
     Passing one along as `analysis=` is what shares the work: a function
     given none computes what it needs afresh.  `budget` caps every
-    computation made through it.
+    computation made through it, and is the only budget such a function
+    checks.
     """
 
     def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
@@ -260,11 +246,38 @@ class CodeAnalysis:
 
     @cached_property
     def table(self) -> SyndromeTable:
-        return SyndromeTable(self.code, self.budget)
+        code = self.code
+        return SyndromeTable(code.field, code.redundancy, code.H.columns(), self.budget)
 
     @cached_property
     def report(self) -> RegularityReport:
-        return complete_regularity(self.code, self.budget, self)
+        """Decide complete regularity from the weight pair first.
+
+        A code with no nonzero word, or whose minimum weight d is at
+        least 2s - 1 for s nonzero dual weights, is completely regular
+        with rho = s (Delsarte, "Four fundamental parameters of a code
+        and their combinatorial significance", Inform. Control 23, 1973),
+        and its array is spectral_array's: no syndrome table is built.
+        Any other code is decided as spectral_array states it:
+        completely regular exactly when the table's rho is s and its top
+        level holds k_s syndromes; the recurrence, whose cost grows with
+        s, runs only at rho = s.  No profile is recounted:
+        complete_regularity_bruteforce does that.
+        """
+        code = self.code
+        counts, dual_counts = self.weight_pair
+        q, n = code.field.q, code.n
+        s = len(nonzero_weights(dual_counts))
+        weights = nonzero_weights(counts)
+        st = self.table if weights and weights[0] < 2 * s - 1 else None
+        if st is None or st.rho == s:
+            _, k_s, b, c = spectral_array(q, n, code.redundancy, dual_counts)
+            if st is None or st.top_level_size == k_s:
+                if None in b + c:
+                    raise RuntimeError(f"non-integral intersection numbers {b}; {c}")
+                array = IntersectionArray.from_levels(q, n, b, c)
+                return RegularityReport(True, s, array)
+        return RegularityReport(False, st.rho, None)
 
 
 def _analysis_of(code: LinearCode, budget: Budgets, analysis) -> CodeAnalysis:
@@ -399,41 +412,14 @@ def spectral_array(q: int, n: int, m: int, dual_weights: list[int]):
 
 
 def complete_regularity(
-    code: LinearCode,
-    budget: Budgets = DEFAULT_BUDGETS,
-    analysis: CodeAnalysis | None = None,
+    code: LinearCode, budget: Budgets = DEFAULT_BUDGETS
 ) -> RegularityReport:
-    """Decide complete regularity from the weight pair first.
-
-    A code with no nonzero word, or whose minimum weight d is at least
-    2s - 1 for s nonzero dual weights, is completely regular with
-    rho = s (Delsarte, "Four fundamental parameters of a code and their
-    combinatorial significance", Inform. Control 23, 1973), and its
-    array is spectral_array's: no syndrome table is built.  Any other
-    code is decided as spectral_array states it: completely regular
-    exactly when the table's rho is s and its top level holds k_s
-    syndromes; the recurrence, whose cost grows with s, runs only at
-    rho = s.  No profile is recounted: complete_regularity_bruteforce
-    does that.
-
-    The weight pair and the table come from `analysis` (a fresh
-    CodeAnalysis when none is given).  Callers holding a CodeAnalysis
-    read its cached `report` rather than deciding again.
+    """The regularity report of a fresh CodeAnalysis of `code` under
+    `budget`: the verdict, rho and, on a completely regular code, the
+    array, decided as CodeAnalysis.report states.  Callers holding a
+    CodeAnalysis read its cached `report` rather than deciding again.
     """
-    analysis = _analysis_of(code, budget, analysis)
-    counts, dual_counts = analysis.weight_pair
-    q, n = code.field.q, code.n
-    s = len(nonzero_weights(dual_counts))
-    weights = nonzero_weights(counts)
-    st = analysis.table if weights and weights[0] < 2 * s - 1 else None
-    if st is None or st.rho == s:
-        _, k_s, b, c = spectral_array(q, n, code.redundancy, dual_counts)
-        if st is None or st.top_level_size == k_s:
-            if None in b + c:
-                raise RuntimeError(f"non-integral intersection numbers {b}; {c}")
-            array = IntersectionArray.from_levels(q, n, b, c)
-            return RegularityReport(True, s, array)
-    return RegularityReport(False, st.rho, None)
+    return CodeAnalysis(code, budget).report
 
 
 def _recount(st: SyndromeTable, steps):
@@ -489,11 +475,13 @@ def complete_regularity_bruteforce(
     compared by _scan_cosets in increasing syndrome order, every one of
     them on a completely regular code.  Neither the dual weights nor the
     spectral verdict of complete_regularity is read, so this checks it.
-    The max_vectors budget counts the q^m * n(q-1) neighbours recounted.
+    The max_vectors budget counts the q^m * n(q-1) neighbours recounted;
+    it and the table are `analysis`'s, and `budget` only caps a fresh one.
     """
+    analysis = _analysis_of(code, budget, analysis)
     q, n = code.field.q, code.n
-    budget.require("max_vectors", q**code.redundancy * n * (q - 1))
-    st = _analysis_of(code, budget, analysis).table
+    analysis.budget.require("max_vectors", q**code.redundancy * n * (q - 1))
+    st = analysis.table
     profile = _recount(st, [d for row in st.step for d in row[1:]])
     return _scan_cosets(q, n, st.leader_weight, profile)
 
@@ -511,9 +499,9 @@ def beta_solve(
 
     They are read off the dual weights and rho, from the regularity
     report (so from the weight pair alone, with no table, on a code
-    within Delsarte's bound).  alpha_k is the
-    convolution of the code's indicator with that of the weight-k
-    sphere.  Over the characters u of GF(q)^n the first transforms to
+    within Delsarte's bound) of `analysis`, under its own budget;
+    `budget` only caps a fresh one.  alpha_k is the convolution of the
+    code's indicator with that of the weight-k sphere.  Over the characters u of GF(q)^n the first transforms to
     |C| on the dual code and 0 off it, the second to K_k(wt u), the
     Krawtchouk polynomial, and the constant 1 to q^n at u = 0 only.
     Divided by |C| = q^(n-m), the condition holds exactly when

@@ -310,17 +310,16 @@ def _census_keys(f, m, n_max):
 
 
 def _recorded_builds(monkeypatch) -> list:
-    """The step rows of every syndrome table built from now on, through
-    the one build that SyndromeTable(code) and SyndromeTable.from_steps
-    share."""
+    """Every syndrome table whose build starts from now on, refused or
+    not, through SyndromeTable's one constructor."""
     built = []
-    original = regularity_module.SyndromeTable._build
+    original = regularity_module.SyndromeTable.__init__
 
-    def recorded(self, field, m, step, budget):
-        built.append(step)
-        original(self, field, m, step, budget)
+    def recorded(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
 
-    monkeypatch.setattr(regularity_module.SyndromeTable, "_build", recorded)
+    monkeypatch.setattr(regularity_module.SyndromeTable, "__init__", recorded)
     return built
 
 
@@ -351,6 +350,18 @@ def test_census_reduces_each_support_once_and_measures_each_loopless_key_once(
     built = _recorded_builds(monkeypatch)
     enumerate_rho1(2, 2, 6)
     assert (len(rref_calls), len(built)) == (len(supports), len(point_sets))
+
+
+@pytest.mark.parametrize("q, m, n_max, point_sets", [(2, 2, 6, 2), (3, 2, 4, 4)])
+def test_census_builds_its_tables_through_the_constructor(
+    q, m, n_max, point_sets, monkeypatch
+):
+    # one table per point set, each through SyndromeTable.__init__, the
+    # constructor every table goes through, so a span around it counts
+    # the census's tables too
+    built = _recorded_builds(monkeypatch)
+    enumerate_rho1(q, m, n_max)
+    assert len(built) == point_sets
 
 
 @pytest.mark.parametrize("q, m, n_max", [(2, 2, 6), (2, 3, 6), (3, 2, 4), (4, 2, 4)])
@@ -394,15 +405,15 @@ def test_census_codes_come_from_their_supports_rref(q, m, n_max, monkeypatch):
 
     monkeypatch.setattr(classify_module, "_scan_cosets", recorded_scan)
     enumerate_rho1(q, m, n_max)
-    assert all(any(row) for step in built for row in step)
-    assert [_step_multiset(step) for step in built] == want
+    assert all(any(row) for st in built for row in st.step)
+    assert [_step_multiset(st.step) for st in built] == want
     # each key's recounted profiles, levels and rho are those of a table
     # on its first code's steps, each repeated by its multiplicity, with
     # every profile recounted from the table's leader weights
     assert len(scans) == len(first)
     for columns, scan in zip(first.values(), scans):
         steps = list(regularity_module._column_steps(f, columns))
-        st = SyndromeTable.from_steps(f, m, steps)
+        st = SyndromeTable(f, m, columns)
         recount = regularity_module._recount(st, [d for row in steps for d in row[1:]])
         profiles = list(map(recount, range(st.size)))
         assert scan == (len(columns), bytes(st.leader_weight), profiles), columns

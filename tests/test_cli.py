@@ -690,9 +690,9 @@ def test_one_syndrome_table_per_analysis(monkeypatch):
     built = []
     real = SyndromeTable.__init__
 
-    def counting(self, code, *args, **kwargs):
-        built.append(code)
-        real(self, code, *args, **kwargs)
+    def counting(self, field, m, columns, *args, **kwargs):
+        built.append((field, m, columns))
+        real(self, field, m, columns, *args, **kwargs)
 
     monkeypatch.setattr(SyndromeTable, "__init__", counting)
     code = hamming_code(2, 3).extended()
@@ -701,7 +701,7 @@ def test_one_syndrome_table_per_analysis(monkeypatch):
     assert report["beta"] is not None
     # rho = 2 with an antipodal dual, so the Theorem 4.1 cross-check ran
     assert report["classification"]["rho2"]["all_flags"]
-    assert built == [code]
+    assert built == [(code.field, code.redundancy, code.H.columns())]
 
 
 def test_catalog_builds_no_syndrome_table(capsys, monkeypatch, tmp_path):
@@ -710,7 +710,7 @@ def test_catalog_builds_no_syndrome_table(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("a syndrome table was built")
 
-    monkeypatch.setattr(SyndromeTable, "_build", refuse)
+    monkeypatch.setattr(SyndromeTable, "__init__", refuse)
     out = tmp_path / "cat"
     code, _, stderr = run(capsys, "catalog", "--qn-bound", "63", "--out", str(out))
     assert (code, stderr) == (0, "")

@@ -94,7 +94,7 @@ def test_encode_decode_round_trip():
 def test_syndrome_table_against_vector_scan(q, n, r):
     rng = random.Random(q * 100 + n)
     code = _random_code(rng, q, n, r)
-    st = SyndromeTable(code)
+    st = CodeAnalysis(code).table
     oracle = _leader_weight_oracle(code)
     assert st.size == q**code.redundancy
     for s in range(st.size):
@@ -178,7 +178,7 @@ def test_profiles_against_coset_leader_oracle(q):
     kinds = set()
     for code in _oracle_codes(q):
         level, profile = _profile_oracle(code)
-        st = SyndromeTable(code)
+        st = CodeAnalysis(code).table
         assert st.size == len(level)
         for s in range(st.size):
             assert st.leader_weight[s] == level[s]
@@ -242,7 +242,7 @@ def test_word_bfs_matches_syndrome_bfs_on_random_codes(q, chunk_bits, monkeypatc
     monkeypatch.setattr(regularity, "_CHUNK_BITS", chunk_bits)
     sizes = []
     for code in _oracle_codes(q):
-        st = SyndromeTable(code)
+        st = CodeAnalysis(code).table
         lw, profiles = _plain_bfs(st)
         assert lw == st.leader_weight
         scanned = regularity._scan_cosets(
@@ -316,7 +316,7 @@ def test_zero_columns_add_only_loops(q):
     for code in small + large:
         u = rng.randint(1, 3)
         looped = _with_zero_columns(code, u)
-        tables = [SyndromeTable(c) for c in (code, looped)]
+        tables = [CodeAnalysis(c).table for c in (code, looped)]
         plain, padded = (
             (bytes(st.leader_weight), st.rho, st.top_level_size)
             for st in tables
@@ -349,7 +349,7 @@ def test_word_bfs_on_one_syndrome():
 
 
 def test_steps_that_do_not_span_are_refused_on_each_path():
-    # from_steps takes any rows, so the syndrome graph can be
+    # the constructor takes any columns, so the syndrome graph can be
     # disconnected: one binary step in GF(2)^2, steps in the hyperplane
     # x_6 = 0 of GF(3)^7, and no step at all in GF(2)^1, one syndrome short
     in_hyperplane = [tuple(int(i == j) for i in range(7)) for j in range(6)]
@@ -359,9 +359,8 @@ def test_steps_that_do_not_span_are_refused_on_each_path():
         (GF(2), 1, [(0,)]),
     ]
     for f, m, columns in cases:
-        step = list(regularity._column_steps(f, columns))
         with pytest.raises(RuntimeError, match="^syndrome graph is not connected$"):
-            SyndromeTable.from_steps(f, m, step)
+            SyndromeTable(f, m, columns)
 
 
 def test_four_byte_counts_on_each_path():
@@ -557,7 +556,7 @@ def test_syndrome_table_build_peaks_near_two_bytes_per_syndrome():
     assert code.redundancy == 20
     tracemalloc.start()
     try:
-        st = SyndromeTable(code)
+        st = CodeAnalysis(code).table
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -581,7 +580,7 @@ def test_syndrome_budget(monkeypatch):
     encoded = []
     monkeypatch.setattr(regularity, "_from_base", lambda *args: encoded.append(args))
     with pytest.raises(BudgetExceeded) as err:
-        SyndromeTable(hamming_code(2, 3), Budgets(max_syndromes=7))
+        CodeAnalysis(hamming_code(2, 3), Budgets(max_syndromes=7)).table
     assert err.value.budget == "max_syndromes" and encoded == []
 
 
@@ -609,7 +608,7 @@ def test_complete_regularity_ternary_hamming():
 
 @pytest.mark.parametrize(
     "reader",
-    [complete_regularity, complete_regularity_bruteforce, beta_solve, verify_theorem41],
+    [complete_regularity_bruteforce, beta_solve, verify_theorem41],
     ids=lambda reader: reader.__name__,
 )
 def test_an_analysis_of_another_code_is_refused(reader):
@@ -625,6 +624,23 @@ def test_an_analysis_of_another_code_is_refused(reader):
     same = CodeAnalysis(hamming_code(3, 2))
     reader(code, analysis=same)
     assert set(vars(same)) > {"code", "budget"}
+
+
+def test_a_reader_given_an_analysis_checks_only_its_budget():
+    # `budget` only caps a fresh analysis: a reader given one checks
+    # every limit against that analysis's budget, and never mixes the two
+    code = hamming_code(2, 4)
+    with pytest.raises(BudgetExceeded) as err:
+        complete_regularity_bruteforce(
+            code, Budgets(), CodeAnalysis(code, Budgets(max_vectors=1))
+        )
+    assert err.value.budget == "max_vectors"
+    tiny = Budgets(1, 1, 1)
+    rep = verify_theorem41(code, Budgets(max_codewords=1), CodeAnalysis(code))
+    assert rep == verify_theorem41(code)
+    slow = complete_regularity_bruteforce(code, tiny, CodeAnalysis(code))
+    assert slow == complete_regularity(code)
+    assert beta_solve(code, tiny, CodeAnalysis(code)) == beta_solve(code)
 
 
 def test_scan_stops_at_the_first_syndrome_off_its_levels_profile():
@@ -757,7 +773,7 @@ def test_spectral_verdict_guards(monkeypatch):
     for code in (inside, outside):
         analysis = CodeAnalysis(code)
         with pytest.raises(RuntimeError, match="^non-integral intersection numbers"):
-            complete_regularity(code, analysis=analysis)
+            analysis.report
         assert ("table" in vars(analysis)) == (code is outside)
 
 
@@ -840,7 +856,7 @@ def test_bruteforce_against_both_verdict_branches():
         codes.extend(_oracle_codes(q, 60, 2900))
     for code in codes:
         analysis = CodeAnalysis(code)
-        report = complete_regularity(code, analysis=analysis)
+        report = analysis.report
         counts, dual_counts = analysis.weight_pair
         weights = nonzero_weights(counts)
         s = len(nonzero_weights(dual_counts))
@@ -932,7 +948,7 @@ def coset_weight_counts(
     q, n = code.field.q, code.n
     total = q**n
     budget.require("max_vectors", total)
-    st = SyndromeTable(code, budget)
+    st = CodeAnalysis(code, budget).table
     f = st.field
     # the walk turns coordinate j from a into (a + 1) % q by adding the
     # syndrome of (a + 1 - a)*e_j; its weight rises as the digit leaves 0
@@ -958,7 +974,7 @@ def coset_low_weight_counts(
     q, n = code.field.q, code.n
     total = sum(comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
     budget.require("max_vectors", total)
-    st = SyndromeTable(code, budget)
+    st = CodeAnalysis(code, budget).table
     p, step = st.field.p, st.step
     counts = [[0] * (wmax + 1) for _ in range(st.size)]
     counts[0][0] = 1
@@ -982,7 +998,7 @@ def test_coset_weight_counts_shape_and_marginals():
         assert counts[0] == weight_distribution(code)
         for w in range(n + 1):
             assert sum(row[w] for row in counts) == comb(n, w) * (q - 1) ** w
-        leader_weight = SyndromeTable(code).leader_weight
+        leader_weight = CodeAnalysis(code).table.leader_weight
         for s, row in enumerate(counts):
             assert sum(row) == q ** code.k
             # the first nonzero distance is the leader weight
