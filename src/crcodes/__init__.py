@@ -13,11 +13,10 @@ from importlib import import_module
 _EXPORTS = {
     "budgets": ("DEFAULT_BUDGETS", "BudgetExceeded", "Budgets"),
     "classify": (
-        "CorpusEntry", "CorpusReport", "NoZeroColumnReachable", "NotOfForm",
-        "NotTwoWeight", "Rho1Form", "Rho2Report", "TrivialCode",
-        "TwoWeightStructure", "classify_rho1", "enumerate_rho1",
-        "rho1_intersection_array", "two_weight_structure", "verify_theorem31",
-        "verify_theorem41",
+        "CorpusEntry", "CorpusReport", "NotOfForm", "NotTwoWeight",
+        "Rho1Form", "Rho2Report", "TrivialCode", "TwoWeightStructure",
+        "classify_rho1", "enumerate_rho1", "rho1_intersection_array",
+        "two_weight_structure", "verify_theorem31", "verify_theorem41",
     ),
     "codes": (
         "LinearCode", "canonical_column", "complementary_parity_columns",

@@ -36,7 +36,6 @@ from .regularity import (
     IntersectionArray,
     RegularityReport,
     SyndromeTable,
-    _analysis_of,
     _column_steps,
     _recount,
     _scan_cosets,
@@ -46,12 +45,6 @@ from .regularity import (
 class TrivialCode(ValueError):
     """Raised for codes outside 2 <= k <= n-2, where the classification
     theorems make no statement."""
-
-
-class NoZeroColumnReachable(RuntimeError):
-    """Every structural flag holds but no puncture coordinate yields a
-    residual of the recognized radius-1 form; reported instead of being
-    treated as a failed verification."""
 
 
 class NotTwoWeight(ValueError):
@@ -234,12 +227,8 @@ def _antipodal_split(A: MatrixGF, pin: int):
     return scaling, W, weights, counts
 
 
-def verify_theorem41(
-    code: LinearCode,
-    budget: Budgets = DEFAULT_BUDGETS,
-    analysis: CodeAnalysis | None = None,
-) -> Rho2Report:
-    """Run the radius-2 normal-form checks.
+def verify_theorem41(analysis: CodeAnalysis) -> Rho2Report:
+    """Run the radius-2 normal-form checks on the code of `analysis`.
 
     (1) find the first full-weight dual codeword in odometer order,
     walking the dual's projective classes only when its weights show one, (2)
@@ -251,18 +240,30 @@ def verify_theorem41(
     against the measured coset regularity whenever the covering radius
     is 2 and the dual is antipodal, which is the regime the equivalence
     speaks about.  The weight pair, the regularity report and every
-    budget come from `analysis`; `budget` only caps a fresh one.
+    budget are those of `analysis`.
+
+    At (5), column 0 is found exactly when M is equidistant.  (3) pins
+    that column of M to zero, and M has full rank.  By Bonisoli's
+    theorem ("Every equidistant linear code is a sequence of dual
+    Hamming codes", Ars Combinatoria 18, 1984) an equidistant code is a
+    replicated simplex code plus zero coordinates, up to monomial
+    equivalence, so the columns of a full-rank generator of it are
+    every projective point, each ell times, plus zeros: the radius-1
+    form.  Conversely, such columns generate a replicated simplex code,
+    which is equidistant.  So every code whose flags all hold stops at
+    column 0; the later coordinates are searched only when M is not
+    equidistant, when equidistant_ok and symbol_frequency_ok both fail.
 
     Accepts k = 1 (redundancy >= 2 is all the normal form needs); the
     catalog's radius-2 list contains such members.
     """
+    code = analysis.code
     if code.k < 1 or code.redundancy < 2:
         raise TrivialCode(
             f"[{code.n},{code.k}] needs k >= 1 and redundancy >= 2"
         )
     f = code.field
     q, n = f.q, code.n
-    analysis = _analysis_of(code, budget, analysis)
 
     dual_size = q**code.redundancy
     # Walk the dual only for a full-weight word that the weight pair
@@ -294,30 +295,13 @@ def verify_theorem41(
     report = Rho2Report(
         True, scaling, M, equidistant_ok, symbol_frequency_ok, form, pcol
     )
-    _crosscheck_rho2(report, analysis)
-    return report
-
-
-def _crosscheck_rho2(report: Rho2Report, analysis: CodeAnalysis):
-    code, rep = analysis.code, analysis.report
-    if rep.rho != 2:
-        return
-    if rep.is_completely_regular == report.all_flags:
-        return
-    if (
-        rep.is_completely_regular
-        and report.equidistant_ok
-        and report.symbol_frequency_ok
-        and report.punctured_rho1_form is None
-    ):
-        raise NoZeroColumnReachable(
-            f"[{code.n},{code.k}] is completely regular but no puncture "
-            "coordinate produced the radius-1 column form"
+    rep = analysis.report
+    if rep.rho == 2 and rep.is_completely_regular != report.all_flags:
+        raise AssertionError(
+            f"[{n},{code.k}]: structural flags {report.all_flags} disagree "
+            f"with measured regularity {rep.is_completely_regular} at radius 2"
         )
-    raise AssertionError(
-        f"[{code.n},{code.k}]: structural flags {report.all_flags} disagree "
-        f"with measured regularity {rep.is_completely_regular} at radius 2"
-    )
+    return report
 
 
 class TwoWeightStructure(NamedTuple):

@@ -28,7 +28,6 @@ import sys
 
 from .budgets import DEFAULT_BUDGETS, BudgetExceeded, Budgets
 from .classify import (
-    NoZeroColumnReachable,
     Rho1Form,
     Rho2Report,
     TrivialCode,
@@ -125,10 +124,10 @@ def analysis_report(
         "uniformly_packed": rep.rho == s,
     }
     if with_beta:
-        beta = beta_solve(code, budget, analysis)
+        beta = beta_solve(analysis)
         report["beta"] = None if beta is None else [str(x) for x in beta]
     if brute_force:
-        slow = complete_regularity_bruteforce(code, budget, analysis)
+        slow = complete_regularity_bruteforce(analysis)
         if slow != rep:
             raise AssertionError(
                 "the syndrome table's regularity report and the brute-force"
@@ -141,7 +140,7 @@ def analysis_report(
         form = None
     rho1 = _plain(form) if isinstance(form, Rho1Form) else None
     try:
-        rho2 = _rho2_json(verify_theorem41(code, budget, analysis))
+        rho2 = _rho2_json(verify_theorem41(analysis))
     except TrivialCode:
         rho2 = None
     else:
@@ -256,7 +255,7 @@ def cmd_classify(args) -> int:
         ]
         status = 0 if holds else 5
     elif args.theorem == "41":
-        rep = verify_theorem41(code, budget)
+        rep = verify_theorem41(CodeAnalysis(code, budget))
         payload = _rho2_json(rep)
         form = rep.punctured_rho1_form
         lines = [
@@ -391,7 +390,6 @@ _EXIT_CODES = {
     MatrixFormatError: 3,
     OSError: 3,
     BudgetExceeded: 4,
-    NoZeroColumnReachable: 5,
     ValueError: 2,
     AssertionError: 5,
 }

@@ -10,7 +10,8 @@ Format (comment lines start with '#', blank lines are ignored):
 
 The poly field carries the modulus coefficients, low order first, and is
 required only to override the pinned default for an extension field.
-Entries must be integers in 0..q-1.
+Every number (q, the poly coefficients, rows, cols and the entries) is
+a plain run of decimal digits, and entries lie in 0..q-1.
 """
 
 from __future__ import annotations
@@ -68,6 +69,18 @@ def _tokens(lineno: int, line: str):
         yield token, key, value
 
 
+def _number(text: str) -> int | None:
+    """text as an int when it is a non-empty run of ASCII digits, else
+    None: no sign, underscore or space, which int() would accept.  A run
+    longer than int() reads (sys.get_int_max_str_digits()) is None too."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_matrix(text: str) -> MatrixGF:
     lines = _significant_lines(text)
 
@@ -79,15 +92,13 @@ def parse_matrix(text: str) -> MatrixGF:
     poly = None
     for token, key, value in _tokens(lineno, header):
         if key == "q" and value:
-            try:
-                q = int(value)
-            except ValueError:
-                raise MatrixFormatError(lineno, f"bad q value {value!r}") from None
+            q = _number(value)
+            if q is None:
+                raise MatrixFormatError(lineno, f"bad q value {value!r}")
         elif key == "poly" and value:
-            try:
-                poly = tuple(int(c) for c in value.split(","))
-            except ValueError:
-                raise MatrixFormatError(lineno, f"bad poly value {value!r}") from None
+            poly = tuple(map(_number, value.split(",")))
+            if None in poly:
+                raise MatrixFormatError(lineno, f"bad poly value {value!r}")
         else:
             raise MatrixFormatError(lineno, f"unexpected token {token!r}")
     if q is None:
@@ -103,10 +114,11 @@ def parse_matrix(text: str) -> MatrixGF:
         raise MatrixFormatError(lineno + 1, "missing rows=/cols= line") from None
     nrows = ncols = None
     for token, key, value in _tokens(lineno, shape):
-        if key == "rows" and value.isdigit():
-            nrows = int(value)
-        elif key == "cols" and value.isdigit():
-            ncols = int(value)
+        number = _number(value)
+        if key == "rows" and number is not None:
+            nrows = number
+        elif key == "cols" and number is not None:
+            ncols = number
         else:
             raise MatrixFormatError(lineno, f"unexpected token {token!r}")
     if nrows is None or ncols is None:
@@ -128,11 +140,10 @@ def parse_matrix(text: str) -> MatrixGF:
             )
         row = []
         for part in parts:
-            try:
-                x = int(part)
-            except ValueError:
-                raise MatrixFormatError(lineno, f"bad entry {part!r}") from None
-            if not 0 <= x < q:
+            x = _number(part)
+            if x is None:
+                raise MatrixFormatError(lineno, f"bad entry {part!r}")
+            if x >= q:
                 raise MatrixFormatError(
                     lineno, f"entry {x} out of range for GF({q})"
                 )

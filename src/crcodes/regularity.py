@@ -229,15 +229,24 @@ class CodeAnalysis:
     on first use and then kept: the weight pair, the syndrome table and
     the regularity report.  The report reads the weight pair first, the
     table only outside Delsarte's bound d >= 2s - 1, and no profile.
-    Passing one along as `analysis=` is what shares the work: a function
-    given none computes what it needs afresh.  `budget` caps every
-    computation made through it, and is the only budget such a function
-    checks.
+    complete_regularity_bruteforce, beta_solve and verify_theorem41 each
+    take one and read its code and budget, so passing one along is what
+    shares the work.  `budget` caps every computation made through it.
     """
 
     def __init__(self, code: LinearCode, budget: Budgets = DEFAULT_BUDGETS):
         self.code = code
         self.budget = budget
+
+    # The code's field and length, as perfbench/tracer.py reads them off
+    # the brute force's argument to count its vectors.
+    @property
+    def field(self):
+        return self.code.field
+
+    @property
+    def n(self) -> int:
+        return self.code.n
 
     @cached_property
     def weight_pair(self) -> tuple[list[int], list[int]]:
@@ -278,16 +287,6 @@ class CodeAnalysis:
                 array = IntersectionArray.from_levels(q, n, b, c)
                 return RegularityReport(True, s, array)
         return RegularityReport(False, st.rho, None)
-
-
-def _analysis_of(code: LinearCode, budget: Budgets, analysis) -> CodeAnalysis:
-    """`analysis` when it is one of `code`, or a fresh CodeAnalysis of
-    `code` under `budget` when none is given."""
-    if analysis is None:
-        return CodeAnalysis(code, budget)
-    if analysis.code != code:
-        raise ValueError("the analysis given is of another code")
-    return analysis
 
 
 class IntersectionArray(NamedTuple):
@@ -459,14 +458,11 @@ def _recount(st: SyndromeTable, steps):
     return profile
 
 
-def complete_regularity_bruteforce(
-    code: LinearCode,
-    budget: Budgets = DEFAULT_BUDGETS,
-    analysis: CodeAnalysis | None = None,
-) -> RegularityReport:
-    """Independent check of the definition: every vector v at distance i
-    from the code has the same number c_i of neighbors v + beta*e_j at
-    distance i - 1 and b_i at distance i + 1.
+def complete_regularity_bruteforce(analysis: CodeAnalysis) -> RegularityReport:
+    """Independent check of the definition on the code of `analysis`:
+    every vector v at distance i from the code has the same number c_i
+    of neighbors v + beta*e_j at distance i - 1 and b_i at distance
+    i + 1.
 
     The distance of v and the syndromes s + step[j][beta] of its n(q-1)
     neighbors depend only on the syndrome s of v, so the vectors of one
@@ -475,10 +471,10 @@ def complete_regularity_bruteforce(
     compared by _scan_cosets in increasing syndrome order, every one of
     them on a completely regular code.  Neither the dual weights nor the
     spectral verdict of complete_regularity is read, so this checks it.
-    The max_vectors budget counts the q^m * n(q-1) neighbours recounted;
-    it and the table are `analysis`'s, and `budget` only caps a fresh one.
+    The max_vectors budget of `analysis` counts the q^m * n(q-1)
+    neighbours recounted; the table is the analysis's.
     """
-    analysis = _analysis_of(code, budget, analysis)
+    code = analysis.code
     q, n = code.field.q, code.n
     analysis.budget.require("max_vectors", q**code.redundancy * n * (q - 1))
     st = analysis.table
@@ -486,22 +482,18 @@ def complete_regularity_bruteforce(
     return _scan_cosets(q, n, st.leader_weight, profile)
 
 
-def beta_solve(
-    code: LinearCode,
-    budget: Budgets = DEFAULT_BUDGETS,
-    analysis: CodeAnalysis | None = None,
-) -> list[Fraction] | None:
+def beta_solve(analysis: CodeAnalysis) -> list[Fraction] | None:
     """Rational coefficients beta_0..beta_rho with
     sum_k beta_k * alpha_k(v) = 1 for every ambient vector v, where
-    alpha_k(v) counts codewords at distance k from v; None when no such
-    coefficients exist.  Solvability is equivalent to the code being
-    uniformly packed in the wide sense.
+    alpha_k(v) counts codewords at distance k from v, for the code of
+    `analysis`; None when no such coefficients exist.  Solvability is
+    equivalent to the code being uniformly packed in the wide sense.
 
     They are read off the dual weights and rho, from the regularity
-    report (so from the weight pair alone, with no table, on a code
-    within Delsarte's bound) of `analysis`, under its own budget;
-    `budget` only caps a fresh one.  alpha_k is the convolution of the
-    code's indicator with that of the weight-k sphere.  Over the characters u of GF(q)^n the first transforms to
+    report of `analysis` (so from the weight pair alone, with no table,
+    on a code within Delsarte's bound), under its budget.  alpha_k is
+    the convolution of the code's indicator with that of the weight-k
+    sphere.  Over the characters u of GF(q)^n the first transforms to
     |C| on the dual code and 0 off it, the second to K_k(wt u), the
     Krawtchouk polynomial, and the constant 1 to q^n at u = 0 only.
     Divided by |C| = q^(n-m), the condition holds exactly when
@@ -515,7 +507,7 @@ def beta_solve(
     beta_k = sum_i C(n,i)(q-1)^i P(i) K_k(i) / (q^n C(n,k)(q-1)^k).
     The sums run in integers on P(i) prod_w w = q^m prod_w (w - i).
     """
-    analysis = _analysis_of(code, budget, analysis)
+    code = analysis.code
     rho = analysis.report.rho
     q, n, m = code.field.q, code.n, code.redundancy
     dual_weights = nonzero_weights(analysis.weight_pair[1])

@@ -164,7 +164,7 @@ def test_criterion_3_radius2_normal_form(catalog48):
     rho2 = [(d, c) for d, c in catalog48 if d.rho == 2]
     assert len(rho2) == 39
     for desc, code in rho2:
-        report = verify_theorem41(code)
+        report = verify_theorem41(CodeAnalysis(code))
         assert report.all_flags, desc.slug
         # symbol frequency: every symbol of every nonzero residual word
         # occurs exactly n - dtilde times, dtilde the dual distance
@@ -179,7 +179,7 @@ def test_criterion_3_radius2_normal_form(catalog48):
         for r in zeroed:
             r[0] = 0
         bad = LinearCode.from_parity(MatrixGF(code.field, zeroed, code.n))
-        flipped = verify_theorem41(bad)
+        flipped = verify_theorem41(CodeAnalysis(bad))
         assert not flipped.all_flags, desc.slug
 
 
@@ -199,7 +199,7 @@ def test_criterion_4_bruteforce_oracle_agreement(
     censuses = (census_2_2_8, census_2_3_8, census_3_2_5)
     checked = 0
     for code in _corpus(catalog48, censuses, bound=2**16):
-        slow = complete_regularity_bruteforce(code)
+        slow = complete_regularity_bruteforce(CodeAnalysis(code))
         assert slow == complete_regularity(code)
         checked += 1
     assert checked > 10000
@@ -220,7 +220,7 @@ def test_criterion_5_uniform_packing_consistency(
         rho = analysis.report.rho
         s = len(nonzero_weights(analysis.weight_pair[1]))
         assert rho <= s
-        beta = beta_solve(code, analysis=analysis)
+        beta = beta_solve(analysis)
         assert (rho == s) == (beta is not None)
 
 

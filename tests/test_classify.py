@@ -14,7 +14,6 @@ from crcodes import matrix as matrix_module
 from crcodes import regularity as regularity_module
 from crcodes.budgets import Budgets, BudgetExceeded
 from crcodes.classify import (
-    NoZeroColumnReachable,
     NotOfForm,
     NotTwoWeight,
     Rho1Form,
@@ -32,6 +31,7 @@ from crcodes.constructions import (
     construction_II,
     difference_matrix_code,
     external_lines_code,
+    family_catalog,
     hamming_code,
     hamming_parity,
     hyperoval,
@@ -39,7 +39,7 @@ from crcodes.constructions import (
 )
 from crcodes.field import GF
 from crcodes.matrix import MatrixGF, rank, rref
-from crcodes.regularity import SyndromeTable, complete_regularity
+from crcodes.regularity import CodeAnalysis, SyndromeTable, complete_regularity
 
 
 def test_rho1_form_invariants():
@@ -131,7 +131,7 @@ def test_verify_theorem31():
 
 
 def test_verify_theorem41_extended_hamming():
-    rep = verify_theorem41(hamming_code(2, 3).extended())
+    rep = verify_theorem41(CodeAnalysis(hamming_code(2, 3).extended()))
     assert rep.dual_antipodal
     assert rep.column_scaling == (1,) * 8
     assert rep.M.nrows == 3
@@ -143,13 +143,13 @@ def test_verify_theorem41_extended_hamming():
 
 
 def test_verify_theorem41_difference_matrix():
-    rep = verify_theorem41(difference_matrix_code(3, 2))
+    rep = verify_theorem41(CodeAnalysis(difference_matrix_code(3, 2)))
     assert rep.all_flags
     assert rep.column_scaling == (1,) * 9
     assert rep.punctured_rho1_form == Rho1Form(m=2, ell=2, u=0)
     assert rep.puncture_column == 0
     # the k = 1 member participates as well
-    rep = verify_theorem41(difference_matrix_code(3, 1))
+    rep = verify_theorem41(CodeAnalysis(difference_matrix_code(3, 1)))
     assert rep.all_flags
     assert rep.punctured_rho1_form == Rho1Form(m=1, ell=2, u=0)
 
@@ -159,7 +159,7 @@ def test_verify_theorem41_flags_fall_on_corruption():
     cols = [list(c) for c in ext.H.columns()]
     cols[0] = [0] * len(cols[0])
     broken = LinearCode.from_parity(MatrixGF.from_columns(ext.field, cols))
-    rep = verify_theorem41(broken)
+    rep = verify_theorem41(CodeAnalysis(broken))
     assert not rep.dual_antipodal
     assert not rep.all_flags
 
@@ -182,7 +182,7 @@ def test_verify_theorem41_walks_no_dual_word_without_a_full_weight_one(
 
     monkeypatch.setattr(codes_module, "iter_projective", counting)
     monkeypatch.setattr(classify_module, "iter_projective", counting)
-    rep = verify_theorem41(code)
+    rep = verify_theorem41(CodeAnalysis(code))
     assert not rep.dual_antipodal
     assert not rep.all_flags
     assert dual_words == 0
@@ -197,18 +197,77 @@ def test_verify_theorem41_walks_the_residual_generator_once(monkeypatch):
 
     monkeypatch.setattr(codes_module, "iter_projective", counting)
     monkeypatch.setattr(classify_module, "iter_projective", counting)
-    rep = verify_theorem41(difference_matrix_code(3, 2))
+    rep = verify_theorem41(CodeAnalysis(difference_matrix_code(3, 2)))
     assert rep.all_flags
     assert sum(M == rep.M for M in walked) == 1
 
 
 def test_verify_theorem41_trivial_inputs():
     f = GF(2)
-    with pytest.raises(TrivialCode):
-        verify_theorem41(LinearCode.from_parity(MatrixGF(f, [[1, 1, 1]])))
-    with pytest.raises(TrivialCode):
-        verify_theorem41(LinearCode.from_parity(MatrixGF(f, [[1, 0], [0, 1]])))
-    assert issubclass(NoZeroColumnReachable, RuntimeError)
+    for rows in ([[1, 1, 1]], [[1, 0], [0, 1]]):
+        code = LinearCode.from_parity(MatrixGF(f, rows))
+        with pytest.raises(TrivialCode):
+            verify_theorem41(CodeAnalysis(code))
+
+
+def _antipodal_codes(q, trials, seed):
+    """Seeded codes over GF(q) whose parity check has a row of nonzero
+    entries, so that the dual is antipodal.  Below that row, every third
+    code has the rows of a replicated simplex generator plus zero
+    columns, so an equidistant residual; the others have random rows,
+    half of them with a planted column repeated as a scalar multiple of
+    another.  The columns are then scaled and permuted."""
+    f = GF(q)
+    rng = random.Random(seed + q)
+    n_max = {2: 9, 3: 7, 4: 6, 5: 6, 7: 5, 8: 5, 9: 5}[q]
+    for trial in range(trials):
+        if trial % 3 == 0:
+            m = rng.randrange(1, 3 if q > 3 else 4)
+            cols = pg_points(f, m) * rng.randrange(1, 3)
+            cols += [(0,) * m] * rng.randrange(2)
+            n = len(cols)
+            rows = [list(row) for row in zip(*cols)]
+        else:
+            n = rng.randrange(4, n_max + 1)
+            rows = [
+                [rng.randrange(q) for _ in range(n)]
+                for _ in range(rng.randrange(1, n - 1))
+            ]
+            if trial % 3 == 2:
+                j0, j1 = rng.sample(range(n), 2)
+                beta = rng.randrange(1, q)
+                for row in rows:
+                    row[j0] = f.mul(beta, row[j1])
+        rows.insert(0, [1] * n)
+        scale = [rng.randrange(1, q) for _ in range(n)]
+        perm = rng.sample(range(n), n)
+        rows = [[f.mul(scale[j], row[j]) for j in perm] for row in rows]
+        code = LinearCode.from_parity(MatrixGF(f, rows, n))
+        if code.k >= 1 and code.redundancy >= 2:
+            yield code
+
+
+def test_bonisoli_puncture_at_column_0_exactly_when_equidistant():
+    # By Bonisoli's theorem an equidistant code is a replicated simplex
+    # code plus zero coordinates, so the residual M, whose column 0 the
+    # split pins to zero, has the radius-1 column form without that
+    # column exactly when it is equidistant: the puncture search stops
+    # at column 0 on those, and only on those.  Corpus: the catalog-63
+    # members and seeded antipodal codes over GF(2..9)
+    kinds = Counter()
+    codes = [code for _, code in family_catalog(63)]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        codes.extend(_antipodal_codes(q, 30, 4200))
+    for code in codes:
+        rep = verify_theorem41(CodeAnalysis(code))
+        if rep.dual_antipodal:
+            assert rep.equidistant_ok == (rep.puncture_column == 0), code.H
+            later = rep.puncture_column is not None and rep.puncture_column > 0
+            kinds[rep.equidistant_ok, later] += 1
+    # equidistant; not, with a form at a later column; not, with none
+    assert kinds[True, False] >= 48 + 50
+    assert kinds[False, True] >= 20
+    assert kinds[False, False] >= 90
 
 
 def test_two_weight_structure_full_length():
@@ -265,7 +324,7 @@ def test_theorem52_on_the_dual_mirrors_theorem41(catalog48):
     rho2 = [(d, c) for d, c in catalog48 if d.rho == 2]
     assert len(rho2) == 39
     for desc, code in rho2:
-        rep = verify_theorem41(code)
+        rep = verify_theorem41(CodeAnalysis(code))
         tw = two_weight_structure(code.dual())
         assert tw.w1_is_length == rep.dual_antipodal, desc.slug
         assert tw.column_scaling == rep.column_scaling, desc.slug

@@ -17,7 +17,6 @@ from crcodes import cli as cli_module
 from crcodes import codes as codes_module
 from crcodes import constructions as constructions_module
 from crcodes import regularity as regularity_module
-from crcodes.classify import NoZeroColumnReachable
 from crcodes.cli import analysis_report, main
 from crcodes.codes import LinearCode
 from crcodes.constructions import (
@@ -292,8 +291,12 @@ def test_budget_flags_refuse_negative_caps(capsys, hamming32_path, flag, needed)
     )
 
 
+class _Refuted(AssertionError):
+    """A verifier's own failure type: exit 5 goes by kind, not exact class."""
+
+
 @pytest.mark.parametrize(
-    "error", [NoZeroColumnReachable("no puncture works"), AssertionError("broken")]
+    "error", [AssertionError("broken"), _Refuted("the biconditional fails")]
 )
 def test_verifier_failures_exit_5(capsys, monkeypatch, diffmat32_path, error):
     # today's mapping, which ROADMAP item 6 plans to narrow to typed errors
@@ -687,6 +690,9 @@ def test_catalog_through_the_first_arc_codes_with_distance_3(capsys, tmp_path):
 
 
 def test_one_syndrome_table_per_analysis(monkeypatch):
+    # every reader takes the report's analysis: one walk of the weight
+    # pair and one table serve the report, beta, the brute force and the
+    # Theorem 4.1 cross-check
     built = []
     real = SyndromeTable.__init__
 
@@ -694,7 +700,15 @@ def test_one_syndrome_table_per_analysis(monkeypatch):
         built.append((field, m, columns))
         real(self, field, m, columns, *args, **kwargs)
 
+    walked = []
+    real_walk = codes_module._rowspace_weights
+
+    def counting_walk(M, budget):
+        walked.append(M)
+        return real_walk(M, budget)
+
     monkeypatch.setattr(SyndromeTable, "__init__", counting)
+    monkeypatch.setattr(codes_module, "_rowspace_weights", counting_walk)
     code = hamming_code(2, 3).extended()
     report = analysis_report(code, with_beta=True, brute_force=True)
     assert report["brute_force_agrees"]
@@ -702,6 +716,7 @@ def test_one_syndrome_table_per_analysis(monkeypatch):
     # rho = 2 with an antipodal dual, so the Theorem 4.1 cross-check ran
     assert report["classification"]["rho2"]["all_flags"]
     assert built == [(code.field, code.redundancy, code.H.columns())]
+    assert walked == [code.G]  # the code side, on a tie
 
 
 def test_catalog_builds_no_syndrome_table(capsys, monkeypatch, tmp_path):

@@ -68,6 +68,16 @@ def test_comments_and_blank_lines_ignored():
         ("q=4 poly=1,1,1 poly=1,1,1\nrows=1 cols=1\n0\n", 1),
         ("q=3\nrows=1 rows=2 cols=2\n0 0\n0 0\n", 2),
         ("q=3\nrows=1 cols=2 cols=2\n0 0\n", 2),
+        # numbers are plain decimal digits: int() would read these
+        ("q=1_1\nrows=1 cols=1\n0\n", 1),
+        ("q=+2\nrows=1 cols=1\n0\n", 1),
+        ("q=9 poly=+2,2,1\nrows=1 cols=1\n0\n", 1),
+        ("q=9 poly=2,2,1_0\nrows=1 cols=1\n0\n", 1),
+        ("q=11\nrows=1 cols=2\n1 1_0\n", 3),
+        ("q=2\nrows=1 cols=1\n+1\n", 3),
+        ("q=2\nrows=1 cols=1\n-0\n", 3),
+        ("q=2\nrows=1 cols=1\n-1\n", 3),
+        ("q=2\nrows=1 cols=1\n\u0661\n", 3),  # ARABIC-INDIC DIGIT ONE
     ],
 )
 def test_malformed_inputs_report_line(text, line):
@@ -75,6 +85,34 @@ def test_malformed_inputs_report_line(text, line):
         parse_matrix(text)
     assert err.value.line == line
     assert f"line {line}:" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("q=2\nrows=1 cols=1\n-1\n", "line 3: bad entry '-1'"),
+        ("q=2\nrows=1 cols=1\n2\n", "line 3: entry 2 out of range for GF(2)"),
+        ("q=1_1\nrows=1 cols=1\n0\n", "line 1: bad q value '1_1'"),
+        ("q=9 poly=+2,2,1\nrows=1 cols=1\n0\n", "line 1: bad poly value '+2,2,1'"),
+        # more digits than int() reads
+        pytest.param(
+            "q=2\nrows=1 cols=1\n" + "1" * 5000 + "\n", "line 3: bad entry '1111",
+            id="5000-digit entry",
+        ),
+        pytest.param(
+            "q=2\nrows=" + "1" * 5000 + " cols=1\n", "line 2: unexpected token",
+            id="5000-digit rows",
+        ),
+    ],
+)
+def test_a_refused_number_names_its_spelling(text, message):
+    with pytest.raises(MatrixFormatError) as err:
+        parse_matrix(text)
+    assert str(err.value).startswith(message)
+
+
+def test_leading_zeros_are_plain_digits():
+    assert parse_matrix("q=03\nrows=01 cols=2\n02 00\n") == MatrixGF(GF(3), [[2, 0]])
 
 
 def test_format_is_stable():

@@ -23,10 +23,10 @@ SUBMODULES = [
 EXPORTS = [
     "BudgetExceeded", "Budgets", "CodeAnalysis", "CorpusEntry", "CorpusReport",
     "DEFAULT_BUDGETS", "FamilyDescriptor", "Field", "GF", "IntersectionArray",
-    "LinearCode", "MatrixFormatError", "MatrixGF", "NoZeroColumnReachable",
-    "NotOfForm", "NotTwoWeight", "ProjectivePointSet", "RegularityReport",
-    "Rho1Form", "Rho2Report", "SyndromeTable", "TrivialCode",
-    "TwoWeightStructure", "antipodal_d1", "antipodal_d1_pair",
+    "LinearCode", "MatrixFormatError", "MatrixGF", "NotOfForm",
+    "NotTwoWeight", "ProjectivePointSet", "RegularityReport", "Rho1Form",
+    "Rho2Report", "SyndromeTable", "TrivialCode", "TwoWeightStructure",
+    "antipodal_d1", "antipodal_d1_pair",
     "beta_solve", "budgets", "build_family", "canonical_column", "classify",
     "classify_rho1", "codes", "complementary_parity_columns",
     "complete_regularity", "complete_regularity_bruteforce", "construction_I",

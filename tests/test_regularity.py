@@ -190,7 +190,7 @@ def test_profiles_against_coset_leader_oracle(q):
             code.field.q, code.n, st.leader_weight, recounted.__getitem__
         )
         assert scanned == expected
-        assert complete_regularity_bruteforce(code) == expected
+        assert complete_regularity_bruteforce(CodeAnalysis(code)) == expected
         kinds.add(expected.is_completely_regular)
     assert kinds == {True, False}
 
@@ -325,7 +325,9 @@ def test_zero_columns_add_only_loops(q):
         rep, rep_u = complete_regularity(code), complete_regularity(looped)
         assert rep_u == rep._replace(array=rep_u.array)
         if not rep.is_completely_regular:
-            slow, slow_u = map(complete_regularity_bruteforce, (code, looped))
+            slow, slow_u = (
+                complete_regularity_bruteforce(CodeAnalysis(c)) for c in (code, looped)
+            )
             assert (slow, slow_u) == (rep, rep_u)
         if rep.array is not None:
             assert (rep_u.array.b, rep_u.array.c) == (rep.array.b, rep.array.c)
@@ -427,7 +429,7 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
 ):
     code = LinearCode.from_parity(MatrixGF(GF(q), rows, len(rows[0])))
     n, m = code.n, code.redundancy
-    expected = complete_regularity_bruteforce(code)
+    expected = complete_regularity_bruteforce(CodeAnalysis(code))
     assert expected.is_completely_regular == cr
     analysis = CodeAnalysis(code)
     st = analysis.table
@@ -449,7 +451,7 @@ def test_bruteforce_counts_each_syndrome_once_from_leader_weights(
         return counted
 
     monkeypatch.setattr(regularity, "_recount", counting_recount)
-    assert complete_regularity_bruteforce(code, analysis=analysis) == expected
+    assert complete_regularity_bruteforce(analysis) == expected
     # each syndrome at most once, in increasing order: every one on a
     # completely regular code, and on one that is not, a strict prefix
     # that ends where a level first shows a second profile
@@ -498,11 +500,11 @@ def test_catalog_intersection_arrays_against_coset_graphs(catalog48):
 # A seeded random binary [28,10] code (2^18 syndromes), drawn as the
 # benchmark draws its random analyze code, then decided in a process of
 # its own, which reads its peak RSS when done and then checks the
-# report by the brute force.
+# report by the brute force on the same table.
 _MEMORY_CHILD = """
 import json, random, resource
 from crcodes import (
-    GF, Budgets, LinearCode, MatrixGF, complete_regularity,
+    GF, Budgets, CodeAnalysis, LinearCode, MatrixGF,
     complete_regularity_bruteforce, rank,
 )
 
@@ -517,9 +519,10 @@ while True:
     if rank(H) == n - k:
         break
 code = LinearCode.from_parity(H)
-rep = complete_regularity(code)
+analysis = CodeAnalysis(code, Budgets(max_vectors=2**18 * 28))
+rep = analysis.report
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-slow = complete_regularity_bruteforce(code, Budgets(max_vectors=2**18 * 28))
+slow = complete_regularity_bruteforce(analysis)
 assert slow == rep
 print(json.dumps([rep.is_completely_regular, rep.rho, rep.array, peak_kb]))
 """
@@ -606,41 +609,31 @@ def test_complete_regularity_ternary_hamming():
     assert rep.array.a == (0, 7)
 
 
-@pytest.mark.parametrize(
-    "reader",
-    [complete_regularity_bruteforce, beta_solve, verify_theorem41],
-    ids=lambda reader: reader.__name__,
-)
-def test_an_analysis_of_another_code_is_refused(reader):
-    # the ternary [4,2] Hamming code, whose array is (8;1), given the
-    # analysis of the binary [7,4] one: the reader refuses it, before it
-    # computes anything, rather than mix the two codes' weights and tables
-    code = hamming_code(3, 2)
-    other = CodeAnalysis(hamming_code(2, 3))
-    with pytest.raises(ValueError, match="^the analysis given is of another code$"):
-        reader(code, analysis=other)
-    assert set(vars(other)) == {"code", "budget"}
-    # an analysis of an equal code is used as it is
-    same = CodeAnalysis(hamming_code(3, 2))
-    reader(code, analysis=same)
-    assert set(vars(same)) > {"code", "budget"}
-
-
 def test_a_reader_given_an_analysis_checks_only_its_budget():
-    # `budget` only caps a fresh analysis: a reader given one checks
-    # every limit against that analysis's budget, and never mixes the two
+    # a reader checks every limit against the budget of the analysis it
+    # is given, and keeps what it computes in that analysis: the brute
+    # force the table, beta_solve the weight pair and the report, and
+    # Theorem 4.1, with no full-weight dual word here, the weight pair
     code = hamming_code(2, 4)
     with pytest.raises(BudgetExceeded) as err:
-        complete_regularity_bruteforce(
-            code, Budgets(), CodeAnalysis(code, Budgets(max_vectors=1))
-        )
+        complete_regularity_bruteforce(CodeAnalysis(code, Budgets(max_vectors=1)))
     assert err.value.budget == "max_vectors"
-    tiny = Budgets(1, 1, 1)
-    rep = verify_theorem41(code, Budgets(max_codewords=1), CodeAnalysis(code))
-    assert rep == verify_theorem41(code)
-    slow = complete_regularity_bruteforce(code, tiny, CodeAnalysis(code))
-    assert slow == complete_regularity(code)
-    assert beta_solve(code, tiny, CodeAnalysis(code)) == beta_solve(code)
+    for reader, facts in (
+        (complete_regularity_bruteforce, {"table"}),
+        (beta_solve, {"weight_pair", "report"}),
+        (verify_theorem41, {"weight_pair"}),
+    ):
+        analysis = CodeAnalysis(code)
+        reader(analysis)
+        assert set(vars(analysis)) == {"code", "budget", *facts}, reader.__name__
+
+
+def test_an_analysis_gives_its_codes_field_and_length():
+    # perfbench/tracer.py counts the brute force's vectors from the field
+    # and the length of the argument it is given
+    code = hamming_code(3, 2)
+    analysis = CodeAnalysis(code)
+    assert (analysis.field, analysis.n) == (code.field, code.n)
 
 
 def test_scan_stops_at_the_first_syndrome_off_its_levels_profile():
@@ -783,7 +776,7 @@ def test_non_cr_witness():
     code = LinearCode.from_parity(NON_CR_PROBE)
     level, profile = _profile_oracle(code)
     assert {profile[s] for s in level if level[s] == 1} == {(2, 0), (1, 0)}
-    rep = complete_regularity_bruteforce(code)
+    rep = complete_regularity_bruteforce(CodeAnalysis(code))
     assert rep == complete_regularity(code) == (False, 1, None)
 
 
@@ -792,7 +785,7 @@ def test_fast_and_bruteforce_reports_agree():
     for _ in range(30):
         q = rng.choice((2, 3, 4))
         code = _random_code(rng, q, rng.randrange(3, 7), rng.randrange(1, 4))
-        slow = complete_regularity_bruteforce(code)
+        slow = complete_regularity_bruteforce(CodeAnalysis(code))
         assert slow == complete_regularity(code)
 
 
@@ -804,10 +797,10 @@ def test_bruteforce_report_on_the_catalog(catalog48):
     kinds = Counter()
     for desc, code in catalog48:
         for side in (code, code.dual()):
-            analysis = CodeAnalysis(side)
             q = side.field.q
             budget = Budgets(max_vectors=q**side.redundancy * side.n * (q - 1))
-            slow = complete_regularity_bruteforce(side, budget, analysis)
+            analysis = CodeAnalysis(side, budget)
+            slow = complete_regularity_bruteforce(analysis)
             assert slow == analysis.report, desc.slug
             kinds[slow.is_completely_regular] += 1
     assert kinds == {True: 70, False: 8}
@@ -862,7 +855,7 @@ def test_bruteforce_against_both_verdict_branches():
         s = len(nonzero_weights(dual_counts))
         inside = not weights or weights[0] >= 2 * s - 1
         assert ("table" in vars(analysis)) != inside
-        slow = complete_regularity_bruteforce(code)
+        slow = complete_regularity_bruteforce(CodeAnalysis(code))
         assert slow == report
         kind = "inside" if inside else "outside"
         if not report.is_completely_regular:
@@ -916,7 +909,7 @@ def test_theorems_41_and_52_against_the_weights():
         n = code.n
         dual_weights = nonzero_weights(dual_counts)
         if code.k >= 1 and code.redundancy >= 2:
-            rep = verify_theorem41(code, analysis=analysis)
+            rep = verify_theorem41(analysis)
             assert rep.dual_antipodal == bool(dual_counts[n])
             if rep.dual_antipodal:
                 flags = rep.equidistant_ok and rep.symbol_frequency_ok
@@ -1033,16 +1026,18 @@ def test_bruteforce_budget():
     # 2^3 syndromes of the [7,4] Hamming code, 7 neighbours each
     code = hamming_code(2, 3)
     with pytest.raises(BudgetExceeded) as err:
-        complete_regularity_bruteforce(code, Budgets(max_vectors=55))
+        complete_regularity_bruteforce(CodeAnalysis(code, Budgets(max_vectors=55)))
     assert (err.value.budget, err.value.needed, err.value.limit) == (
         "max_vectors", 56, 55,
     )
-    assert complete_regularity_bruteforce(code, Budgets(max_vectors=56)).rho == 1
+    assert complete_regularity_bruteforce(
+        CodeAnalysis(code, Budgets(max_vectors=56))
+    ).rho == 1
 
 
 def test_beta_solve_known_values():
-    assert beta_solve(hamming_code(2, 3)) == [1, 1]
-    assert beta_solve(hamming_code(2, 3).extended()) == [
+    assert beta_solve(CodeAnalysis(hamming_code(2, 3))) == [1, 1]
+    assert beta_solve(CodeAnalysis(hamming_code(2, 3).extended())) == [
         Fraction(1),
         Fraction(1),
         Fraction(1, 4),
@@ -1054,18 +1049,20 @@ def test_beta_solve_budget():
     # ternary [4,2] Hamming code; no ambient vector is walked
     code = hamming_code(3, 2)
     with pytest.raises(BudgetExceeded) as err:
-        beta_solve(code, Budgets(max_codewords=8))
+        beta_solve(CodeAnalysis(code, Budgets(max_codewords=8)))
     assert (err.value.budget, err.value.needed, err.value.limit) == (
         "max_codewords", 9, 8,
     )
-    assert beta_solve(code, Budgets(max_codewords=9, max_vectors=0)) == [1, 1]
+    assert beta_solve(
+        CodeAnalysis(code, Budgets(max_codewords=9, max_vectors=0))
+    ) == [1, 1]
 
 
 def test_beta_solve_unsolvable_when_radius_below_external_distance():
     code = LinearCode.from_parity(MatrixGF(GF(2), [[1, 1, 0, 1], [0, 0, 0, 1]]))
     assert covering_radius(code) == 2
     assert external_distance(code) == 3
-    assert beta_solve(code) is None
+    assert beta_solve(CodeAnalysis(code)) is None
     report = analysis_report(code, with_beta=True)
     assert (report["uniformly_packed"], report["beta"]) == (False, None)
 
@@ -1127,7 +1124,7 @@ def test_packing_predicate_matches_beta_solvability(catalog48):
         rho = analysis.table.rho
         s = len(nonzero_weights(analysis.weight_pair[1]))
         assert rho <= s
-        beta = beta_solve(code, analysis=analysis)
+        beta = beta_solve(analysis)
         assert beta == _beta_oracle(code, rho)
         assert (beta is None) == (rho != s)
         solvable += beta is not None
@@ -1161,7 +1158,7 @@ def test_beta_solve_solves_the_krawtchouk_equations():
                 weight_pair=analysis.weight_pair,
                 report=SimpleNamespace(rho=s),
             )
-        beta = beta_solve(code, analysis=analysis)
+        beta = beta_solve(analysis)
         kinds[kind] += 1
         if rho < s:
             assert beta is None
